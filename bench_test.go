@@ -240,26 +240,6 @@ func BenchmarkFig19VsPrivate(b *testing.B) {
 	reportComparison(b, cs)
 }
 
-// BenchmarkFig19Parallel is BenchmarkFig19VsPrivate with each thread's
-// trace generated on a 4-goroutine substream worker pool. Results are
-// byte-identical to the sequential figure, so the pair measures the
-// parallel-generation speedup on this machine (the shared trace cache
-// is flushed every iteration to time cold generation, not replay).
-func BenchmarkFig19Parallel(b *testing.B) {
-	cfg := benchCfg()
-	cfg.ParallelGen = 4
-	var cs []experiment.Comparison
-	for i := 0; i < b.N; i++ {
-		experiment.FlushTraceCache()
-		var err error
-		cs, err = experiment.Fig19VsPrivate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportComparison(b, cs)
-}
-
 func BenchmarkFig20VsShared(b *testing.B) {
 	cfg := benchCfg()
 	var cs []experiment.Comparison
@@ -301,28 +281,28 @@ func BenchmarkFig22EightCore(b *testing.B) {
 	b.ReportMetric(experiment.MeanImprovement(res.VsShared), "meanVsShared%")
 }
 
-// --- Sweep pipeline benchmarks (DESIGN.md §5g) ---
+// --- Sweep trace-sharing benchmarks (DESIGN.md §5g) ---
 
 // sweepBenchPoints is a three-cell L2-associativity sweep over one
 // workload. Associativity does not perturb the instruction streams, so
-// with Pipeline set the cells share generated segments through the
+// with ShareTraces set the cells share generated segments through the
 // process-wide trace cache.
-func sweepBenchPoints(pipeline bool) []experiment.SweepPoint {
+func sweepBenchPoints(share bool) []experiment.SweepPoint {
 	var points []experiment.SweepPoint
 	for _, ways := range []int{16, 32, 64} {
 		cfg := benchCfg()
 		cfg.Sections = 12
 		cfg.L2Ways = ways
-		cfg.Pipeline = pipeline
+		cfg.ShareTraces = share
 		points = append(points, experiment.SweepPoint{Label: "l2ways-" + itoa(uint64(ways)), Cfg: cfg})
 	}
 	return points
 }
 
-// BenchmarkSweepSynchronous and BenchmarkSweepPipelined time the same
-// multi-cell sweep with trace generation paid per cell vs once per
-// sweep. The pipelined variant flushes the shared trace cache every
-// iteration so each iteration measures a cold sweep, not a warmed one.
+// BenchmarkSweepSynchronous and BenchmarkSweepSharedTraces time the
+// same multi-cell sweep with trace generation paid per cell vs once per
+// sweep. The shared variant flushes the trace cache every iteration so
+// each iteration measures a cold sweep, not a warmed one.
 func BenchmarkSweepSynchronous(b *testing.B) {
 	points := sweepBenchPoints(false)
 	for i := 0; i < b.N; i++ {
@@ -332,7 +312,7 @@ func BenchmarkSweepSynchronous(b *testing.B) {
 	}
 }
 
-func BenchmarkSweepPipelined(b *testing.B) {
+func BenchmarkSweepSharedTraces(b *testing.B) {
 	points := sweepBenchPoints(true)
 	for i := 0; i < b.N; i++ {
 		experiment.FlushTraceCache()

@@ -51,11 +51,8 @@ func main() {
 	faultStuck := flag.Float64("fault-stuck", 0, "per-thread probability of a stuck-counter repeat")
 	faultDelay := flag.Int("fault-delay", 0, "repartition decisions applied this many intervals late")
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
-	pipeline := flag.Bool("pipeline", false, "pipelined trace generation: overlap generation with simulation (bit-identical results)")
-	parallelGen := flag.Int("parallel-gen", 0, "generate each thread's trace on this many goroutines (bit-identical results; implies -pipeline)")
 	shards := flag.Int("shards", 0, "split the run into this many time shards simulated in parallel (changes results; 0/1 = off)")
 	shardWorkers := flag.Int("shard-workers", 0, "worker pool for -shards (0 = one per shard; never changes results)")
-	traceCacheMB := flag.Int("trace-cache-mb", 0, "segment-cache budget in MiB for -pipeline (0 = default 256, negative = no sharing)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -121,9 +118,6 @@ func main() {
 	if !plan.IsZero() {
 		cfg.Fault = &plan
 	}
-	cfg.Pipeline = *pipeline
-	cfg.ParallelGen = *parallelGen
-	cfg.TraceCacheMB = *traceCacheMB
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}

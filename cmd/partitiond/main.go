@@ -174,6 +174,16 @@ func serve(listen string, opts service.Options, shards, tickWorkers int, tick, d
 		}
 	}()
 
+	// Register before the listen address is published: a caller may
+	// signal as soon as it learns the address, and an unregistered
+	// SIGTERM would kill the process instead of draining it.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	// Unregister on every exit path so a leftover second-signal watcher
+	// from this serve can never fire on a later process signal (the
+	// in-process restart test runs serve twice).
+	defer signal.Stop(sigs)
+
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		stopTicker()
@@ -189,13 +199,6 @@ func serve(listen string, opts service.Options, shards, tickWorkers int, tick, d
 	handler.SetReady(true)
 	fmt.Fprintf(os.Stderr, "partitiond: listening on %s (tick %v, deadline %v, %d shards)\n",
 		ln.Addr(), tick, deadline, svc.NumShards())
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	// Unregister on every exit path so a leftover second-signal watcher
-	// from this serve can never fire on a later process signal (the
-	// in-process restart test runs serve twice).
-	defer signal.Stop(sigs)
 
 	select {
 	case err := <-serveErr:

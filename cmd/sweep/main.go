@@ -93,10 +93,8 @@ func main() {
 	faultStuck := flag.Float64("fault-stuck", 0, "per-thread probability of a stuck-counter repeat")
 	faultDelay := flag.Int("fault-delay", 0, "repartition decisions applied this many intervals late")
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
-	pipeline := flag.Bool("pipeline", false, "pipelined trace generation: sweep cells share generated segments (bit-identical results)")
-	parallelGen := flag.Int("parallel-gen", 0, "generate each thread's trace on this many goroutines per run (bit-identical results; implies -pipeline)")
+	shareTraces := flag.Bool("share-traces", false, "generate each workload's traces once and replay them in every cell (bit-identical results)")
 	shards := flag.Int("shards", 0, "time-shard each cell's runs into this many parallel shards (changes results and the resume journal identity; 0/1 = off)")
-	traceCacheMB := flag.Int("trace-cache-mb", 0, "segment-cache budget in MiB for -pipeline (0 = default 256, negative = no sharing)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the sweep to this file")
 	workerMode := flag.String("worker", "", `run as a sweep worker instead of a coordinator: "stdio" speaks the protocol on stdin/stdout, anything else is an HTTP listen address like ":9090"`)
 	execWorkers := flag.Int("exec-workers", 0, "distribute cells across this many local worker subprocesses (the binary re-execs itself with -worker stdio)")
@@ -139,9 +137,7 @@ func main() {
 	if !plan.IsZero() {
 		cfg.Fault = &plan
 	}
-	cfg.Pipeline = *pipeline
-	cfg.ParallelGen = *parallelGen
-	cfg.TraceCacheMB = *traceCacheMB
+	cfg.ShareTraces = *shareTraces
 	mech, err := cache.ParseMechanism(*mechName)
 	if err != nil {
 		fatal(err)
@@ -271,9 +267,8 @@ func main() {
 		reportInterrupted(err, opts.JournalPath)
 		fatal(err)
 	}
-	cacheStats := experiment.TraceCacheStats()
 	if *outPath != "" {
-		if err := report.SaveJSON(*outPath, sweepOutput{Results: results, TraceCache: cacheStats}); err != nil {
+		if err := report.SaveJSON(*outPath, sweepOutput{Results: results}); err != nil {
 			fatal(err)
 		}
 	}
@@ -281,7 +276,7 @@ func main() {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(sweepOutput{Results: results, TraceCache: cacheStats}); err != nil {
+		if err := enc.Encode(sweepOutput{Results: results}); err != nil {
 			fatal(err)
 		}
 	} else {
@@ -300,8 +295,8 @@ func main() {
 			t.AddRow(label, r.BaselineCycles, r.DynamicCycles, r.ImprovementPct)
 		}
 		fmt.Print(t.String())
-		printTraceCacheSummary(cacheStats)
 	}
+	printTraceCacheSummary(experiment.TraceCacheStats())
 
 	if failed, kinds := failureSummary(results); failed > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells failed (%s); partial results above\n",
@@ -513,15 +508,14 @@ func kindCounts(kinds map[string]int) string {
 	return strings.Join(parts, ", ")
 }
 
-// sweepOutput is the -out / -json payload: the per-point results plus
-// the shared trace cache's counters (all zero when -pipeline was off).
+// sweepOutput is the -out / -json payload. It carries only the
+// per-point results, so -share-traces leaves it byte-identical.
 type sweepOutput struct {
-	Results    []experiment.SweepResult
-	TraceCache trace.CacheStats
+	Results []experiment.SweepResult
 }
 
-// printTraceCacheSummary appends the shared trace cache's counters to
-// the human-readable report when pipelining put anything through it.
+// printTraceCacheSummary reports the shared trace cache's counters on
+// stderr when -share-traces put anything through it.
 func printTraceCacheSummary(st trace.CacheStats) {
 	if st.Hits == 0 && st.Misses == 0 && st.Detaches == 0 {
 		return
@@ -531,7 +525,7 @@ func printTraceCacheSummary(st trace.CacheStats) {
 	if total > 0 {
 		pct = 100 * float64(st.Hits) / float64(total)
 	}
-	fmt.Printf("\ntrace cache: %d/%d segments served from cache (%.1f%%), "+
+	fmt.Fprintf(os.Stderr, "sweep: trace cache: %d/%d segments served from cache (%.1f%%), "+
 		"%d generated, %d detaches, %d evictions, %d entries / %.1f MiB resident\n",
 		st.Hits, total, pct, st.Misses, st.Detaches, st.Evictions,
 		st.Entries, float64(st.Bytes)/(1<<20))

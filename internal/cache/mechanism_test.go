@@ -5,8 +5,8 @@ package cache
 // invariants (capacity conserved, no cross-partition eviction, Restore
 // rebuilds derived state), and a byte-identity pin that the
 // way-granular modes behave exactly as they did before the mechanism
-// abstraction landed. The mechanism-determinism CI job runs everything
-// here under -race and again under GOMAXPROCS=1.
+// abstraction landed. The mechanism leg of the determinism CI matrix
+// runs everything here under -race and again under GOMAXPROCS=1.
 
 import (
 	"fmt"

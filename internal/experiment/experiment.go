@@ -66,24 +66,13 @@ type Config struct {
 	// static-equal) are unaffected: they consume no telemetry.
 	Fault *fault.Plan
 
-	// Pipeline wraps the trace generators in trace.Pipelined: producer
-	// goroutines pre-generate instruction segments while the simulator
-	// consumes them (synchronous fallback when GOMAXPROCS==1), and the
-	// process-wide segment cache shares generated segments between runs
-	// of the same workload — sweep cells pay the RNG floor once, not
-	// once per cell. Results and checkpoints are bit-identical to
-	// synchronous generation; see internal/trace/pipeline.go.
-	Pipeline bool
-	// TraceCacheMB bounds the shared segment cache. 0 means the default
-	// (256 MiB); negative disables sharing (pure overlap, private
-	// segments). Ignored unless Pipeline is set.
-	TraceCacheMB int
-	// ParallelGen, when > 1, generates each thread's trace on that many
-	// worker goroutines at once using the substream chunk discipline
-	// (trace/parallel.go). Implies Pipeline. Results and checkpoints are
-	// bit-identical for every value — it is a pure throughput knob, so
-	// like Pipeline it is excluded from Fingerprint().
-	ParallelGen int
+	// ShareTraces wraps the trace generators in trace.SharedGen over a
+	// process-wide 256 MiB segment cache, so runs of the same workload
+	// — sweep cells over cache geometry — generate each instruction
+	// stream once and replay it after that. Results and checkpoints are
+	// bit-identical to bare generation (see internal/trace/shared.go),
+	// so it is excluded from Fingerprint().
+	ShareTraces bool
 }
 
 // DefaultConfig returns the scaled default configuration: 4 threads,

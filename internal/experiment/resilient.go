@@ -29,11 +29,10 @@ import (
 
 // Fingerprint renders every configuration field that affects simulation
 // output into one canonical string. Checkpoint and journal resume use
-// it to refuse state written under a different setup. Pipeline,
-// TraceCacheMB and ParallelGen are deliberately excluded: pipelined and
-// substream-parallel generation are bit-identical to synchronous by
-// construction (pinned by the differential tests), so a run
-// checkpointed in one mode may resume in any other.
+// it to refuse state written under a different setup. ShareTraces is
+// deliberately excluded: shared traces are bit-identical to bare
+// generation by construction (pinned by the differential tests), so a
+// run checkpointed in one mode may resume in the other.
 func (c Config) Fingerprint() string {
 	faultDesc := "none"
 	if c.Fault != nil && !c.Fault.IsZero() {

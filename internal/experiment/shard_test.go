@@ -69,7 +69,6 @@ func TestShardedSingleShardMatchesPlain(t *testing.T) {
 // contract: for a fixed shard count the Result never depends on the
 // worker count — shards are independent, so scheduling is invisible.
 func TestShardedWorkerCountInvariance(t *testing.T) {
-	withAsync(t)
 	cfg := ckptTestConfig()
 	prof := shardTestProf(t, "swim")
 	for _, mode := range []RunMode{ByIntervals, BySections} {
@@ -105,10 +104,9 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 }
 
 // TestShardedGenerationModeInvariance ties the two halves of the
-// feature together: for a fixed shard count, Pipeline and ParallelGen
-// remain pure throughput knobs inside each shard.
+// feature together: for a fixed shard count, ShareTraces remains a pure
+// throughput knob inside each shard.
 func TestShardedGenerationModeInvariance(t *testing.T) {
-	withAsync(t)
 	cfg := ckptTestConfig()
 	prof := shardTestProf(t, "cg")
 	spec := ShardSpec{Shards: 3, Workers: 2}
@@ -121,8 +119,7 @@ func TestShardedGenerationModeInvariance(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"pipeline", func(c *Config) { c.Pipeline = true }},
-		{"parallel-gen", func(c *Config) { c.ParallelGen = 2 }},
+		{"pipeline", func(c *Config) { c.ShareTraces = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			FlushTraceCache()
@@ -142,18 +139,16 @@ func TestShardedGenerationModeInvariance(t *testing.T) {
 
 // TestShardedCheckpointKillResumeCrossMode is the kill/resume chain
 // crossing shard boundaries: every shard is killed mid-shard under one
-// execution mode (parallel workers + parallel generation, or one
-// worker + synchronous generation) and the run is finished under the
-// other. The per-shard checkpoints must splice into the same stitched
+// execution mode (parallel workers + shared traces, or one worker +
+// bare generators) and the run is finished under the other. The per-shard checkpoints must splice into the same stitched
 // Result as a straight-through sharded run.
 func TestShardedCheckpointKillResumeCrossMode(t *testing.T) {
-	withAsync(t)
 	cfg := ckptTestConfig()
 	prof := shardTestProf(t, "cg")
 	pol := core.PolicyModelBased
 
-	parCfg := cfg
-	parCfg.ParallelGen = 2
+	sharedCfg := cfg
+	sharedCfg.ShareTraces = true
 	straight, err := ShardedRun(context.Background(), cfg, prof, pol,
 		ByIntervals, ShardSpec{Shards: 3}, nil)
 	if err != nil {
@@ -167,8 +162,8 @@ func TestShardedCheckpointKillResumeCrossMode(t *testing.T) {
 		killCfg, resCfg Config
 		killWrk, resWrk int
 	}{
-		{"parallel-kill-sequential-resume", parCfg, cfg, 3, 1},
-		{"sequential-kill-parallel-resume", cfg, parCfg, 1, 3},
+		{"parallel-kill-sequential-resume", sharedCfg, cfg, 3, 1},
+		{"sequential-kill-parallel-resume", cfg, sharedCfg, 1, 3},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

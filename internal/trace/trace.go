@@ -30,11 +30,9 @@
 // happens the moment chunk k's last instruction is consumed — so the
 // generator state at a chunk boundary IS the next chunk's start state.
 // Together these make the start of any chunk an O(1) pure function of
-// (spec, base RNG, phase, chunk index): many cores can generate
-// disjoint chunks of one thread's stream concurrently (pipeline
-// parallel mode), and a time-sharded run can synthesize the generator
-// state deep inside a stream without replaying the prefix (SeekChunk /
-// SeekInstructions). The cursor redraw keeps chunk-local behaviour
+// (spec, base RNG, phase, chunk index): a time-sharded run can
+// synthesize the generator state deep inside a stream without
+// replaying the prefix (SeekChunk / SeekInstructions). The cursor redraw keeps chunk-local behaviour
 // faithful: a streaming chunk starts at a random line of the streaming
 // region instead of always at offset 0, so the polluter character of
 // the region is preserved across the chunked stream.
@@ -125,8 +123,7 @@ type Instr struct {
 // instructions the generator switches to the next 2^128-draw substream
 // of its base RNG and redraws its region cursors (see the package
 // comment). The value is stream-defining — changing it changes every
-// generated trace — and matches the pipeline's default segment size so
-// cached segments and parallel generation chunks coincide.
+// generated trace — and is also the segment length of SharedGen.
 const ChunkInstructions = 8192
 
 // chunkMask exploits that ChunkInstructions is a power of two.
