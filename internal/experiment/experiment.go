@@ -385,25 +385,58 @@ func CompareCtx(ctx context.Context, cfg Config, prof workload.Profile,
 	if err != nil {
 		return Comparison{}, err
 	}
-	return Comparison{
-		Benchmark:       prof.Name,
-		BaselineCycles:  base.Result.WallCycles,
-		CandidateCycles: cand.Result.WallCycles,
-		ImprovementPct: 100 * stats.Improvement(
-			float64(base.Result.WallCycles), float64(cand.Result.WallCycles)),
-	}, nil
+	return newComparison(prof.Name, base.Result.WallCycles, cand.Result.WallCycles), nil
 }
 
-// CompareAll runs Compare over all nine benchmarks.
+func newComparison(benchmark string, baseCycles, candCycles uint64) Comparison {
+	return Comparison{
+		Benchmark:       benchmark,
+		BaselineCycles:  baseCycles,
+		CandidateCycles: candCycles,
+		ImprovementPct:  100 * stats.Improvement(float64(baseCycles), float64(candCycles)),
+	}
+}
+
+// CompareAll runs Compare over all nine benchmarks. The 18 runs are
+// independent, so they are spread over GOMAXPROCS workers; the result
+// is identical to calling Compare on each benchmark in turn.
 func CompareAll(cfg Config, baseline, candidate core.Policy) ([]Comparison, error) {
+	cs, err := compareMany(cfg, []core.Policy{baseline}, candidate)
+	if err != nil {
+		return nil, err
+	}
+	return cs[0], nil
+}
+
+// compareMany compares candidate against every baseline on all nine
+// benchmarks and returns one []Comparison per baseline. The candidate
+// runs once per benchmark however many baselines share it. Every
+// (benchmark, policy) run is one index of a GOMAXPROCS worker pool and
+// results are collected by index, so the output does not depend on
+// scheduling. An error names the first failing benchmark in profile
+// order.
+func compareMany(cfg Config, baselines []core.Policy, candidate core.Policy) ([][]Comparison, error) {
 	profiles := workload.Profiles()
-	out := make([]Comparison, 0, len(profiles))
-	for _, prof := range profiles {
-		c, err := Compare(cfg, prof, baseline, candidate)
+	// Per benchmark: the baselines in order, then the candidate.
+	policies := append(append([]core.Policy(nil), baselines...), candidate)
+	np := len(policies)
+	cycles := make([]uint64, len(profiles)*np)
+	errs := forEachIndex(len(cycles), 0, func(k int) error {
+		r, err := RunOne(cfg, profiles[k/np], policies[k%np], BySections)
+		cycles[k] = r.Result.WallCycles
+		return err
+	})
+	for k, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s: %w", prof.Name, err)
+			return nil, fmt.Errorf("experiment: %s: %w", profiles[k/np].Name, err)
 		}
-		out = append(out, c)
+	}
+	out := make([][]Comparison, len(baselines))
+	for b := range baselines {
+		out[b] = make([]Comparison, len(profiles))
+		for i, prof := range profiles {
+			out[b][i] = newComparison(prof.Name, cycles[i*np+b], cycles[i*np+np-1])
+		}
 	}
 	return out, nil
 }

@@ -26,16 +26,20 @@ type ThreadSeries struct {
 // cache for cfg.Intervals intervals and returns the runs, which the
 // Fig. 3/4/5/8/9 drivers mine. The shared cache is the right substrate
 // for characterisation: it is what the paper measures before proposing
-// partitioning.
+// partitioning. The nine runs are independent and fan out over
+// GOMAXPROCS workers, collected by index.
 func characterise(cfg Config) ([]Run, error) {
 	profiles := workload.Profiles()
-	runs := make([]Run, 0, len(profiles))
-	for _, prof := range profiles {
-		r, err := RunOne(cfg, prof, core.PolicyShared, ByIntervals)
+	runs := make([]Run, len(profiles))
+	errs := forEachIndex(len(profiles), 0, func(i int) error {
+		var err error
+		runs[i], err = RunOne(cfg, profiles[i], core.PolicyShared, ByIntervals)
+		return err
+	})
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("characterise %s: %w", prof.Name, err)
+			return nil, fmt.Errorf("characterise %s: %w", profiles[i].Name, err)
 		}
-		runs = append(runs, r)
 	}
 	return runs, nil
 }
@@ -264,18 +268,16 @@ func Fig10WaySensitivity(cfg Config) ([]WaySensitivity, error) {
 	}
 
 	n := cfg.NumThreads
+	// assignments[0] is the equal-16 baseline; assignments[1+t] doubles
+	// thread t to 32 ways.
+	assignments := make([][]int, 1+n)
 	equal := make([]int, n)
 	for i := range equal {
 		equal[i] = 16
 	}
 	// Pad any leftover ways onto the last thread so targets sum to Ways.
 	equal[n-1] += cfg.L2Ways - 16*n
-	base, err := runWith(equal)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]WaySensitivity, n)
+	assignments[0] = equal
 	for t := 0; t < n; t++ {
 		targets := make([]int, n)
 		rest := cfg.L2Ways - 32
@@ -297,11 +299,26 @@ func Fig10WaySensitivity(cfg Config) ([]WaySensitivity, error) {
 				sum++
 			}
 		}
-		big, err := runWith(targets)
+		assignments[1+t] = targets
+	}
+
+	// The 1 + n static-partition runs are independent: fan them out and
+	// collect by index.
+	runs := make([]Run, len(assignments))
+	errs := forEachIndex(len(assignments), 0, func(i int) error {
+		var err error
+		runs[i], err = runWith(assignments[i])
+		return err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		ws := WaySensitivity{Thread: t, CPI16Ways: threadCPI(base, t), CPI32Ways: threadCPI(big, t)}
+	}
+
+	out := make([]WaySensitivity, n)
+	for t := 0; t < n; t++ {
+		ws := WaySensitivity{Thread: t, CPI16Ways: threadCPI(runs[0], t), CPI32Ways: threadCPI(runs[1+t], t)}
 		if ws.CPI16Ways > 0 {
 			ws.DropPct = 100 * (ws.CPI16Ways - ws.CPI32Ways) / ws.CPI16Ways
 		}
@@ -434,17 +451,14 @@ type EightCoreResult struct {
 // default cache is scaled 4× down and sized against the 4-thread
 // working sets, so the 8-thread run doubles the L2 capacity (same
 // associativity, twice the sets) to preserve the paper's
-// working-set-to-cache ratio. See EXPERIMENTS.md.
+// working-set-to-cache ratio. See EXPERIMENTS.md. Both series share
+// one model-based run per benchmark.
 func Fig22EightCore(cfg Config) (EightCoreResult, error) {
 	c8 := cfg.WithThreads(8)
 	c8.L2KB *= 2
-	vsPriv, err := CompareAll(c8, core.PolicyPrivate, core.PolicyModelBased)
+	cs, err := compareMany(c8, []core.Policy{core.PolicyPrivate, core.PolicyShared}, core.PolicyModelBased)
 	if err != nil {
 		return EightCoreResult{}, err
 	}
-	vsShared, err := CompareAll(c8, core.PolicyShared, core.PolicyModelBased)
-	if err != nil {
-		return EightCoreResult{}, err
-	}
-	return EightCoreResult{VsPrivate: vsPriv, VsShared: vsShared}, nil
+	return EightCoreResult{VsPrivate: cs[0], VsShared: cs[1]}, nil
 }

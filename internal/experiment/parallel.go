@@ -7,32 +7,13 @@ import (
 	"sync"
 
 	"intracache/internal/core"
-	"intracache/internal/workload"
 )
 
 // Simulation runs are single-threaded and independent of one another,
-// so sweeps parallelise perfectly across goroutines. Determinism is
-// preserved: each run's result depends only on its (profile, policy,
-// config) inputs, and results are collected by index.
-
-// CompareAllParallel is CompareAll with the nine benchmarks fanned out
-// over a worker pool. workers <= 0 uses GOMAXPROCS. Results are
-// identical to CompareAll's, in the same order.
-func CompareAllParallel(cfg Config, baseline, candidate core.Policy, workers int) ([]Comparison, error) {
-	profiles := workload.Profiles()
-	out := make([]Comparison, len(profiles))
-	errs := forEachIndex(len(profiles), workers, func(i int) error {
-		c, err := Compare(cfg, profiles[i], baseline, candidate)
-		out[i] = c
-		return err
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s: %w", profiles[i].Name, err)
-		}
-	}
-	return out, nil
-}
+// so sweeps and the figure drivers parallelise perfectly across
+// goroutines. Determinism is preserved: each run's result depends only
+// on its (profile, policy, config) inputs, and results are collected by
+// index.
 
 // SweepPoint is one (label, config) cell of a parameter sweep.
 type SweepPoint struct {

@@ -1,45 +1,170 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"intracache/internal/core"
 	"intracache/internal/sim"
+	"intracache/internal/trace"
 	"intracache/internal/workload"
 )
 
-func TestCompareAllParallelMatchesSerial(t *testing.T) {
+// The figure drivers fan their independent runs out over GOMAXPROCS
+// workers. The tests below pin each driver against a serial reference
+// loop written out here, so any scheduling dependence shows up as a
+// difference.
+
+// serialCompareAll is the reference for CompareAll: Compare on each
+// benchmark in turn.
+func serialCompareAll(t *testing.T, cfg Config, baseline, candidate core.Policy) []Comparison {
+	t.Helper()
+	var out []Comparison
+	for _, prof := range workload.Profiles() {
+		c, err := Compare(cfg, prof, baseline, candidate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+func TestCompareAllMatchesSerialReference(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Sections = 6
-	serial, err := CompareAll(cfg, core.PolicyShared, core.PolicyStaticEqual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := CompareAllParallel(cfg, core.PolicyShared, core.PolicyStaticEqual, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("lengths differ: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("row %d differs: %+v vs %+v", i, serial[i], parallel[i])
+	for _, pair := range [][2]core.Policy{
+		{core.PolicyShared, core.PolicyStaticEqual},
+		{core.PolicyThroughputUCP, core.PolicyModelBased},
+	} {
+		got, err := CompareAll(cfg, pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := serialCompareAll(t, cfg, pair[0], pair[1]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%v vs %v:\n got %+v\nwant %+v", pair[0], pair[1], got, want)
 		}
 	}
 }
 
-func TestCompareAllParallelDefaultWorkers(t *testing.T) {
+func TestFig22EightCoreMatchesSerialReference(t *testing.T) {
 	cfg := QuickConfig()
-	cfg.Sections = 4
-	cs, err := CompareAllParallel(cfg, core.PolicyShared, core.PolicyStaticEqual, 0)
+	cfg.Sections = 3
+	got, err := Fig22EightCore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs) != 9 {
-		t.Fatalf("rows = %d", len(cs))
+	c8 := cfg.WithThreads(8)
+	c8.L2KB *= 2
+	want := EightCoreResult{
+		VsPrivate: serialCompareAll(t, c8, core.PolicyPrivate, core.PolicyModelBased),
+		VsShared:  serialCompareAll(t, c8, core.PolicyShared, core.PolicyModelBased),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Fig22EightCore differs from two serial loops:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+func TestCharacteriseMatchesSerialReference(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Intervals = 4
+	got, err := characterise(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := workload.Profiles()
+	if len(got) != len(profiles) {
+		t.Fatalf("runs = %d, want %d", len(got), len(profiles))
+	}
+	for i, prof := range profiles {
+		want, err := RunOne(cfg, prof, core.PolicyShared, ByIntervals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("run %d (%s) differs from the serial reference", i, prof.Name)
+		}
+	}
+}
+
+func TestFig10WaySensitivityMatchesSerialReference(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Intervals = 4
+	got, err := Fig10WaySensitivity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The static assignments of the default 4-thread, 64-way L2: the
+	// equal-16 baseline, then each thread doubled to 32 ways with the
+	// other 32 spread over its siblings.
+	assignments := [][]int{
+		{16, 16, 16, 16},
+		{32, 11, 11, 10},
+		{11, 32, 11, 10},
+		{11, 11, 32, 10},
+		{11, 11, 10, 32},
+	}
+	cpis := make([][]float64, len(assignments))
+	for i, targets := range assignments {
+		gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sim.New(cfg.simParams(core.PolicyStaticEqual), trace.Sources(gens),
+			&fixedTargets{targets: targets}, prof.PhaseFunc(cfg.NumThreads))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := s.RunIntervals(cfg.Intervals)
+		for th := range targets {
+			active := float64(res.ThreadCycles[th] - res.ThreadStall[th])
+			cpis[i] = append(cpis[i], active/float64(res.ThreadInstr[th]))
+		}
+	}
+	if len(got) != cfg.NumThreads {
+		t.Fatalf("threads = %d", len(got))
+	}
+	for th, ws := range got {
+		want := WaySensitivity{Thread: th, CPI16Ways: cpis[0][th], CPI32Ways: cpis[1+th][th]}
+		want.DropPct = 100 * (want.CPI16Ways - want.CPI32Ways) / want.CPI16Ways
+		if ws != want {
+			t.Errorf("thread %d: got %+v, want %+v", th, ws, want)
+		}
+	}
+}
+
+// TestCompareAllInvalidConfigNamesFirstBenchmark: a config every run
+// rejects fails each fanned-out driver with an error (not a recovered
+// panic) that names the first benchmark in profile order.
+func TestCompareAllInvalidConfigNamesFirstBenchmark(t *testing.T) {
+	bad := QuickConfig()
+	bad.Sections = 2
+	bad.L2KB = 7 // invalid geometry
+	first := workload.Names()[0]
+	_, errAll := CompareAll(bad, core.PolicyShared, core.PolicyModelBased)
+	_, err22 := Fig22EightCore(bad)
+	_, errChar := characterise(bad)
+	for _, c := range []struct {
+		name, prefix string
+		err          error
+	}{
+		{"CompareAll", "experiment: " + first + ": ", errAll},
+		{"Fig22EightCore", "experiment: " + first + ": ", err22},
+		{"characterise", "characterise " + first + ": ", errChar},
+	} {
+		if c.err == nil {
+			t.Errorf("%s accepted an invalid config", c.name)
+			continue
+		}
+		if !strings.HasPrefix(c.err.Error(), c.prefix) || strings.Contains(c.err.Error(), "panicked") {
+			t.Errorf("%s error = %q, want prefix %q and no panic", c.name, c.err, c.prefix)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -170,24 +171,10 @@ func (s *Server) handleAlloc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Long-poll: answer as soon as the session's epoch exceeds ?epoch=
-	// (0 when absent: return the current allocation immediately).
-	since, err := parseEpoch(q.Get("epoch"))
+	since, wait, err := parseWatchQuery(q)
 	if err != nil {
-		http.Error(w, "bad epoch parameter: "+err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	}
-	wait := defaultWatchWait
-	if tv := q.Get("timeout"); tv != "" {
-		d, err := time.ParseDuration(tv)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad timeout parameter", http.StatusBadRequest)
-			return
-		}
-		wait = d
-	}
-	if wait > maxWatchWait {
-		wait = maxWatchWait
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), wait)
 	defer cancel()
@@ -209,11 +196,28 @@ func (s *Server) handleAlloc(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func parseEpoch(s string) (uint64, error) {
-	if s == "" {
-		return 0, nil
+// parseWatchQuery reads a long-poll's parameters: answer as soon as
+// the session's epoch exceeds ?epoch= (0 when absent: return the
+// current allocation immediately), waiting at most ?timeout=, which
+// defaults to defaultWatchWait and is capped at maxWatchWait.
+func parseWatchQuery(q url.Values) (since uint64, wait time.Duration, err error) {
+	if ev := q.Get("epoch"); ev != "" {
+		if since, err = strconv.ParseUint(ev, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("bad epoch parameter: %w", err)
+		}
 	}
-	return strconv.ParseUint(s, 10, 64)
+	wait = defaultWatchWait
+	if tv := q.Get("timeout"); tv != "" {
+		d, err := time.ParseDuration(tv)
+		if err != nil || d <= 0 {
+			return 0, 0, errors.New("bad timeout parameter")
+		}
+		wait = d
+	}
+	if wait > maxWatchWait {
+		wait = maxWatchWait
+	}
+	return since, wait, nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -222,13 +222,6 @@ func CompareAll(cfg Config, baseline, candidate Policy) ([]Comparison, error) {
 	return experiment.CompareAll(cfg, baseline, candidate)
 }
 
-// CompareAllParallel is CompareAll with the benchmarks fanned out over
-// a worker pool (workers <= 0 uses GOMAXPROCS). Results are identical
-// to CompareAll's: simulations are independent and deterministic.
-func CompareAllParallel(cfg Config, baseline, candidate Policy, workers int) ([]Comparison, error) {
-	return experiment.CompareAllParallel(cfg, baseline, candidate, workers)
-}
-
 // MeanImprovement averages ImprovementPct across comparisons.
 func MeanImprovement(cs []Comparison) float64 { return experiment.MeanImprovement(cs) }
 

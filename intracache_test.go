@@ -119,10 +119,10 @@ func TestDefaultConfigUsable(t *testing.T) {
 	}
 }
 
-func TestCompareAllParallelFacade(t *testing.T) {
+func TestCompareAllFacade(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Sections = 4
-	cs, err := CompareAllParallel(cfg, PolicyShared, PolicyStaticEqual, 3)
+	cs, err := CompareAll(cfg, PolicyShared, PolicyStaticEqual)
 	if err != nil {
 		t.Fatal(err)
 	}
