@@ -9,7 +9,6 @@ package intracache
 // numbers alongside the usual time/allocation costs.
 
 import (
-	"context"
 	"testing"
 
 	"intracache/internal/core"
@@ -317,22 +316,6 @@ func BenchmarkSweepSharedTraces(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		experiment.FlushTraceCache()
 		if _, err := experiment.Sweep(points, "cg", core.PolicyShared, core.PolicyModelBased, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepSharded times the same sweep with every cell's runs
-// split into 4 time shards simulated in parallel. Sharding changes the
-// cells' Results (each shard starts from a synthesized cold state), so
-// this is a throughput benchmark of the sharded driver, not a
-// differential check — those live in internal/experiment/shard_test.go.
-func BenchmarkSweepSharded(b *testing.B) {
-	points := sweepBenchPoints(false)
-	opts := experiment.SweepOptions{Workers: 2, Shards: 4}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.SweepJournaled(context.Background(), points, "cg",
-			core.PolicyShared, core.PolicyModelBased, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,8 +51,6 @@ func main() {
 	faultStuck := flag.Float64("fault-stuck", 0, "per-thread probability of a stuck-counter repeat")
 	faultDelay := flag.Int("fault-delay", 0, "repartition decisions applied this many intervals late")
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
-	shards := flag.Int("shards", 0, "split the run into this many time shards simulated in parallel (changes results; 0/1 = off)")
-	shardWorkers := flag.Int("shard-workers", 0, "worker pool for -shards (0 = one per shard; never changes results)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
@@ -131,16 +129,7 @@ func main() {
 		Every:  *ckptEvery,
 		Resume: *resumeRun,
 	}
-	var run intracache.Run
-	if *shards > 1 {
-		run, err = intracache.SimulateSharded(ctx, cfg, *bench, pol, mode, intracache.ShardSpec{
-			Shards:     *shards,
-			Workers:    *shardWorkers,
-			Checkpoint: ckpt,
-		})
-	} else {
-		run, err = intracache.SimulateCheckpointed(ctx, cfg, *bench, pol, mode, ckpt)
-	}
+	run, err := intracache.SimulateCheckpointed(ctx, cfg, *bench, pol, mode, ckpt)
 	if errors.Is(err, context.Canceled) {
 		if *ckptPath != "" {
 			fmt.Fprintf(os.Stderr, "intracache: interrupted after %d intervals; state saved to %s — rerun with -resume to continue\n",

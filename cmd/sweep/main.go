@@ -94,7 +94,6 @@ func main() {
 	faultDelay := flag.Int("fault-delay", 0, "repartition decisions applied this many intervals late")
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
 	shareTraces := flag.Bool("share-traces", false, "generate each workload's traces once and replay them in every cell (bit-identical results)")
-	shards := flag.Int("shards", 0, "time-shard each cell's runs into this many parallel shards (changes results and the resume journal identity; 0/1 = off)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the sweep to this file")
 	workerMode := flag.String("worker", "", `run as a sweep worker instead of a coordinator: "stdio" speaks the protocol on stdin/stdout, anything else is an HTTP listen address like ":9090"`)
 	execWorkers := flag.Int("exec-workers", 0, "distribute cells across this many local worker subprocesses (the binary re-execs itself with -worker stdio)")
@@ -154,7 +153,6 @@ func main() {
 
 	opts := experiment.SweepOptions{
 		Workers: *workers,
-		Shards:  *shards,
 		Cell: experiment.CellOptions{
 			Timeout:      *cellTimeout,
 			StallTimeout: *stallTimeout,
@@ -245,7 +243,7 @@ func main() {
 
 	if opts.JournalPath != "" {
 		if err := checkJournalMechanism(opts.JournalPath, points, *bench, baseline,
-			candidate, opts.Shards, cfg.Mechanism); err != nil {
+			candidate, cfg.Mechanism); err != nil {
 			fatal(err)
 		}
 	}
@@ -448,7 +446,6 @@ func runDistributed(ctx context.Context, points []experiment.SweepPoint, bench s
 		Workers:      pool,
 		JournalPath:  opts.JournalPath,
 		Cell:         opts.Cell,
-		Shards:       opts.Shards,
 		LocalWorkers: dc.localWorkers,
 		Lease:        dc.lease,
 		Log: func(format string, args ...interface{}) {
@@ -678,7 +675,7 @@ func runMechanism(ctx context.Context, cfg experiment.Config, opts experiment.Sw
 // written under. Any other difference falls through to OpenJournal's
 // generic refusal.
 func checkJournalMechanism(path string, points []experiment.SweepPoint, bench string,
-	baseline, candidate core.Policy, shards int, mech cache.Mechanism) error {
+	baseline, candidate core.Policy, mech cache.Mechanism) error {
 	have, err := checkpoint.JournalFingerprint(path)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -686,7 +683,7 @@ func checkJournalMechanism(path string, points []experiment.SweepPoint, bench st
 		}
 		return err
 	}
-	if experiment.SweepFingerprint(points, bench, baseline, candidate, shards) == have {
+	if experiment.SweepFingerprint(points, bench, baseline, candidate, 0) == have {
 		return nil
 	}
 	for _, m := range cache.Mechanisms() {
@@ -698,7 +695,7 @@ func checkJournalMechanism(path string, points []experiment.SweepPoint, bench st
 			alt[i] = p
 			alt[i].Cfg = p.Cfg.WithMechanism(m)
 		}
-		if experiment.SweepFingerprint(alt, bench, baseline, candidate, shards) == have {
+		if experiment.SweepFingerprint(alt, bench, baseline, candidate, 0) == have {
 			return fmt.Errorf("journal %s was written with -mechanism %s, not %s; rerun with -mechanism %s or point -resume at a fresh directory",
 				path, m, mech, m)
 		}

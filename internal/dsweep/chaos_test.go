@@ -122,7 +122,7 @@ func TestServeProtocolRoundTrip(t *testing.T) {
 		t.Fatalf("cell failed remotely: %s: %s", res.ErrKind, res.Err)
 	}
 	want, _, err := experiment.RunSweepCell(context.Background(), res.Key, points[0].Cfg,
-		testBench, testBaseline, testCandidate, 0, experiment.CellOptions{}, nil)
+		testBench, testBaseline, testCandidate, experiment.CellOptions{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

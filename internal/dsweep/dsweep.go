@@ -64,8 +64,6 @@ type Options struct {
 	// target, and the file the final canonical journal lands in.
 	JournalPath string
 	Cell        experiment.CellOptions
-	// Shards forwards to experiment.SweepOptions.Shards.
-	Shards int
 	// LocalWorkers bounds in-process parallelism on the degraded path
 	// (<= 0 uses GOMAXPROCS).
 	LocalWorkers int
@@ -128,7 +126,7 @@ func Run(ctx context.Context, points []experiment.SweepPoint, benchmark string,
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	fp := experiment.SweepFingerprint(points, benchmark, baseline, candidate, opts.Shards)
+	fp := experiment.SweepFingerprint(points, benchmark, baseline, candidate, 0)
 
 	alive := probe(ctx, opts.Workers, opts.probeTimeout(), logf)
 	stats.WorkersAlive = len(alive)
@@ -284,7 +282,6 @@ func degrade(ctx context.Context, points []experiment.SweepPoint, benchmark stri
 			Workers:     opts.LocalWorkers,
 			JournalPath: opts.JournalPath,
 			Cell:        opts.Cell,
-			Shards:      opts.Shards,
 		})
 	for i := range out {
 		key := experiment.CellKey(i, out[i].Label)
@@ -434,7 +431,7 @@ func (c *coordinator) localCell(st *cellState) {
 	}
 	opts.Retry.Attempts = budget
 	rec, attempts, err := experiment.RunSweepCell(c.ctx, st.key, c.points[st.idx].Cfg,
-		c.benchmark, c.baseline, c.candidate, c.opts.Shards, opts, nil)
+		c.benchmark, c.baseline, c.candidate, opts, nil)
 	c.mu.Lock()
 	st.attempts += attempts
 	c.mu.Unlock()
@@ -454,7 +451,6 @@ func (c *coordinator) task(st *cellState, attempt int) Task {
 		Benchmark:    c.benchmark,
 		Baseline:     c.baseline.String(),
 		Candidate:    c.candidate.String(),
-		Shards:       c.opts.Shards,
 		Fingerprint:  c.fp,
 		Attempt:      attempt,
 		Cfg:          c.points[st.idx].Cfg,

@@ -122,7 +122,7 @@ func computeTask(ctx context.Context, tk Task, onBeat func()) Result {
 		return res
 	}
 	rec, _, err := experiment.RunSweepCell(ctx, tk.Key, tk.Cfg, tk.Benchmark,
-		baseline, candidate, tk.Shards, experiment.CellOptions{}, onBeat)
+		baseline, candidate, experiment.CellOptions{}, onBeat)
 	if err != nil {
 		res.ErrKind = experiment.CellErrorKind(err)
 		res.Err = err.Error()

@@ -37,7 +37,6 @@ type Task struct {
 	Benchmark string
 	Baseline  string
 	Candidate string
-	Shards    int
 	// Fingerprint is the sweep fingerprint; the worker echoes it in the
 	// Result and stamps its local journal with it, so state from a
 	// different sweep can never be mixed in.

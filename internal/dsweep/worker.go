@@ -281,7 +281,7 @@ func (s *server) compute(ctx context.Context, t *Task, onProgress func()) (exper
 		return experiment.CellRecord{}, err
 	}
 	rec, _, err := experiment.RunSweepCell(ctx, t.Key, t.Cfg, t.Benchmark,
-		baseline, candidate, t.Shards,
+		baseline, candidate,
 		experiment.CellOptions{Timeout: t.Timeout, StallTimeout: t.StallTimeout},
 		onProgress)
 	return rec, err

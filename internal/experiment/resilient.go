@@ -285,12 +285,6 @@ type SweepOptions struct {
 	// successes are journaled: a failed cell is retried on resume.
 	JournalPath string
 	Cell        CellOptions
-	// Shards, when > 1, time-shards each cell's runs via CompareSharded.
-	// Unlike Workers this changes cell Results (sharding is a sampled
-	// decomposition, see shard.go), so it is part of the sweep
-	// fingerprint: a journal written at one shard count is not resumed
-	// at another.
-	Shards int
 }
 
 // CellRecord is the journaled payload of one successful sweep cell —
@@ -370,17 +364,13 @@ func DropTransientJournalKeys(key string, entries map[string]json.RawMessage) bo
 	return false
 }
 
-// SweepFingerprint identifies a sweep: the full point list, benchmark,
-// policy pair and shard count, hashed. Journals carry it in their
-// header, dsweep tasks and results echo it, and both refuse to mix
-// state across different fingerprints.
-func SweepFingerprint(points []SweepPoint, benchmark string, baseline, candidate core.Policy, shards int) string {
+// SweepFingerprint identifies a sweep: the full point list, benchmark
+// and policy pair, hashed. Journals carry it in their header, dsweep
+// tasks and results echo it, and both refuse to mix state across
+// different fingerprints. The trailing int parameter is ignored; it
+// remains only so existing callers keep compiling.
+func SweepFingerprint(points []SweepPoint, benchmark string, baseline, candidate core.Policy, _ int) string {
 	parts := []string{"sweep1", benchmark, baseline.String(), candidate.String()}
-	// Only a sharded sweep stamps its shard count, so journals written
-	// before sharding existed stay resumable.
-	if shards > 1 {
-		parts = append(parts, fmt.Sprintf("shards=%d", shards))
-	}
 	for _, p := range points {
 		parts = append(parts, p.Label, p.Cfg.Fingerprint())
 	}
@@ -396,7 +386,7 @@ func SweepFingerprint(points []SweepPoint, benchmark string, baseline, candidate
 // boundary alongside the watchdog feed (dsweep workers emit heartbeats
 // from it). key identifies the cell for backoff jitter.
 func RunSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
-	baseline, candidate core.Policy, shards int, opts CellOptions, onProgress func()) (CellRecord, int, error) {
+	baseline, candidate core.Policy, opts CellOptions, onProgress func()) (CellRecord, int, error) {
 	prof, err := workload.ByName(benchmark)
 	if err != nil {
 		return CellRecord{}, 0, err
@@ -410,14 +400,7 @@ func RunSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
 			}
 			return nil
 		}
-		var c Comparison
-		var err error
-		if shards > 1 {
-			c, err = CompareSharded(cellCtx, cfg, prof, baseline, candidate,
-				ShardSpec{Shards: shards}, hook)
-		} else {
-			c, err = CompareCtx(cellCtx, cfg, prof, baseline, candidate, hook)
-		}
+		c, err := CompareCtx(cellCtx, cfg, prof, baseline, candidate, hook)
 		if err != nil {
 			return err
 		}
@@ -445,7 +428,7 @@ func SweepJournaled(ctx context.Context, points []SweepPoint, benchmark string,
 	var jr *checkpoint.Journal
 	var prior map[string]json.RawMessage
 	if opts.JournalPath != "" {
-		fp := SweepFingerprint(points, benchmark, baseline, candidate, opts.Shards)
+		fp := SweepFingerprint(points, benchmark, baseline, candidate, 0)
 		jr, prior, err = checkpoint.OpenJournal(opts.JournalPath, fp)
 		if err != nil {
 			return nil, err
@@ -468,7 +451,7 @@ func SweepJournaled(ctx context.Context, points []SweepPoint, benchmark string,
 			// Unreadable record: recompute the cell rather than fail.
 		}
 		rec, attempts, err := RunSweepCell(ctx, key, points[i].Cfg, benchmark,
-			baseline, candidate, opts.Shards, opts.Cell, nil)
+			baseline, candidate, opts.Cell, nil)
 		out[i].Attempts = attempts
 		if err != nil {
 			if jr != nil {

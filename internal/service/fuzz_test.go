@@ -2,6 +2,8 @@ package service
 
 import (
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
@@ -86,5 +88,79 @@ func FuzzWatchQuery(f *testing.F) {
 		if tv := q.Get("timeout"); tv == "" && wait != defaultWatchWait {
 			t.Fatalf("wait %v without a timeout, want %v", wait, defaultWatchWait)
 		}
+	})
+}
+
+// FuzzLoadShardManifest feeds arbitrary bytes to Sharded.LoadCheckpoint
+// as the manifest file, next to the shard files a real 4-shard save
+// wrote. The bytes are written either as-is or sealed, so the gob
+// decoding behind the envelope CRC sees arbitrary input too. Restoring
+// into a service of 1 to 8 shards must succeed or return an error,
+// never panic.
+func FuzzLoadShardManifest(f *testing.F) {
+	src := f.TempDir()
+	const name = "sh.ckpt"
+	four := NewSharded(Options{}, 4, 1)
+	for i, app := range []string{"web-01", "web-02", "db-01", "batch-07"} {
+		four.Ingest(mkBatch(app, 2, 8, 2, uint64(i)))
+	}
+	four.Tick(0)
+	if err := four.SaveCheckpoint(filepath.Join(src, name)); err != nil {
+		f.Fatal(err)
+	}
+	manifest, err := os.ReadFile(filepath.Join(src, name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := checkpoint.Unseal(manifest)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A single-shard save writes the plain pre-shard format.
+	one := NewSharded(Options{}, 1, 1)
+	one.Ingest(mkBatch("web-01", 2, 8, 2, 0))
+	one.Tick(0)
+	plainPath := filepath.Join(f.TempDir(), name)
+	if err := one.SaveCheckpoint(plainPath); err != nil {
+		f.Fatal(err)
+	}
+	plain, err := os.ReadFile(plainPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	shardFiles, err := filepath.Glob(filepath.Join(src, name+".*"))
+	if err != nil || len(shardFiles) != 4 {
+		f.Fatalf("want 4 shard files, got %v (%v)", shardFiles, err)
+	}
+	shards := make(map[string][]byte, len(shardFiles))
+	for _, p := range shardFiles {
+		if shards[filepath.Base(p)], err = os.ReadFile(p); err != nil {
+			f.Fatal(err)
+		}
+	}
+
+	f.Add(manifest, false, uint8(4))
+	f.Add(manifest, false, uint8(2))
+	f.Add(payload, true, uint8(4))
+	f.Add(payload[:len(payload)/2], true, uint8(4))
+	f.Add(plain, false, uint8(1))
+	f.Add(plain, false, uint8(4))
+	f.Add([]byte(nil), true, uint8(3))
+
+	f.Fuzz(func(t *testing.T, data []byte, seal bool, n uint8) {
+		dir := t.TempDir()
+		for base, b := range shards {
+			if err := os.WriteFile(filepath.Join(dir, base), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if seal {
+			data = checkpoint.Seal(data)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		NewSharded(Options{}, 1+int(n%8), 1).LoadCheckpoint(path)
 	})
 }

@@ -242,10 +242,10 @@ func (sh *Sharded) SnapshotStats() Stats {
 // naming its previous, complete, same-tick set — that is the whole
 // crash-atomicity argument, and it is why the generation stamp exists.
 // The manifest stamps the shard count; LoadCheckpoint refuses a count
-// mismatch outright — like experiment.ShardedRun's refusal — because
-// restoring N-hashed sessions into M shards would silently re-home
-// every session, and additionally cross-checks every shard's tick
-// counter so a hand-assembled torn set is refused too. Cross-shard
+// mismatch outright, because restoring N-hashed sessions into M
+// shards would silently re-home every session, and additionally
+// cross-checks every shard's tick counter so a hand-assembled torn set
+// is refused too. Cross-shard
 // consistency needs no global cut: a session lives entirely inside
 // one shard, so per-shard cuts compose. The owner must not tick
 // between the per-shard captures if it wants all shards cut at the
@@ -379,6 +379,13 @@ func (sh *Sharded) LoadCheckpoint(path string) error {
 	}
 	if len(m.Files) != n {
 		return fmt.Errorf("service: shard manifest names %d files for %d shards", len(m.Files), n)
+	}
+	for _, f := range m.Files {
+		// Files are base names in the manifest's directory; anything
+		// else would let a manifest read from outside it.
+		if f == "" || f != filepath.Base(f) {
+			return fmt.Errorf("service: shard manifest names %q, not a file beside it", f)
+		}
 	}
 	dir := filepath.Dir(path)
 	errs := make([]error, n)

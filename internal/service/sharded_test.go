@@ -350,6 +350,37 @@ func TestShardedCheckpointLegacyManifest(t *testing.T) {
 	}
 }
 
+// TestShardedManifestFilesStayBesideIt: a manifest naming a shard file
+// outside its own directory is refused, even when that file is a valid
+// shard checkpoint.
+func TestShardedManifestFilesStayBesideIt(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sub", "sh.ckpt")
+	if err := os.Mkdir(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := NewSharded(Options{}, 4, 1)
+	scriptBackend(t, src, 0, "", nil)
+	if err := src.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+	var m shardManifest
+	if err := checkpoint.LoadGob(path, &m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(dir, "sub", m.Files[0]), filepath.Join(dir, m.Files[0])); err != nil {
+		t.Fatal(err)
+	}
+	m.Files[0] = filepath.Join("..", m.Files[0])
+	if err := checkpoint.SaveGob(path, &m); err != nil {
+		t.Fatal(err)
+	}
+	err := NewSharded(Options{}, 4, 1).LoadCheckpoint(path)
+	if err == nil || !strings.Contains(err.Error(), "not a file beside it") {
+		t.Fatalf("manifest naming %q restored: %v", m.Files[0], err)
+	}
+}
+
 // TestShardedIngestRoutesToOwningShard: a batch only ever touches the
 // shard its app hashes to, and per-shard admission caps compose.
 func TestShardedIngestRoutesToOwningShard(t *testing.T) {

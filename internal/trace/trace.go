@@ -29,13 +29,14 @@
 // substream's first draws. The switch to chunk k+1 is eager — it
 // happens the moment chunk k's last instruction is consumed — so the
 // generator state at a chunk boundary IS the next chunk's start state.
-// Together these make the start of any chunk an O(1) pure function of
-// (spec, base RNG, phase, chunk index): a time-sharded run can
-// synthesize the generator state deep inside a stream without
-// replaying the prefix (SeekChunk / SeekInstructions). The cursor redraw keeps chunk-local behaviour
-// faithful: a streaming chunk starts at a random line of the streaming
-// region instead of always at offset 0, so the polluter character of
-// the region is preserved across the chunked stream.
+// Together these make the start of any chunk a pure function of (spec,
+// base RNG, phase, chunk index): a restored generator rederives its
+// chunk's substream from the base state alone, and a chunk replayed
+// from the segment cache continues exactly as a freshly generated one
+// would. The cursor redraw keeps chunk-local behaviour faithful: a
+// streaming chunk starts at a random line of the streaming region
+// instead of always at offset 0, so the polluter character of the
+// region is preserved across the chunked stream.
 package trace
 
 import (
@@ -300,27 +301,12 @@ func (g *ThreadGen) enterChunk(k uint64) {
 	}
 }
 
-// SeekChunk positions the generator at the canonical start of chunk k
+// seekChunk positions the generator at the canonical start of chunk k
 // under its current phase in O(log k), without replaying instructions:
 // substream-k randomness plus the chunk-entry cursor draws.
-func (g *ThreadGen) SeekChunk(k uint64) {
+func (g *ThreadGen) seekChunk(k uint64) {
 	g.instructions = k * ChunkInstructions
 	g.enterChunk(k)
-}
-
-// SeekInstructions fast-forwards the generator to the state it would
-// have after generating exactly n instructions from its construction
-// state under the current phase: O(log n) to the enclosing chunk
-// boundary plus replay of at most ChunkInstructions-1 instructions.
-func (g *ThreadGen) SeekInstructions(n uint64) {
-	g.SeekChunk(n / ChunkInstructions)
-	for left := n & chunkMask; left > 0; {
-		nonMem, in := g.NextRun(left)
-		left -= nonMem
-		if in.IsMem {
-			left--
-		}
-	}
 }
 
 // Spec returns the generator's spec.

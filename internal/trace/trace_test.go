@@ -438,58 +438,10 @@ func TestStrideFootprintSmallerThanWS(t *testing.T) {
 	}
 }
 
-// TestSeekInstructionsMatchesReplay pins the O(log n) fast-forward the
-// time-sharded driver relies on: seeking to an arbitrary instruction
-// count equals generating that many instructions from scratch, for
-// offsets on, before and after chunk boundaries.
-func TestSeekInstructionsMatchesReplay(t *testing.T) {
-	for _, n := range []uint64{0, 1, ChunkInstructions - 1, ChunkInstructions,
-		ChunkInstructions + 1, 3*ChunkInstructions + 1234, 10 * ChunkInstructions} {
-		ref := newPipeGen(t, pipeSpec(5), 17)
-		var left = n
-		for left > 0 {
-			nonMem, in := ref.NextRun(left)
-			left -= nonMem
-			if in.IsMem {
-				left--
-			}
-		}
-		g := newPipeGen(t, pipeSpec(5), 17)
-		g.SeekInstructions(n)
-		if rs, gs := ref.SourceState(), g.SourceState(); *rs.Gen != *gs.Gen {
-			t.Errorf("SeekInstructions(%d) state:\n got %+v\nwant %+v", n, *gs.Gen, *rs.Gen)
-		}
-		// And the continuation streams agree.
-		diffStreams(t, "seek-continuation", drain(ref, 5_000, n), drain(g, 5_000, n))
-	}
-}
-
-// TestSeekInstructionsUnderPhase: seeking under a non-default phase
-// must match a generator that had the same phase applied at
-// construction time and then generated sequentially.
-func TestSeekInstructionsUnderPhase(t *testing.T) {
-	const n = 2*ChunkInstructions + 999
-	ref := newPipeGen(t, pipeSpec(6), 29)
-	ref.SetPhase(1.7, 0.5)
-	var left uint64 = n
-	for left > 0 {
-		nonMem, in := ref.NextRun(left)
-		left -= nonMem
-		if in.IsMem {
-			left--
-		}
-	}
-	g := newPipeGen(t, pipeSpec(6), 29)
-	g.SetPhase(1.7, 0.5)
-	g.SeekInstructions(n)
-	if rs, gs := ref.SourceState(), g.SourceState(); *rs.Gen != *gs.Gen {
-		t.Fatalf("state:\n got %+v\nwant %+v", *gs.Gen, *rs.Gen)
-	}
-}
-
-// TestChunkStartIsPureFunction pins the property parallel generation
-// is built on: the state at any chunk boundary depends only on (spec,
-// base RNG, phase, chunk index), never on how the stream got there.
+// TestChunkStartIsPureFunction pins the property restore and the
+// segment cache are built on: the state at any chunk boundary depends
+// only on (spec, base RNG, phase, chunk index), never on how the
+// stream got there.
 func TestChunkStartIsPureFunction(t *testing.T) {
 	// Path A: generate three chunks sequentially.
 	a := newPipeGen(t, pipeSpec(0), 3)
@@ -503,12 +455,12 @@ func TestChunkStartIsPureFunction(t *testing.T) {
 	}
 	// Path B: seek straight to chunk 3.
 	b := newPipeGen(t, pipeSpec(0), 3)
-	b.SeekChunk(3)
+	b.seekChunk(3)
 	if as, bs := a.SourceState(), b.SourceState(); *as.Gen != *bs.Gen {
 		t.Fatalf("chunk 3 start differs by path:\nsequential %+v\n      seek %+v", *as.Gen, *bs.Gen)
 	}
 	// Path C: a different generator instance restored to the recorded
-	// base, as pool workers are.
+	// base, as a resumed run's generators are.
 	c, err := NewThread(pipeSpec(0), xrand.New(999))
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +469,7 @@ func TestChunkStartIsPureFunction(t *testing.T) {
 	if err := c.RestoreSourceState(st); err != nil {
 		t.Fatal(err)
 	}
-	c.SeekChunk(3)
+	c.seekChunk(3)
 	if bs, cs := b.SourceState(), c.SourceState(); *bs.Gen != *cs.Gen {
 		t.Fatalf("worker-style restore diverged:\nwant %+v\n got %+v", *bs.Gen, *cs.Gen)
 	}

@@ -1,24 +1,20 @@
 package xrand
 
-// O(1)-seek substreams. Jump() advances a generator by 2^128 draws and
+// O(1) substreams. Jump() advances a generator by 2^128 draws and
 // thereby partitions one seed's period into 2^128 disjoint blocks, but
 // reaching block i by calling Jump i times costs O(i). The xoshiro256
 // state update is linear over GF(2) — the next state is a fixed 256×256
 // bit matrix T applied to the current state — so any power of the
 // update can be precomputed as a matrix and applied in O(1): this file
-// memoizes T^(2^k) for k < 64 (Seek: advance by an arbitrary draw
-// count) and T^(2^(128+k)) for k < 64 (Substream: land on block i by
-// composing the bits of i), giving random access to any draw of any
-// block without replay.
+// memoizes T^(2^(128+k)) for k < 64, so Substream lands on block i by
+// composing the bits of i, without replay.
 //
-// The two tables are built lazily and independently: Substream's is
-// seeded from Jump itself (applying Jump to the 256 basis states yields
-// T^(2^128) column by column) and squared 63 times, Seek's from the
-// one-step update (Uint64 on the basis states) squared 63 times. Each
-// build is ~60 matrix multiplications (~30 ms once per process) and is
-// only paid by callers that actually need random access — sequential
-// substream traversal (block i, then i+1) is cheaper via a copy plus
-// one Jump, and never touches the tables.
+// The table is built lazily from Jump itself (applying Jump to the 256
+// basis states yields T^(2^128) column by column) and squared 63 times:
+// ~60 matrix multiplications (~30 ms once per process), paid only by
+// callers that need random access to a block. Sequential substream
+// traversal (block i, then i+1) is cheaper via a copy plus one Jump,
+// and never touches the table.
 
 import (
 	"math/bits"
@@ -48,7 +44,7 @@ func (m *gfMat) apply(s [4]uint64) [4]uint64 {
 	return out
 }
 
-// square returns M·M (the only product the table builds need).
+// square returns M·M (the only product the table build needs).
 func (m *gfMat) square() *gfMat {
 	var out gfMat
 	for j := range out.cols {
@@ -84,27 +80,10 @@ func (t *powerTable) applyPower(s [4]uint64, n uint64) [4]uint64 {
 	return s
 }
 
-var (
-	// seekTable holds T^(2^k): T built from the production Uint64 state
-	// update applied to the 256 basis states, so Seek(n) is exactly n
-	// Uint64 calls by construction.
-	seekTable powerTable
-	// substreamTable holds T^(2^(128+k)): T^(2^128) built from the
-	// production Jump applied to the basis states, so Substream(i) is
-	// exactly i Jumps by construction.
-	substreamTable powerTable
-)
-
-func stepMatrix() *gfMat {
-	var m gfMat
-	for j := range m.cols {
-		var r Rand
-		r.s[j>>6] = 1 << (uint(j) & 63)
-		r.Uint64()
-		m.cols[j] = r.s
-	}
-	return &m
-}
+// substreamTable holds T^(2^(128+k)): T^(2^128) built from the
+// production Jump applied to the basis states, so Substream(i) is
+// exactly i Jumps by construction.
+var substreamTable powerTable
 
 func jumpMatrix() *gfMat {
 	var m gfMat
@@ -117,26 +96,12 @@ func jumpMatrix() *gfMat {
 	return &m
 }
 
-// Seek advances the generator by exactly n Uint64 draws in O(log n)
-// matrix applications (O(1) for any fixed word width). Seek(n) leaves
-// the generator in the state n sequential Uint64 calls would, so a
-// stream position can be addressed by draw counter: restore the stream
-// base and Seek to the draw index instead of replaying the prefix.
-func (r *Rand) Seek(n uint64) {
-	if n == 0 {
-		return
-	}
-	r.s = seekTable.build(stepMatrix).applyPower(r.s, n)
-}
-
 // Substream returns a new generator positioned at block i of the stream
 // partition Jump defines: r's state advanced by exactly i·2^128 draws,
 // with r itself left untouched. Substream(0) is a plain copy; adjacent
 // substreams are 2^128 draws apart, so the blocks of one seed are
 // provably disjoint for any workload that draws fewer than 2^128 values
-// per block. Combined with Seek this gives O(1) random access to "draw
-// n of block i" — the discipline that lets many cores generate disjoint
-// pieces of one logical stream concurrently.
+// per block.
 func (r *Rand) Substream(i uint64) *Rand {
 	sub := *r
 	if i == 0 {

@@ -4,71 +4,15 @@ import (
 	"testing"
 )
 
-// These tests verify Seek and Substream against the same independent
-// GF(2) oracle TestJumpMatchesMatrixPower uses: the transition matrix T
+// These tests verify Substream against the same independent GF(2)
+// oracle TestJumpMatchesMatrixPower uses: the transition matrix T
 // rebuilt from a replicated statement of the recurrence (jump_test.go),
 // never from the production tables under test. Disjointness of
 // Substream(i) for i up to 2^7 follows from exact state equality with
 // T^(i·2^128)·s — substream i IS draw i·2^128 of the base stream, so
 // two substreams can only collide if one seed's period self-intersects.
 
-// TestSeekMatchesSequentialDraws pins Seek(n) == n Uint64 calls for
-// draw counts around the chunk sizes the trace layer uses.
-func TestSeekMatchesSequentialDraws(t *testing.T) {
-	for _, n := range []uint64{0, 1, 2, 3, 63, 64, 65, 1000, 8192, 100_003} {
-		a, b := New(41), New(41)
-		a.Seek(n)
-		for i := uint64(0); i < n; i++ {
-			b.Uint64()
-		}
-		if a.State() != b.State() {
-			t.Errorf("Seek(%d): state %x, want %x", n, a.State(), b.State())
-		}
-	}
-}
-
-// TestSeekComposes: Seek(a) then Seek(b) equals Seek(a+b), including
-// across the 2^32 boundary where the table's upper powers engage.
-func TestSeekComposes(t *testing.T) {
-	cases := [][2]uint64{{5, 7}, {8191, 1}, {1 << 33, 12345}, {1<<40 + 17, 1<<35 + 3}}
-	for _, c := range cases {
-		a, b := New(99), New(99)
-		a.Seek(c[0])
-		a.Seek(c[1])
-		b.Seek(c[0] + c[1])
-		if a.State() != b.State() {
-			t.Errorf("Seek(%d)+Seek(%d) != Seek(%d)", c[0], c[1], c[0]+c[1])
-		}
-	}
-}
-
-// TestSeekMatchesMatrixPower checks a large seek directly against the
-// independent oracle: T applied n times by binary exponentiation of the
-// oracle matrix, for an n big enough that every engaged table power is
-// itself a product of many squarings.
-func TestSeekMatchesMatrixPower(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix exponentiation is expensive")
-	}
-	const n = 0xdeadbeefcafe
-	// Oracle: T^n via square-and-multiply on state vectors, using only
-	// jump_test.go's independently built transition matrix.
-	pow := transitionMatrix()
-	r := New(123)
-	want := bitVec(r.State())
-	for rem := uint64(n); rem != 0; rem >>= 1 {
-		if rem&1 != 0 {
-			want = pow.apply(want)
-		}
-		pow = pow.mul(pow)
-	}
-	r.Seek(n)
-	if bitVec(r.State()) != want {
-		t.Errorf("Seek(%#x): state %x, want T^n·s = %x", uint64(n), r.State(), [4]uint64(want))
-	}
-}
-
-// TestSubstreamMatchesMatrixPower is the satellite-task pin: for every
+// TestSubstreamMatchesMatrixPower pins Substream exactly: for every
 // i up to 2^7, Substream(i)'s state equals (T^(2^128))^i applied to the
 // base state, where T^(2^128) comes from the oracle's 128 squarings of
 // the independently built transition matrix — not from sampled
@@ -111,23 +55,6 @@ func TestSubstreamMatchesComposedJumps(t *testing.T) {
 	}
 }
 
-// TestSubstreamThenSeek addresses "draw n of substream i" without
-// replay: Substream(i).Seek(n) must equal i Jumps followed by n draws.
-func TestSubstreamThenSeek(t *testing.T) {
-	ref := New(11)
-	ref.Jump()
-	ref.Jump()
-	ref.Jump()
-	for i := 0; i < 500; i++ {
-		ref.Uint64()
-	}
-	got := New(11).Substream(3)
-	got.Seek(500)
-	if got.State() != ref.State() {
-		t.Errorf("Substream(3).Seek(500) state %x, want %x", got.State(), ref.State())
-	}
-}
-
 // TestSubstreamZeroIsCopy: block 0 is the base stream itself and must
 // not force a table build.
 func TestSubstreamZeroIsCopy(t *testing.T) {
@@ -149,14 +76,5 @@ func BenchmarkSubstream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.Substream(uint64(i) | 1)
-	}
-}
-
-func BenchmarkSeek(b *testing.B) {
-	r := New(1)
-	r.Seek(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Seek(uint64(i) | 1)
 	}
 }

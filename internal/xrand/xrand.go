@@ -87,10 +87,9 @@ var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc
 // be generated in parallel chunks: give worker k a copy of the base
 // generator jumped k times and the concatenated outputs equal the
 // sequential stream's blocks. Substream(i) composes Jumps to land on
-// block i in O(1) instead of O(i), and Seek addresses an individual
-// draw within a block; see substream.go. TestSubstreamMatchesMatrixPower
-// pins the composition against the same independent GF(2) oracle that
-// verifies this jump polynomial.
+// block i in O(1) instead of O(i); see substream.go.
+// TestSubstreamMatchesMatrixPower pins the composition against the
+// same independent GF(2) oracle that verifies this jump polynomial.
 func (r *Rand) Jump() {
 	var s [4]uint64
 	for _, coeff := range jumpPoly {

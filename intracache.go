@@ -181,21 +181,6 @@ func SimulateCheckpointed(ctx context.Context, cfg Config, benchmark string, pol
 	return experiment.CheckpointedRun(ctx, cfg, benchmark, pol, mode, spec, nil)
 }
 
-// ShardSpec configures a time-sharded simulation: how many disjoint
-// time shards to split the run into, how many workers simulate them
-// concurrently, and optional per-shard checkpointing.
-type ShardSpec = experiment.ShardSpec
-
-// SimulateSharded runs one built-in benchmark under one policy with the
-// run's time range split into spec.Shards shards simulated in parallel
-// and stitched into one Run. The shard count is part of the run's
-// semantics (each shard starts from a synthesized cold state); the
-// worker count never is. spec.Shards <= 1 is exactly Simulate.
-func SimulateSharded(ctx context.Context, cfg Config, benchmark string, pol Policy,
-	mode RunMode, spec ShardSpec) (Run, error) {
-	return experiment.ShardedRunByName(ctx, cfg, benchmark, pol, mode, spec, nil)
-}
-
 // SimulateProfile runs a custom workload profile under one policy.
 func SimulateProfile(cfg Config, prof Profile, pol Policy, mode RunMode) (Run, error) {
 	return experiment.RunOne(cfg, prof, pol, mode)
