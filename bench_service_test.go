@@ -8,7 +8,10 @@ package intracache
 // are caught by cmd/benchdiff like any simulator regression.
 
 import (
+	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
@@ -62,6 +65,40 @@ func BenchmarkServiceIngest(b *testing.B) {
 		}
 		if rep := svc.Ingest(batch); rep.Rejected != "" {
 			b.Fatalf("rejected: %+v", rep)
+		}
+		if i%16 == 15 {
+			b.StopTimer()
+			svc.Tick(0)
+			b.StartTimer()
+		}
+	}
+}
+
+// BenchmarkServiceHTTPIngest measures the same path as partitiond
+// serves it: POST /ingest through Server.ServeHTTP, so the handler's
+// own envelope check and Batch decode, admission, enqueue and the
+// sealed reply are all priced. Request and recorder setup run outside
+// the timer.
+func BenchmarkServiceHTTPIngest(b *testing.B) {
+	svc := service.New(service.Options{QueueCap: 256, MaxSamplesPerTick: 64})
+	srv, err := service.NewServer(svc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload, err := service.SealJSON(benchServiceBatch("bench-app", 4, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(payload))
+		rec := httptest.NewRecorder()
+		b.StartTimer()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("ingest: %d %q", rec.Code, rec.Body.Bytes())
 		}
 		if i%16 == 15 {
 			b.StopTimer()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -12,12 +13,12 @@ import (
 )
 
 // FuzzIngestEnvelope feeds arbitrary bytes to the ingest path the way
-// POST /ingest meets a hostile or corrupted client: whatever UnsealJSON
-// accepts as a Batch goes through Service.Ingest and a Tick, which must
-// reject or decide, never panic. The payload is also sealed as-is so
-// the JSON decoding behind the CRC check sees arbitrary input too.
-// Every Batch that decodes must survive SealJSON → UnsealJSON
-// unchanged.
+// POST /ingest meets a hostile or corrupted client: whatever
+// checkpoint.Unseal and decodeBatch accept as a Batch goes through
+// Service.Ingest and a Tick, which must reject or decide, never panic.
+// The payload is also sealed as-is so the decoding behind the CRC
+// check sees arbitrary input too. Every Batch that decodes must
+// survive SealJSON → UnsealJSON unchanged.
 func FuzzIngestEnvelope(f *testing.F) {
 	good, err := SealJSON(mkBatch("web-01", 4, 64, 3, 0))
 	if err != nil {
@@ -33,7 +34,8 @@ func FuzzIngestEnvelope(f *testing.F) {
 		svc := New(Options{})
 		for _, env := range [][]byte{data, checkpoint.Seal(payload)} {
 			var b Batch
-			if UnsealJSON(env, &b) != nil {
+			raw, err := checkpoint.Unseal(env)
+			if err != nil || decodeBatch(raw, &b) != nil {
 				continue
 			}
 			sealed, err := SealJSON(b)
@@ -51,6 +53,87 @@ func FuzzIngestEnvelope(f *testing.F) {
 				t.Fatalf("accepted %d of %d samples without a rejection", r.Accepted, len(b.Samples))
 			}
 			svc.Tick(0)
+		}
+	})
+}
+
+// FuzzDecodeBatch pins the ingest scanner to encoding/json: for any
+// payload, decodeBatch and json.Unmarshal into a fresh Batch both
+// succeed or both fail, fail with the same text (the 400 reply's
+// Reason carries it), and decode the same value. decodeBatch into a
+// Batch that already holds data must give the same result, since it
+// replaces the target whole on either path.
+func FuzzDecodeBatch(f *testing.F) {
+	canonical, err := json.Marshal(mkBatch("web-01", 4, 64, 2, 0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(mkBatch("web-02", 2, 8, 3, 9), "", "\t")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(canonical)
+	f.Add(indented)
+	for _, seed := range []string{
+		`{"Samples":[{"Threads":[{"WaysAssigned":-2,"Instructions":5},{}],"Interval":3}],"Ways":8,"Threads":2,"App":"a"}`,
+		`{"app":"a","Threads":1,"Ways":8,"Samples":[{"Threads":[{"instructions":1}]}]}`,
+		`{"App":"a","Extra":{"x":[1,2]},"Threads":1}`,
+		`{"App":"a","Samples":[{"Interval":1,"Threads":[{"Instructions":1},{"L2Hits":4}]}],"Samples":[{}]}`,
+		`{"App":"a","Samples":[{"Threads":[{"L2Misses":1,"L2Misses":2}]}]}`,
+		`{"\u0041pp":"a","Threads":1}`,
+		`{"App":"w\u0065b"}`,
+		"{\"App\":\"\xff\"}",
+		`{"App":"é"}`,
+		`{"App":null}`,
+		`{"App":"a","Samples":null}`,
+		`{"App":"a","Samples":[null]}`,
+		`{"App":"a","Samples":[{"Threads":null}]}`,
+		`{"App":"a","Samples":[{"Threads":[null]}]}`,
+		`{"App":"a","Samples":[],"Threads":0}`,
+		`{"App":"a","Samples":[{"Threads":[]}]}`,
+		`{"Samples":[{"Threads":[{"Instructions":1e2}]}]}`,
+		`{"Samples":[{"Threads":[{"Instructions":1.0}]}]}`,
+		`{"Samples":[{"Threads":[{"Instructions":-1}]}]}`,
+		`{"Samples":[{"Threads":[{"ActiveCycles":18446744073709551615}]}]}`,
+		`{"Samples":[{"Threads":[{"ActiveCycles":18446744073709551616}]}]}`,
+		`{"Threads":9223372036854775807,"Ways":-9223372036854775808}`,
+		`{"Threads":9223372036854775808}`,
+		`{"Threads":-0,"Ways":- 1}`,
+		`{"Threads":01}`,
+		`{"Samples":[{"Threads":[{"L2Hits":007}]}]}`,
+		`{"Samples":[{"Interval":-1,"Threads":[{},]}]}`,
+		`{"App":"a",}`,
+		` {"App" : "a" , "Threads" : 2 } ` + "\n",
+		`{"App":"a"} {}`,
+		`{"App":"a"}x`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Add(append(append([]byte(nil), canonical...), 'x'))
+	f.Add(canonical[:len(canonical)-1])
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var got, want Batch
+		gotErr := decodeBatch(payload, &got)
+		wantErr := json.Unmarshal(payload, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeBatch err %v, json.Unmarshal err %v", gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error text %q, json.Unmarshal says %q", gotErr, wantErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded\n %#v\njson.Unmarshal\n %#v", got, want)
+		}
+		dirty := mkBatch("stale", 3, 16, 2, 5)
+		if err := decodeBatch(payload, &dirty); err != nil || !reflect.DeepEqual(dirty, want) {
+			t.Fatalf("into a used Batch: err %v,\n %#v\nwant\n %#v", err, dirty, want)
 		}
 	})
 }

@@ -56,8 +56,10 @@ const maxBodyBytes = 8 << 20
 //	GET  /readyz   → 200 "ready" | 503 "draining" / "starting"
 //
 // Status codes map rejection kinds: 503 draining, 400 malformed or
-// shape-mismatch, 429 session-limit; an accepted batch (even one that
-// dropped older samples) is 200 with the reply detailing the drops.
+// shape-mismatch, 429 session-limit, 413 a body over maxBodyBytes
+// (counted and answered as malformed); an accepted batch (even one
+// that dropped older samples) is 200 with the reply detailing the
+// drops.
 //
 // The watch form is the push path: a client holds one idle request
 // open instead of polling, passes back the Epoch from each response,
@@ -98,23 +100,25 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// A body that cannot be read, is oversized or does not decode is
+	// malformed telemetry too — count it so the taxonomy sees
+	// wire-level corruption, not just structural badness.
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		s.rejectWire(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
 	}
 	if len(body) > maxBodyBytes {
-		http.Error(w, "batch exceeds 8 MiB", http.StatusRequestEntityTooLarge)
+		s.rejectWire(w, http.StatusRequestEntityTooLarge, "batch exceeds 8 MiB")
 		return
 	}
 	var batch Batch
-	if err := UnsealJSON(body, &batch); err != nil {
-		// An undecodable envelope is malformed telemetry too — count it
-		// so the taxonomy sees wire-level corruption, not just
-		// structural badness.
-		s.svc.CountWireReject()
-		writeSealed(w, http.StatusBadRequest, IngestReply{
-			Rejected: RejectMalformed, Reason: "envelope: " + err.Error()})
+	payload, err := checkpoint.Unseal(body)
+	if err == nil {
+		err = decodeBatch(payload, &batch)
+	}
+	if err != nil {
+		s.rejectWire(w, http.StatusBadRequest, "envelope: "+err.Error())
 		return
 	}
 	reply := s.svc.Ingest(batch)
@@ -128,6 +132,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusBadRequest
 	}
 	writeSealed(w, status, reply)
+}
+
+// rejectWire counts and answers an ingest body that never reached Ingest.
+func (s *Server) rejectWire(w http.ResponseWriter, status int, reason string) {
+	s.svc.CountWireReject()
+	writeSealed(w, status, IngestReply{Rejected: RejectMalformed, Reason: reason})
 }
 
 func writeSealed(w http.ResponseWriter, status int, v interface{}) {

@@ -3,11 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -104,6 +106,49 @@ func TestHTTPCorruptEnvelopeRejected(t *testing.T) {
 	}
 	if st := svc.SnapshotStats(); st.Sessions != 0 {
 		t.Fatal("corrupt envelope created a session")
+	}
+}
+
+// TestHTTPBodyRejectsCounted pins the two ingest rejections that come
+// before the envelope is read: an oversized body (413) and a body that
+// fails mid-read (400). Both answer with a sealed malformed IngestReply
+// and count as wire rejects.
+func TestHTTPBodyRejectsCounted(t *testing.T) {
+	srv, svc, hs := newTestServer(t, Options{})
+	resp, err := http.Post(hs.URL+"/ingest", "application/octet-stream",
+		bytes.NewReader(make([]byte, maxBodyBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply IngestReply
+	if err := UnsealJSON(data, &reply); err != nil {
+		t.Fatalf("oversized body: reply %q is not sealed: %v", data, err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || reply.Rejected != RejectMalformed {
+		t.Fatalf("oversized body: code=%d reply=%+v", resp.StatusCode, reply)
+	}
+	if st := svc.SnapshotStats(); st.RejectedMalformed != 1 {
+		t.Fatalf("oversized body not in taxonomy: %+v", st)
+	}
+
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", io.MultiReader(
+		bytes.NewReader([]byte("ICKP")), iotest.ErrReader(errors.New("connection reset")))))
+	reply = IngestReply{}
+	if err := UnsealJSON(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("unreadable body: reply %q is not sealed: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusBadRequest || reply.Rejected != RejectMalformed ||
+		reply.Reason != "reading body: connection reset" {
+		t.Fatalf("unreadable body: code=%d reply=%+v", rec.Code, reply)
+	}
+	if st := svc.SnapshotStats(); st.RejectedMalformed != 2 || st.Sessions != 0 {
+		t.Fatalf("unreadable body not in taxonomy: %+v", st)
 	}
 }
 
