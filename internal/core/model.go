@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"intracache/internal/sim"
 	"intracache/internal/spline"
@@ -16,9 +18,16 @@ import (
 // stamped with the interval that produced it so stale points — taken
 // before a program phase change — can be pruned.
 type CPIModel struct {
-	points map[int]float64
-	stamp  map[int]int
-	blend  float64 // weight of the newest observation when revisiting
+	pts   []modelPoint // ascending by ways, one point per way count
+	blend float64      // weight of the newest observation when revisiting
+}
+
+// modelPoint is one observed way count with its (blended) CPI and the
+// interval that last observed it.
+type modelPoint struct {
+	ways  int
+	cpi   float64
+	stamp int
 }
 
 // NewCPIModel returns an empty model. blend in (0,1] controls how fast
@@ -30,7 +39,12 @@ func NewCPIModel(blend float64) *CPIModel {
 	if blend <= 0 || blend > 1 {
 		blend = 0.6
 	}
-	return &CPIModel{points: make(map[int]float64), stamp: make(map[int]int), blend: blend}
+	return &CPIModel{blend: blend}
+}
+
+// validPoint reports whether (ways, cpi) can inform a model.
+func validPoint(ways int, cpi float64) bool {
+	return cpi > 0 && ways >= 0 && !math.IsNaN(cpi) && !math.IsInf(cpi, 0)
 }
 
 // Observe records that running with `ways` ways during `interval`
@@ -38,96 +52,96 @@ func NewCPIModel(blend float64) *CPIModel {
 // (a thread that retired nothing in an interval has no meaningful CPI,
 // and a NaN/Inf reading would poison every fit built from the model).
 func (m *CPIModel) Observe(ways int, cpi float64, interval int) {
-	if cpi <= 0 || ways < 0 || math.IsNaN(cpi) || math.IsInf(cpi, 0) {
+	if !validPoint(ways, cpi) {
 		return
 	}
-	if old, ok := m.points[ways]; ok {
-		m.points[ways] = m.blend*cpi + (1-m.blend)*old
-	} else {
-		m.points[ways] = cpi
+	i, found := slices.BinarySearchFunc(m.pts, ways, func(p modelPoint, w int) int { return cmp.Compare(p.ways, w) })
+	if found {
+		m.pts[i].cpi = m.blend*cpi + (1-m.blend)*m.pts[i].cpi
+		m.pts[i].stamp = interval
+		return
 	}
-	m.stamp[ways] = interval
+	m.pts = slices.Insert(m.pts, i, modelPoint{ways: ways, cpi: cpi, stamp: interval})
 }
 
 // ResetTo discards every point and seeds the model with one fresh
 // observation — the response to a detected phase change, where all
 // history describes behaviour that no longer exists.
 func (m *CPIModel) ResetTo(ways int, cpi float64, interval int) {
-	for w := range m.points {
-		delete(m.points, w)
-		delete(m.stamp, w)
-	}
+	m.pts = m.pts[:0]
 	m.Observe(ways, cpi, interval)
 }
 
 // Prune drops points last observed before `oldest`, but never below
-// two points (the freshest two are always kept), so a fit remains
-// possible. Pruning implements the paper's "models are updated after
-// each execution interval" under phase changes: measurements from a
-// previous phase stop informing the current one.
+// two points (the freshest two are always kept, ties going to the
+// smaller way count), so a fit remains possible. Pruning implements
+// the paper's "models are updated after each execution interval" under
+// phase changes: measurements from a previous phase stop informing the
+// current one.
 func (m *CPIModel) Prune(oldest int) {
-	if len(m.points) <= 2 {
+	if len(m.pts) <= 2 {
 		return
 	}
-	type entry struct {
-		ways  int
-		stamp int
+	// The points ascend by ways, so a strictly newer stamp is the only
+	// way a later point can be fresher than an earlier one.
+	first, second := 0, 1
+	if m.pts[1].stamp > m.pts[0].stamp {
+		first, second = 1, 0
 	}
-	entries := make([]entry, 0, len(m.points))
-	for w, s := range m.stamp {
-		entries = append(entries, entry{w, s})
-	}
-	// Freshest first; ties by way count for determinism.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].stamp != entries[j].stamp {
-			return entries[i].stamp > entries[j].stamp
+	for i := 2; i < len(m.pts); i++ {
+		switch s := m.pts[i].stamp; {
+		case s > m.pts[first].stamp:
+			first, second = i, first
+		case s > m.pts[second].stamp:
+			second = i
 		}
-		return entries[i].ways < entries[j].ways
+	}
+	keep1, keep2 := m.pts[first].ways, m.pts[second].ways
+	m.pts = slices.DeleteFunc(m.pts, func(p modelPoint) bool {
+		return p.stamp < oldest && p.ways != keep1 && p.ways != keep2
 	})
-	for i, e := range entries {
-		if i < 2 {
-			continue
-		}
-		if e.stamp < oldest {
-			delete(m.points, e.ways)
-			delete(m.stamp, e.ways)
-		}
-	}
 }
 
 // Len returns the number of distinct way counts observed.
-func (m *CPIModel) Len() int { return len(m.points) }
+func (m *CPIModel) Len() int { return len(m.pts) }
 
-// Points returns the data points sorted by way count.
+// Points returns fresh copies of the data points, sorted by way count.
 func (m *CPIModel) Points() (ways []int, cpis []float64) {
-	ways = make([]int, 0, len(m.points))
-	for w := range m.points {
-		ways = append(ways, w)
-	}
-	sort.Ints(ways)
-	cpis = make([]float64, len(ways))
-	for i, w := range ways {
-		cpis[i] = m.points[w]
+	ways = make([]int, len(m.pts))
+	cpis = make([]float64, len(m.pts))
+	for i, p := range m.pts {
+		ways[i], cpis[i] = p.ways, p.cpi
 	}
 	return ways, cpis
 }
 
 // Fit returns an interpolator over the model's points using the given
-// spline kind, or nil if the model is empty.
+// spline kind, or nil if the model is empty or the kind unknown. The
+// interpolator owns its storage.
 func (m *CPIModel) Fit(kind spline.Kind) spline.Interpolator {
-	if len(m.points) == 0 {
+	in, err := new(fitScratch).fit(m, kind)
+	if err != nil {
 		return nil
 	}
-	ways, cpis := m.Points()
-	xs := make([]float64, len(ways))
-	for i, w := range ways {
-		xs[i] = float64(w)
-	}
-	in, err := spline.Fit(kind, xs, cpis)
-	if err != nil {
-		return nil // unreachable with non-empty points; defensive
-	}
 	return in
+}
+
+// fitScratch is the reusable storage one model is fitted in: the
+// points as spline coordinates, and the Fitter that owns the result.
+type fitScratch struct {
+	fitter spline.Fitter
+	xs, ys []float64
+}
+
+// fit fits m into sc. The interpolator aliases sc and is valid until
+// sc's next fit.
+func (sc *fitScratch) fit(m *CPIModel, kind spline.Kind) (spline.Interpolator, error) {
+	sc.xs, sc.ys = sc.xs[:0], sc.ys[:0]
+	for _, p := range m.pts {
+		sc.xs = append(sc.xs, float64(p.ways))
+		sc.ys = append(sc.ys, p.cpi)
+	}
+	return sc.fitter.Fit(kind, sc.xs, sc.ys)
 }
 
 // predictor evaluates a fitted model with *linear* extrapolation beyond
@@ -145,24 +159,32 @@ type predictor struct {
 	singlePoint bool
 }
 
-// newPredictor builds a predictor from a model; fallback is used when
-// the model is empty.
-func newPredictor(m *CPIModel, kind spline.Kind, fallback float64) predictor {
-	ways, cpis := m.Points()
-	if len(ways) == 0 {
+// newPredictor builds a predictor from a model, fitting it into sc; the
+// predictor is valid until sc's next fit. fallback is used when the
+// model is empty.
+func newPredictor(m *CPIModel, kind spline.Kind, fallback float64, sc *fitScratch) predictor {
+	n := len(m.pts)
+	if n == 0 {
 		return predictor{fallback: fallback, singlePoint: true}
 	}
-	p := predictor{fit: m.Fit(kind)}
-	p.loX, p.hiX = float64(ways[0]), float64(ways[len(ways)-1])
-	p.loY, p.hiY = cpis[0], cpis[len(cpis)-1]
-	if len(ways) == 1 {
+	lo, hi := m.pts[0], m.pts[n-1]
+	p := predictor{loX: float64(lo.ways), hiX: float64(hi.ways), loY: lo.cpi, hiY: hi.cpi}
+	if n == 1 {
 		p.singlePoint = true
-		p.fallback = cpis[0]
+		p.fallback = lo.cpi
 		return p
 	}
-	p.loSlope = (cpis[1] - cpis[0]) / (float64(ways[1]) - float64(ways[0]))
-	n := len(ways)
-	p.hiSlope = (cpis[n-1] - cpis[n-2]) / (float64(ways[n-1]) - float64(ways[n-2]))
+	fit, err := sc.fit(m, kind)
+	if err != nil {
+		// The points are valid by construction, so only an unknown kind
+		// fails; interpolate linearly, as every kind does through two
+		// points.
+		fit, _ = sc.fitter.Fit(spline.Linear, sc.xs, sc.ys)
+	}
+	p.fit = fit
+	next, prev := m.pts[1], m.pts[n-2]
+	p.loSlope = (next.cpi - lo.cpi) / (float64(next.ways) - float64(lo.ways))
+	p.hiSlope = (hi.cpi - prev.cpi) / (float64(hi.ways) - float64(prev.ways))
 	return p
 }
 
@@ -339,20 +361,22 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 		minWays = totalWays / n
 	}
 
-	preds := make([]predictor, n)
+	sc := getScratch(n)
+	defer scratchPool.Put(sc)
+	preds := sc.preds
 	for t := 0; t < n; t++ {
-		preds[t] = newPredictor(e.models[t], e.Kind, iv.Threads[t].CPI())
+		preds[t] = newPredictor(e.models[t], e.Kind, iv.Threads[t].CPI(), &sc.fits[t])
 	}
 
 	// Working assignment starts from what is currently installed.
-	ways := make([]int, n)
+	ways := sc.ways
 	if len(current) == n {
 		copy(ways, current)
 	} else {
 		copy(ways, equalSplit(totalWays, n))
 	}
 
-	cpi := make([]float64, n)
+	cpi := sc.cpi
 	for t := 0; t < n; t++ {
 		cpi[t] = preds[t].eval(ways[t])
 	}
@@ -360,14 +384,12 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	// Hysteresis: balanced threads stay balanced. Use both the model's
 	// view and this interval's observed CPIs, so a thread whose reality
 	// has diverged from a stale model still triggers repartitioning.
-	if e.MinSpread > 0 {
-		obs := make([]float64, n)
-		for t, ts := range iv.Threads {
-			obs[t] = ts.CPI()
-		}
-		if relSpread(cpi) <= e.MinSpread && relSpread(obs) <= e.MinSpread {
-			return nil
-		}
+	obs := sc.obs
+	for t, ts := range iv.Threads {
+		obs[t] = ts.CPI()
+	}
+	if e.MinSpread > 0 && relSpread(cpi) <= e.MinSpread && relSpread(obs) <= e.MinSpread {
+		return nil
 	}
 
 	// Iterate: move one way from the fastest thread to the critical
@@ -402,10 +424,10 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	// donated[d] counts ways taken from thread d this decision; capping
 	// it bounds how wrong a single mispredicted donor can go before the
 	// next interval's observation corrects its model.
-	donated := make([]int, n)
+	donated := sc.donated
 	const perDonorCap = 2
 	moved := 0
-	prev := sortedDesc(cpi)
+	sc.prev = sortedDesc(sc.prev, cpi)
 	for iter := 0; iter < maxMove; iter++ {
 		maxT := argMaxF(cpi)
 		// Donor choice: the paper takes from the lowest-CPI thread, but
@@ -433,8 +455,8 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 			cost = oldMinCPI // losing a way never helps
 		}
 		cpi[maxT], cpi[minT] = gain, cost
-		next := sortedDesc(cpi)
-		if !lexLess(next, prev) {
+		sc.next = sortedDesc(sc.next, cpi)
+		if !lexLess(sc.next, sc.prev) {
 			// No predicted improvement of the critical path (flat or
 			// adverse models, or the donor becomes the bottleneck):
 			// revert this step and stop.
@@ -444,7 +466,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 			break
 		}
 		donated[minT]++
-		prev = next
+		sc.prev, sc.next = sc.next, sc.prev
 		moved++
 	}
 	// Exploration: when no move was accepted but the threads are
@@ -457,10 +479,6 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	// helped; next interval's observation then extends the model and
 	// ordinary descent takes over.
 	if moved == 0 {
-		obs := make([]float64, n)
-		for t, ts := range iv.Threads {
-			obs[t] = ts.CPI()
-		}
 		// The threshold is double the descent hysteresis: exploration
 		// perturbs a converged state, so it needs stronger evidence of
 		// imbalance than ordinary model-driven moves do.
@@ -477,14 +495,46 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 		// Defensive: never hand the simulator a broken assignment.
 		return equalSplit(totalWays, n)
 	}
-	return ways
+	return append([]int(nil), ways...)
 }
 
-// sortedDesc returns a copy of xs sorted descending.
-func sortedDesc(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
+// sortedDesc returns xs copied into dst's storage and sorted
+// descending, NaNs last.
+func sortedDesc(dst, xs []float64) []float64 {
+	dst = append(dst[:0], xs...)
+	slices.SortFunc(dst, func(a, b float64) int { return cmp.Compare(b, a) })
+	return dst
+}
+
+// engineScratch is the working storage of one partition or fit audit:
+// a fit per thread and the search's per-thread vectors. It comes from
+// scratchPool and goes back when the call returns, so no session or
+// engine holds decision-path memory between decisions.
+type engineScratch struct {
+	fits          []fitScratch
+	preds         []predictor
+	ways, donated []int
+	cpi, obs      []float64
+	prev, next    []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(engineScratch) }}
+
+// getScratch takes a scratch from the pool sized for n threads, with
+// donated zeroed.
+func getScratch(n int) *engineScratch {
+	sc := scratchPool.Get().(*engineScratch)
+	if cap(sc.fits) < n {
+		sc.fits = make([]fitScratch, n)
+		sc.preds = make([]predictor, n)
+		sc.ways, sc.donated = make([]int, n), make([]int, n)
+		sc.cpi, sc.obs = make([]float64, n), make([]float64, n)
+	}
+	sc.fits, sc.preds = sc.fits[:n], sc.preds[:n]
+	sc.ways, sc.donated = sc.ways[:n], sc.donated[:n]
+	sc.cpi, sc.obs = sc.cpi[:n], sc.obs[:n]
+	clear(sc.donated)
+	return sc
 }
 
 // lexLess reports whether a < b lexicographically with a small absolute

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -50,7 +54,7 @@ func TestPredictorLinearExtrapolation(t *testing.T) {
 	m := NewCPIModel(1)
 	m.Observe(8, 10, 0)
 	m.Observe(16, 6, 0)
-	p := newPredictor(m, spline.NaturalCubic, 0)
+	p := newPredictor(m, spline.NaturalCubic, 0, new(fitScratch))
 	// Inside the range: spline (here linear through two points).
 	if got := p.eval(12); got != 8 {
 		t.Errorf("eval(12) = %v, want 8", got)
@@ -69,7 +73,7 @@ func TestPredictorExtrapolationFloor(t *testing.T) {
 	m := NewCPIModel(1)
 	m.Observe(8, 2, 0)
 	m.Observe(16, 1, 0)
-	p := newPredictor(m, spline.NaturalCubic, 0)
+	p := newPredictor(m, spline.NaturalCubic, 0, new(fitScratch))
 	// Slope -0.125/way would go negative far out; must floor at 0.5.
 	if got := p.eval(64); got != 0.5 {
 		t.Errorf("eval(64) = %v, want floor 0.5", got)
@@ -78,15 +82,32 @@ func TestPredictorExtrapolationFloor(t *testing.T) {
 
 func TestPredictorSinglePointAndEmpty(t *testing.T) {
 	m := NewCPIModel(1)
-	p := newPredictor(m, spline.NaturalCubic, 7.5)
+	p := newPredictor(m, spline.NaturalCubic, 7.5, new(fitScratch))
 	if got := p.eval(10); got != 7.5 {
 		t.Errorf("empty model eval = %v, want fallback 7.5", got)
 	}
 	m.Observe(16, 3, 0)
-	p = newPredictor(m, spline.NaturalCubic, 7.5)
+	p = newPredictor(m, spline.NaturalCubic, 7.5, new(fitScratch))
 	for _, w := range []int{1, 16, 64} {
 		if got := p.eval(w); got != 3 {
 			t.Errorf("single-point eval(%d) = %v, want 3", w, got)
+		}
+	}
+}
+
+// An unknown spline kind cannot fit three points; the predictor then
+// interpolates linearly, as every kind does through two, rather than
+// evaluating a nil fit.
+func TestPredictorUnknownKindInterpolatesLinearly(t *testing.T) {
+	m := NewCPIModel(1)
+	m.Observe(4, 9, 0)
+	m.Observe(8, 5, 0)
+	m.Observe(16, 4, 0)
+	p := newPredictor(m, spline.Kind(9), 0, new(fitScratch))
+	q := newPredictor(m, spline.Linear, 0, new(fitScratch))
+	for w := 0; w <= 20; w++ {
+		if got, want := p.eval(w), q.eval(w); got != want {
+			t.Errorf("eval(%d) = %v, linear gives %v", w, got, want)
 		}
 	}
 }
@@ -130,12 +151,42 @@ func TestLexLess(t *testing.T) {
 
 func TestSortedDesc(t *testing.T) {
 	in := []float64{1, 3, 2}
-	got := sortedDesc(in)
+	dst := make([]float64, 0, 8)
+	got := sortedDesc(dst, in)
 	if got[0] != 3 || got[1] != 2 || got[2] != 1 {
 		t.Errorf("sortedDesc = %v", got)
 	}
 	if in[0] != 1 {
 		t.Error("sortedDesc mutated input")
+	}
+	if &got[0] != &dst[:1][0] {
+		t.Error("sortedDesc did not reuse dst's storage")
+	}
+}
+
+// sortedDesc must order exactly as sort.Reverse(sort.Float64Slice)
+// does, NaNs (last) and signed zeros included.
+func TestSortedDescMatchesSortReverse(t *testing.T) {
+	r := xrand.New(16)
+	pool := []float64{math.NaN(), 0, math.Copysign(0, -1), 1, 1, 2.5, math.Inf(1), math.Inf(-1), -3}
+	var dst []float64
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]float64, 1+r.Intn(12))
+		for i := range xs {
+			if r.Intn(3) == 0 {
+				xs[i] = pool[r.Intn(len(pool))]
+			} else {
+				xs[i] = r.Float64() * 10
+			}
+		}
+		want := append([]float64(nil), xs...)
+		sort.Sort(sort.Reverse(sort.Float64Slice(want)))
+		dst = sortedDesc(dst, xs)
+		for i := range want {
+			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("sortedDesc(%v) = %v, sort.Reverse gives %v", xs, dst, want)
+			}
+		}
 	}
 }
 
@@ -150,8 +201,8 @@ func TestArgMinDonorPrefersCheapPostDonationCost(t *testing.T) {
 	m1.Observe(15, 5.6, 9)
 	m1.Observe(16, 5.5, 10)
 	preds := []predictor{
-		newPredictor(m0, spline.NaturalCubic, 5),
-		newPredictor(m1, spline.NaturalCubic, 5.5),
+		newPredictor(m0, spline.NaturalCubic, 5, new(fitScratch)),
+		newPredictor(m1, spline.NaturalCubic, 5.5, new(fitScratch)),
 	}
 	ways := []int{5, 16}
 	donated := []int{0, 0}
@@ -166,9 +217,9 @@ func TestArgMinDonorRespectsCapAndFloor(t *testing.T) {
 	m.Observe(4, 5, 0)
 	m.Observe(8, 4, 0)
 	preds := []predictor{
-		newPredictor(m, spline.NaturalCubic, 5),
-		newPredictor(m, spline.NaturalCubic, 5),
-		newPredictor(m, spline.NaturalCubic, 5),
+		newPredictor(m, spline.NaturalCubic, 5, new(fitScratch)),
+		newPredictor(m, spline.NaturalCubic, 5, new(fitScratch)),
+		newPredictor(m, spline.NaturalCubic, 5, new(fitScratch)),
 	}
 	// Thread 0 at the floor, thread 1 already donated its cap.
 	ways := []int{1, 8, 8}
@@ -307,5 +358,49 @@ func TestQuickModelEngineBoundedMovement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Engines on different goroutines share the scratch pool; each must
+// decide exactly as it does alone.
+func TestModelEnginesShareScratchAcrossGoroutines(t *testing.T) {
+	run := func(seed uint64) [][]int {
+		r := xrand.New(seed)
+		e := NewModelEngine()
+		mon := fakeMon{ways: 32, threads: 4 + int(seed%5)}
+		cur := equalSplit(mon.ways, mon.threads)
+		var out [][]int
+		for i := 0; i < 40; i++ {
+			cpis := make([]float64, mon.threads)
+			for t := range cpis {
+				cpis[t] = 1 + r.Float64()*8
+			}
+			got := e.Decide(ivWith(i, cpis, cur), mon, cur)
+			out = append(out, got)
+			if got != nil {
+				cur = got
+			}
+		}
+		return out
+	}
+	const engines = 8
+	want := make([][][]int, engines)
+	for i := range want {
+		want[i] = run(uint64(i))
+	}
+	got := make([][][]int, engines)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = run(uint64(i))
+		}(i)
+	}
+	wg.Wait()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("engine %d decided differently on its own goroutine", i)
+		}
 	}
 }

@@ -309,28 +309,30 @@ func (e *ResilientEngine) suspectFits() bool {
 	if models == nil {
 		return false
 	}
+	sc := getScratch(1)
+	defer scratchPool.Put(sc)
 	assessed, suspects := 0, 0
 	for _, m := range models {
 		if m.Len() < 3 {
 			continue
 		}
 		assessed++
-		if suspectFit(m, e.Model.Kind) {
+		if suspectFit(m, e.Model.Kind, &sc.fits[0]) {
 			suspects++
 		}
 	}
 	return assessed > 0 && suspects*2 >= assessed
 }
 
-// suspectFit evaluates one model's interpolant at every integer way in
-// its observed range and reports whether the fit is unusable.
-func suspectFit(m *CPIModel, kind spline.Kind) bool {
-	fit := m.Fit(kind)
-	if fit == nil {
+// suspectFit evaluates one model's interpolant, fitted into sc, at
+// every integer way in its observed range and reports whether the fit
+// is unusable.
+func suspectFit(m *CPIModel, kind spline.Kind, sc *fitScratch) bool {
+	fit, err := sc.fit(m, kind)
+	if err != nil {
 		return false
 	}
-	ways, _ := m.Points()
-	lo, hi := ways[0], ways[len(ways)-1]
+	lo, hi := m.pts[0].ways, m.pts[len(m.pts)-1].ways
 	y := fit.Eval(float64(lo))
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return true

@@ -201,3 +201,45 @@ func TestHealthString(t *testing.T) {
 		}
 	}
 }
+
+// A checkpoint can carry model points Observe would never have
+// accepted. Restoring one used to succeed and leave a fit that failed
+// on the next Decide, which then dereferenced the nil interpolant;
+// the restore itself must refuse it.
+func TestRestoreRefusesInvalidModelPoints(t *testing.T) {
+	stamps := map[int]int{4: 2, 8: 3, 12: 4}
+	valid := CPIModelState{Points: map[int]float64{4: 3, 8: 2.5, 12: 2}, Stamps: stamps}
+	cases := []struct {
+		name string
+		st   CPIModelState
+	}{
+		{"NaN CPI", CPIModelState{Points: map[int]float64{4: 2, 8: math.NaN(), 12: 1.5}, Stamps: stamps}},
+		{"+Inf CPI", CPIModelState{Points: map[int]float64{4: 2, 8: math.Inf(1), 12: 1.5}, Stamps: stamps}},
+		{"zero CPI", CPIModelState{Points: map[int]float64{4: 2, 8: 0, 12: 1.5}, Stamps: stamps}},
+		{"negative CPI", CPIModelState{Points: map[int]float64{4: 2, 8: -1, 12: 1.5}, Stamps: stamps}},
+		{"negative ways", CPIModelState{Points: map[int]float64{-4: 2, 8: 1.5}, Stamps: map[int]int{-4: 1, 8: 2}}},
+		{"point without stamp", CPIModelState{Points: map[int]float64{4: 2, 8: 1.5}, Stamps: map[int]int{4: 1}}},
+		{"stamp without point", CPIModelState{Points: map[int]float64{4: 2}, Stamps: map[int]int{4: 1, 8: 2}}},
+		{"different key sets", CPIModelState{Points: map[int]float64{4: 2, 8: 1.5}, Stamps: map[int]int{4: 1, 12: 2}}},
+	}
+	for _, tc := range cases {
+		st := ResilientEngineState{Model: ModelEngineState{Interval: 5, Models: []CPIModelState{tc.st, valid}}}
+		if err := NewResilientEngine().RestoreEngineState(st); err == nil {
+			t.Errorf("%s: restore accepted %+v", tc.name, tc.st)
+		}
+	}
+
+	// The same shape with valid points restores and decides.
+	e := NewResilientEngine()
+	st := ResilientEngineState{Model: ModelEngineState{Interval: 5, Models: []CPIModelState{valid, valid}}}
+	if err := e.RestoreEngineState(st); err != nil {
+		t.Fatal(err)
+	}
+	got := e.Decide(ivWith(5, []float64{3, 1}, []int{8, 8}), fakeMon{ways: 16, threads: 2}, []int{8, 8})
+	if err := validAssignment(got, 16, 2); got != nil && err != nil {
+		t.Fatal(err)
+	}
+	if ms := e.Model.Models()[0].ModelState(); len(ms.Points) != 3 || len(ms.Stamps) != 3 {
+		t.Errorf("restored model state %+v", ms)
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"intracache/internal/sim"
 )
@@ -16,26 +18,38 @@ type CPIModelState struct {
 
 // ModelState captures the model's data points for checkpointing.
 func (m *CPIModel) ModelState() CPIModelState {
-	st := CPIModelState{Points: make(map[int]float64, len(m.points)), Stamps: make(map[int]int, len(m.stamp))}
-	for w, c := range m.points {
-		st.Points[w] = c
-	}
-	for w, s := range m.stamp {
-		st.Stamps[w] = s
+	st := CPIModelState{Points: make(map[int]float64, len(m.pts)), Stamps: make(map[int]int, len(m.pts))}
+	for _, p := range m.pts {
+		st.Points[p.ways] = p.cpi
+		st.Stamps[p.ways] = p.stamp
 	}
 	return st
 }
 
-// RestoreModelState overlays a snapshot onto the model.
-func (m *CPIModel) RestoreModelState(st CPIModelState) {
-	m.points = make(map[int]float64, len(st.Points))
-	m.stamp = make(map[int]int, len(st.Stamps))
+// RestoreModelState overlays a snapshot onto the model. It refuses a
+// snapshot Observe could never have produced — a negative way count, a
+// non-positive or non-finite CPI, or a point without a stamp (or the
+// reverse) — because such a point breaks every fit built on it; the
+// model is left unchanged then.
+func (m *CPIModel) RestoreModelState(st CPIModelState) error {
+	if len(st.Points) != len(st.Stamps) {
+		return fmt.Errorf("core: model snapshot has %d points but %d stamps", len(st.Points), len(st.Stamps))
+	}
+	pts := make([]modelPoint, 0, len(st.Points))
 	for w, c := range st.Points {
-		m.points[w] = c
+		pts = append(pts, modelPoint{ways: w, cpi: c, stamp: st.Stamps[w]})
 	}
-	for w, s := range st.Stamps {
-		m.stamp[w] = s
+	slices.SortFunc(pts, func(a, b modelPoint) int { return cmp.Compare(a.ways, b.ways) })
+	for _, p := range pts {
+		if _, ok := st.Stamps[p.ways]; !ok {
+			return fmt.Errorf("core: model snapshot point at %d ways has no stamp", p.ways)
+		}
+		if !validPoint(p.ways, p.cpi) {
+			return fmt.Errorf("core: model snapshot point (%d ways, CPI %v) is invalid", p.ways, p.cpi)
+		}
 	}
+	m.pts = pts
+	return nil
 }
 
 // PhaseDetectorState is the serializable form of a PhaseDetector.
@@ -89,7 +103,9 @@ func (e *ModelEngine) RestoreEngineState(st ModelEngineState) error {
 			return fmt.Errorf("core: restore has %d models, engine has %d", len(st.Models), len(e.models))
 		}
 		for i, ms := range st.Models {
-			e.models[i].RestoreModelState(ms)
+			if err := e.models[i].RestoreModelState(ms); err != nil {
+				return fmt.Errorf("core: restoring thread %d model: %w", i, err)
+			}
 		}
 	}
 	if st.Detector != nil {

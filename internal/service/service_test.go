@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"intracache/internal/checkpoint"
 	"intracache/internal/sim"
 )
 
@@ -276,6 +279,45 @@ func TestRestoreRefusesNonEmptyService(t *testing.T) {
 	}
 	if err := svc.LoadCheckpoint(path); err == nil {
 		t.Fatal("restore into a non-empty service succeeded")
+	}
+}
+
+// A sealed, CRC-valid checkpoint whose model carries a NaN CPI must be
+// refused at load. Restoring it used to succeed, and the next Tick
+// then panicked inside the engine while holding the service lock.
+func TestLoadCheckpointRefusesInvalidModelPoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "svc.ckpt")
+	svc := New(Options{})
+	for step := 0; step < 6; step++ {
+		svc.Ingest(mkBatch("a", 2, 8, 2, uint64(step*100)))
+		svc.Tick(0)
+	}
+	st, err := svc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := st.Sessions[0].Runtime.Engine.Resilient.Model.Models[0]
+	if len(model.Points) < 2 {
+		t.Fatalf("model has %d points; the crafted checkpoint needs a fit", len(model.Points))
+	}
+	for w := range model.Points {
+		model.Points[w] = math.NaN()
+		break
+	}
+	if err := checkpoint.SaveGob(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(Options{})
+	err = fresh.LoadCheckpoint(path)
+	if err == nil || !strings.Contains(err.Error(), "invalid") {
+		t.Fatalf("LoadCheckpoint of a NaN model point: err %v, want a refusal", err)
+	}
+	// The refused load leaves the service empty and serving.
+	if rep := fresh.Ingest(mkBatch("a", 2, 8, 2, 0)); rep.Rejected != "" {
+		t.Fatalf("ingest after refused load: %+v", rep)
+	}
+	if ds := fresh.Tick(0); len(ds) != 1 {
+		t.Fatalf("tick after refused load: %+v", ds)
 	}
 }
 

@@ -17,9 +17,11 @@
 package spline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -62,21 +64,49 @@ func (k Kind) String() string {
 
 var errTooFew = errors.New("spline: need at least one data point")
 
-// Fit builds an interpolator of the given kind over the points
-// (xs[i], ys[i]). The slices must have equal nonzero length and every
-// coordinate must be finite: a single NaN or Inf would contaminate the
-// whole tridiagonal solve and make Eval return NaN everywhere, so such
-// inputs are rejected up front. Duplicate x values are collapsed by
-// averaging their y values; points need not be pre-sorted. With a
-// single distinct point the result is a constant function; with two,
-// all kinds degenerate to linear interpolation.
+// Fit builds an interpolator of the given kind, which must be one of
+// the three above, over the points (xs[i], ys[i]). The slices must
+// have equal nonzero length and every coordinate must be finite: a
+// single NaN or Inf would contaminate the whole tridiagonal solve and
+// make Eval return NaN everywhere, so such inputs are rejected up
+// front. Duplicate x values are collapsed by averaging their y values;
+// points need not be pre-sorted. With a single distinct point the
+// result is a constant function; with two, all kinds degenerate to
+// linear interpolation.
 func Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
+	return new(Fitter).Fit(kind, xs, ys)
+}
+
+// Fitter fits interpolants into storage it owns and reuses from one
+// fit to the next, so a caller that fits repeatedly allocates only
+// while the buffers grow. The Interpolator a fit returns aliases that
+// storage and stays valid until the Fitter's next Fit. The zero value
+// is ready to use; a Fitter must not be used concurrently.
+type Fitter struct {
+	x, y, m []float64 // knots, values and Hermite slopes of the fit
+	h, w    []float64 // knot spacings; secants (PCHIP) or sigma (natural)
+	b, d    []float64 // diagonal and right-hand side of the natural spline's system
+	pts     []point   // sort buffer for unsorted or duplicate input
+
+	con constant
+	lin linear
+	cub cubic
+}
+
+type point struct{ x, y float64 }
+
+// Fit is the package-level Fit, fitted into f's storage.
+func (f *Fitter) Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
+	if kind < NaturalCubic || kind > Linear {
+		return nil, fmt.Errorf("spline: unknown kind %v", kind)
+	}
 	if len(xs) != len(ys) {
 		return nil, fmt.Errorf("spline: mismatched lengths %d vs %d", len(xs), len(ys))
 	}
 	if len(xs) == 0 {
 		return nil, errTooFew
 	}
+	ascending := true
 	for i := range xs {
 		if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) {
 			return nil, fmt.Errorf("spline: non-finite x at index %d: %v", i, xs[i])
@@ -84,32 +114,55 @@ func Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
 		if math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
 			return nil, fmt.Errorf("spline: non-finite y at index %d: %v", i, ys[i])
 		}
+		if i > 0 && xs[i] <= xs[i-1] {
+			ascending = false
+		}
 	}
-	x, y := dedupSorted(xs, ys)
+	if ascending {
+		f.x = append(f.x[:0], xs...)
+		f.y = grow(f.y, len(ys))
+		for i, y := range ys {
+			f.y[i] = 0 + y // what averaging a lone point yields: -0 becomes +0
+		}
+	} else {
+		f.dedupSorted(xs, ys)
+	}
+	x, y := f.x, f.y
 	switch {
 	case len(x) == 1:
-		return constant(y[0]), nil
+		f.con = constant(y[0])
+		return &f.con, nil
 	case len(x) == 2 || kind == Linear:
-		return &linear{x: x, y: y}, nil
+		f.lin = linear{x: x, y: y}
+		return &f.lin, nil
 	case kind == NaturalCubic:
-		return fitNatural(x, y), nil
-	case kind == PCHIP:
-		return fitPCHIP(x, y), nil
+		f.fitNatural()
 	default:
-		return nil, fmt.Errorf("spline: unknown kind %v", kind)
+		f.fitPCHIP()
 	}
+	f.cub = cubic{x: x, y: y, m: f.m}
+	return &f.cub, nil
 }
 
-// dedupSorted sorts the points by x and averages y across duplicate xs.
-func dedupSorted(xs, ys []float64) ([]float64, []float64) {
-	type pt struct{ x, y float64 }
-	pts := make([]pt, len(xs))
-	for i := range xs {
-		pts[i] = pt{xs[i], ys[i]}
+// grow returns buf resized to n, reallocating only when it is too
+// small. The contents are unspecified.
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-	outX := make([]float64, 0, len(pts))
-	outY := make([]float64, 0, len(pts))
+	return buf[:n]
+}
+
+// dedupSorted sorts the points by x into f.x and f.y, averaging y
+// across duplicate xs.
+func (f *Fitter) dedupSorted(xs, ys []float64) {
+	pts := f.pts[:0]
+	for i := range xs {
+		pts = append(pts, point{xs[i], ys[i]})
+	}
+	f.pts = pts
+	slices.SortFunc(pts, func(a, b point) int { return cmp.Compare(a.x, b.x) })
+	f.x, f.y = f.x[:0], f.y[:0]
 	for i := 0; i < len(pts); {
 		j := i
 		var sum float64
@@ -117,11 +170,10 @@ func dedupSorted(xs, ys []float64) ([]float64, []float64) {
 			sum += pts[j].y
 			j++
 		}
-		outX = append(outX, pts[i].x)
-		outY = append(outY, sum/float64(j-i))
+		f.x = append(f.x, pts[i].x)
+		f.y = append(f.y, sum/float64(j-i))
 		i = j
 	}
-	return outX, outY
 }
 
 // constant is an Interpolator returning a fixed value everywhere.
@@ -185,64 +237,66 @@ func (c *cubic) Eval(x float64) float64 {
 	return h00*c.y[i] + h10*h*c.m[i] + h01*c.y[i+1] + h11*h*c.m[i+1]
 }
 
-// fitNatural computes natural-cubic-spline endpoint slopes by solving
-// the standard tridiagonal system for the second derivatives and
-// converting to Hermite form.
-func fitNatural(x, y []float64) *cubic {
+// fitNatural computes natural-cubic-spline endpoint slopes into f.m by
+// solving the standard tridiagonal system for the second derivatives
+// and converting to Hermite form.
+func (f *Fitter) fitNatural() {
+	x, y := f.x, f.y
 	n := len(x)
-	h := make([]float64, n-1)
+	h := grow(f.h, n-1)
+	f.h = h
 	for i := range h {
 		h[i] = x[i+1] - x[i]
 	}
 	// Solve for second derivatives sigma via the Thomas algorithm.
 	// Natural boundary: sigma[0] = sigma[n-1] = 0.
-	sigma := make([]float64, n)
+	sigma := grow(f.w, n)
+	f.w = sigma
+	clear(sigma)
 	if n > 2 {
-		// Subdiagonal a, diagonal b, superdiagonal c, rhs d for the
-		// interior unknowns sigma[1..n-2].
+		// Subdiagonal h[i], diagonal b, superdiagonal h[i+1], rhs d for
+		// the interior unknowns sigma[1..n-2].
 		m := n - 2
-		a := make([]float64, m)
-		b := make([]float64, m)
-		cc := make([]float64, m)
-		d := make([]float64, m)
+		b, d := grow(f.b, m), grow(f.d, m)
+		f.b, f.d = b, d
 		for i := 0; i < m; i++ {
-			a[i] = h[i]
 			b[i] = 2 * (h[i] + h[i+1])
-			cc[i] = h[i+1]
 			d[i] = 6 * ((y[i+2]-y[i+1])/h[i+1] - (y[i+1]-y[i])/h[i])
 		}
 		// Forward elimination.
 		for i := 1; i < m; i++ {
-			w := a[i] / b[i-1]
-			b[i] -= w * cc[i-1]
+			w := h[i] / b[i-1]
+			b[i] -= w * h[i]
 			d[i] -= w * d[i-1]
 		}
 		// Back substitution.
 		sigma[m] = d[m-1] / b[m-1]
 		for i := m - 2; i >= 0; i-- {
-			sigma[i+1] = (d[i] - cc[i]*sigma[i+2]) / b[i]
+			sigma[i+1] = (d[i] - h[i+1]*sigma[i+2]) / b[i]
 		}
 	}
 	// Convert to endpoint slopes: m[i] = dy/dx at knot i.
-	slopes := make([]float64, n)
+	slopes := grow(f.m, n)
+	f.m = slopes
 	for i := 0; i < n-1; i++ {
 		slopes[i] = (y[i+1]-y[i])/h[i] - h[i]/6*(2*sigma[i]+sigma[i+1])
 	}
 	last := n - 2
 	slopes[n-1] = (y[n-1]-y[last])/h[last] + h[last]/6*(2*sigma[n-1]+sigma[last])
-	return &cubic{x: x, y: y, m: slopes}
 }
 
-// fitPCHIP computes Fritsch–Carlson monotone slopes.
-func fitPCHIP(x, y []float64) *cubic {
+// fitPCHIP computes Fritsch–Carlson monotone slopes into f.m.
+func (f *Fitter) fitPCHIP() {
+	x, y := f.x, f.y
 	n := len(x)
-	h := make([]float64, n-1)
-	delta := make([]float64, n-1)
+	h, delta := grow(f.h, n-1), grow(f.w, n-1)
+	f.h, f.w = h, delta
 	for i := 0; i < n-1; i++ {
 		h[i] = x[i+1] - x[i]
 		delta[i] = (y[i+1] - y[i]) / h[i]
 	}
-	m := make([]float64, n)
+	m := grow(f.m, n)
+	f.m = m
 	// Interior slopes: weighted harmonic mean when the secants agree in
 	// sign, zero otherwise (local extremum).
 	for i := 1; i < n-1; i++ {
@@ -258,7 +312,6 @@ func fitPCHIP(x, y []float64) *cubic {
 	// preserve monotonicity and shape.
 	m[0] = edgeSlope(h[0], h[min(1, n-2)], delta[0], delta[min(1, n-2)])
 	m[n-1] = edgeSlope(h[n-2], h[max(0, n-3)], delta[n-2], delta[max(0, n-3)])
-	return &cubic{x: x, y: y, m: m}
 }
 
 // edgeSlope is the standard PCHIP endpoint slope formula with the

@@ -2,6 +2,7 @@ package spline
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,156 @@ func TestFitErrors(t *testing.T) {
 	}
 	if _, err := Fit(Kind(99), []float64{1, 2, 3}, []float64{1, 2, 3}); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// An unknown kind is an error however many points come with it; it
+// used to be accepted with one or two distinct points.
+func TestFitUnknownKindAnyLength(t *testing.T) {
+	inputs := []struct {
+		name   string
+		xs, ys []float64
+	}{
+		{"1 point", []float64{4}, []float64{2}},
+		{"2 points", []float64{4, 8}, []float64{2, 1}},
+		{"2 distinct of 3", []float64{4, 4, 8}, []float64{2, 3, 1}},
+		{"3 points", []float64{4, 8, 12}, []float64{2, 1, 0.5}},
+	}
+	for _, kind := range []Kind{Kind(-1), Linear + 1, Kind(99)} {
+		for _, in := range inputs {
+			if _, err := Fit(kind, in.xs, in.ys); err == nil {
+				t.Errorf("%v with %s accepted", kind, in.name)
+			}
+			if _, err := new(Fitter).Fit(kind, in.xs, in.ys); err == nil {
+				t.Errorf("Fitter: %v with %s accepted", kind, in.name)
+			}
+		}
+	}
+}
+
+// dedupSortedOracle is the sort-and-average step as it was before the
+// Fitter: sort.Slice over a fresh slice.
+func dedupSortedOracle(xs, ys []float64) ([]float64, []float64) {
+	type pt struct{ x, y float64 }
+	pts := make([]pt, len(xs))
+	for i := range xs {
+		pts[i] = pt{xs[i], ys[i]}
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
+	var outX, outY []float64
+	for i := 0; i < len(pts); {
+		j := i
+		var sum float64
+		for j < len(pts) && pts[j].x == pts[i].x {
+			sum += pts[j].y
+			j++
+		}
+		outX = append(outX, pts[i].x)
+		outY = append(outY, sum/float64(j-i))
+		i = j
+	}
+	return outX, outY
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// randomPoints draws n points on a coarse x grid (so duplicates are
+// common), with signed zeros among the ys.
+func randomPoints(r *xrand.Rand, n int) (xs, ys []float64) {
+	for i := 0; i < n; i++ {
+		xs = append(xs, float64(r.Intn(12)))
+		switch r.Intn(8) {
+		case 0:
+			ys = append(ys, math.Copysign(0, -1))
+		case 1:
+			ys = append(ys, 0)
+		default:
+			ys = append(ys, r.Float64()*20-5)
+		}
+	}
+	return xs, ys
+}
+
+// One Fitter reused across fits of every size and kind must give the
+// bits a fresh fit gives, and its knots must be what the old
+// sort-and-average produced. Strictly ascending input, which skips the
+// sort, must fit exactly as the same points do through it.
+func TestFitterMatchesFreshFitBitForBit(t *testing.T) {
+	r := xrand.New(16)
+	var reused Fitter
+	for trial := 0; trial < 3000; trial++ {
+		xs, ys := randomPoints(r, 1+r.Intn(10))
+		kind := Kind(r.Intn(3))
+		wantX, wantY := dedupSortedOracle(xs, ys)
+
+		got, err := reused.Fit(kind, xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantX) > 1 && !sameBits(got.Knots(), wantX) {
+			t.Fatalf("knots %v, want %v", got.Knots(), wantX)
+		}
+		fresh, err := new(Fitter).Fit(kind, wantX, wantY) // ascending: no sort
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := -1.0; x <= 12; x += 0.25 {
+			if a, b := got.Eval(x), fresh.Eval(x); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%v over %v/%v: Eval(%v) = %v reused, %v fresh ascending", kind, xs, ys, x, a, b)
+			}
+		}
+
+		// Ascending input with raw ys (signed zeros included) against
+		// the same points averaged by the old sort path.
+		_, rawY := randomPoints(r, len(wantX))
+		fast, err := reused.Fit(kind, wantX, rawY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ox, oy := dedupSortedOracle(wantX, rawY)
+		slow, err := new(Fitter).Fit(kind, ox, oy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x := -1.0; x <= 12; x += 0.25 {
+			if a, b := fast.Eval(x), slow.Eval(x); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%v over %v/%v: Eval(%v) = %v ascending, %v averaged", kind, wantX, rawY, x, a, b)
+			}
+		}
+	}
+}
+
+// A warm Fitter refits same-sized input without allocating.
+func TestFitterReusesStorage(t *testing.T) {
+	xs := []float64{1, 2, 4, 8, 16, 32}
+	ys := []float64{9, 7.5, 6, 4.2, 3.9, 3.85}
+	shuffled := []float64{8, 1, 32, 4, 16, 2}
+	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+		var f Fitter
+		if _, err := f.Fit(kind, shuffled, ys); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := f.Fit(kind, xs, ys); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Fit(kind, shuffled, ys); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: warm Fitter allocated %v times per two fits", kind, allocs)
+		}
 	}
 }
 
