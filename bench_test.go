@@ -9,6 +9,7 @@ package intracache
 // numbers alongside the usual time/allocation costs.
 
 import (
+	"context"
 	"testing"
 
 	"intracache/internal/core"
@@ -305,7 +306,8 @@ func sweepBenchPoints(share bool) []experiment.SweepPoint {
 func BenchmarkSweepSynchronous(b *testing.B) {
 	points := sweepBenchPoints(false)
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Sweep(points, "cg", core.PolicyShared, core.PolicyModelBased, 2); err != nil {
+		if _, err := experiment.SweepJournaled(context.Background(), points, "cg",
+			core.PolicyShared, core.PolicyModelBased, experiment.SweepOptions{Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -315,7 +317,8 @@ func BenchmarkSweepSharedTraces(b *testing.B) {
 	points := sweepBenchPoints(true)
 	for i := 0; i < b.N; i++ {
 		experiment.FlushTraceCache()
-		if _, err := experiment.Sweep(points, "cg", core.PolicyShared, core.PolicyModelBased, 2); err != nil {
+		if _, err := experiment.SweepJournaled(context.Background(), points, "cg",
+			core.PolicyShared, core.PolicyModelBased, experiment.SweepOptions{Workers: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

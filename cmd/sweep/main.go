@@ -72,9 +72,9 @@ const (
 
 func main() {
 	kind := flag.String("kind", "cache", "sweep kind: cache, interval, threads, robust, mechanism")
-	bench := flag.String("bench", "cg", "benchmark to sweep (kind=mechanism: all nine unless set)")
+	bench := flag.String("bench", "cg", "benchmark to sweep (kind=robust, mechanism: all nine unless set)")
 	baseName := flag.String("baseline", "shared", "baseline policy")
-	candName := flag.String("candidate", "model-based", "candidate policy (kind=mechanism: the full partition-capable ladder unless set)")
+	candName := flag.String("candidate", "model-based", "candidate policy (kind=robust, mechanism: the full policy set unless set)")
 	mechName := flag.String("mechanism", "ways", "partitioning mechanism for the candidate: ways, sets, cluster (ignored by kind=mechanism, which sweeps all)")
 	setGroups := flag.Int("set-groups", 0, "sets mechanism: number of set groups (0 = cache default)")
 	clusters := flag.Int("clusters", 0, "cluster mechanism: number of set clusters (0 = cache default)")
@@ -170,47 +170,92 @@ func main() {
 		opts.JournalPath = filepath.Join(*resume, *kind+".journal")
 	}
 
+	// -bench and -candidate narrow the robust and mechanism matrices
+	// only when given explicitly; their cell-sweep defaults would
+	// otherwise shrink the default all-benchmarks × policy-ladder grid
+	// to one row.
+	var benchSet []string
+	if explicit["bench"] {
+		benchSet = []string{*bench}
+	}
+	var policies []core.Policy
+	if explicit["candidate"] {
+		policies = []core.Policy{candidate}
+	}
+
 	distributed := *execWorkers > 0 || *workerURLs != ""
 	if *kind == "robust" {
 		if distributed {
 			fmt.Fprintln(os.Stderr, "sweep: -exec-workers/-worker-url apply to cell sweeps only; running robust in-process")
 		}
-		runRobust(ctx, cfg, opts, *asJSON, *outPath, stopProfile)
-		return
-	}
-	if *kind == "mechanism" {
-		var dispatch experiment.SweepDispatch
-		if distributed {
-			dc := distConfig{
-				execWorkers:  *execWorkers,
-				urls:         *workerURLs,
-				lease:        *lease,
-				chaos:        *chaosSpec,
-				resumeDir:    *resume,
-				localWorkers: *workers,
-			}
-			dispatch = func(ctx context.Context, points []experiment.SweepPoint, benchmark string,
-				b, c core.Policy, o experiment.SweepOptions) ([]experiment.SweepResult, error) {
-				return runDistributed(ctx, points, benchmark, b, c, o, dc)
-			}
-		}
-		// -bench and -candidate narrow the matrix only when given
-		// explicitly; their cell-sweep defaults would otherwise shrink
-		// the default all-benchmarks × policy-ladder grid to one cell.
-		var benchSet []string
-		if explicit["bench"] {
-			benchSet = []string{*bench}
-		}
-		var policies []core.Policy
-		if explicit["candidate"] {
-			policies = []core.Policy{candidate}
-		}
-		runMechanism(ctx, cfg, opts, benchSet, policies, baseline, *asJSON, *outPath, dispatch, stopProfile)
+		runRobust(ctx, cfg, opts, benchSet, policies, *asJSON, *outPath, stopProfile)
 		return
 	}
 
+	// Every cell sweep is a fingerprinted cell list, run in one place.
+	var fp string
+	var cells []experiment.SweepCell
+	if *kind == "mechanism" {
+		fp, cells, err = experiment.MechanismSweepCells(experiment.MechanismSweepSpec{
+			Cfg:        cfg,
+			Benchmarks: benchSet,
+			Policies:   policies,
+			Baseline:   baseline,
+		})
+		if err != nil {
+			fatal(err)
+		}
+	} else {
+		points, err := sweepPoints(*kind, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		if opts.JournalPath != "" {
+			if err := checkJournalMechanism(opts.JournalPath, points, *bench, baseline,
+				candidate, cfg.Mechanism); err != nil {
+				fatal(err)
+			}
+		}
+		fp = experiment.SweepFingerprint(points, *bench, baseline, candidate, 0)
+		cells = experiment.PointCells(points, *bench, baseline, candidate)
+	}
+
+	var results []experiment.SweepResult
+	if distributed {
+		results, err = runDistributed(ctx, fp, cells, opts, distConfig{
+			execWorkers:  *execWorkers,
+			urls:         *workerURLs,
+			lease:        *lease,
+			chaos:        *chaosSpec,
+			resumeDir:    *resume,
+			localWorkers: *workers,
+		})
+	} else {
+		results, err = experiment.RunSweepCells(ctx, fp, cells, opts)
+	}
+	if err != nil {
+		reportInterrupted(err, opts.JournalPath)
+		fatal(err)
+	}
+
+	errs := make([]error, len(results))
+	for i, r := range results {
+		errs[i] = r.Err
+	}
+	if *kind == "mechanism" {
+		printMechanism(experiment.MechanismResults(cells, results), *asJSON, *outPath)
+	} else {
+		title := fmt.Sprintf("%s sweep on %q: %s vs %s", *kind, *bench, *candName, *baseName)
+		printPoints(title, results, *asJSON, *outPath)
+		printTraceCacheSummary(experiment.TraceCacheStats())
+	}
+	exitOnFailedCells(errs, stopProfile)
+}
+
+// sweepPoints builds the configurations of a point sweep kind.
+func sweepPoints(kind string, cfg experiment.Config) ([]experiment.SweepPoint, error) {
 	var points []experiment.SweepPoint
-	switch *kind {
+	switch kind {
 	case "cache":
 		// Capacity grows with associativity at fixed sets, exactly how
 		// the paper grows its cache (Sec. IV-A3).
@@ -238,70 +283,65 @@ func main() {
 				Label: fmt.Sprintf("%d threads / %d KB", n, c.L2KB), Cfg: c})
 		}
 	default:
-		fatal(fmt.Errorf("unknown sweep kind %q", *kind))
+		return nil, fmt.Errorf("unknown sweep kind %q", kind)
 	}
+	return points, nil
+}
 
-	if opts.JournalPath != "" {
-		if err := checkJournalMechanism(opts.JournalPath, points, *bench, baseline,
-			candidate, cfg.Mechanism); err != nil {
+// printPoints writes a point sweep's results: to -out as JSON, and to
+// stdout as JSON or a table.
+func printPoints(title string, results []experiment.SweepResult, asJSON bool, outPath string) {
+	if outPath != "" {
+		if err := report.SaveJSON(outPath, sweepOutput{Results: results}); err != nil {
 			fatal(err)
 		}
 	}
-
-	var results []experiment.SweepResult
-	if distributed {
-		results, err = runDistributed(ctx, points, *bench, baseline, candidate, opts, distConfig{
-			execWorkers:  *execWorkers,
-			urls:         *workerURLs,
-			lease:        *lease,
-			chaos:        *chaosSpec,
-			resumeDir:    *resume,
-			localWorkers: *workers,
-		})
-	} else {
-		results, err = experiment.SweepJournaled(ctx, points, *bench, baseline, candidate, opts)
+	if asJSON {
+		printJSON(sweepOutput{Results: results})
+		return
 	}
-	if err != nil {
-		reportInterrupted(err, opts.JournalPath)
+	t := report.NewTable(title, "point", "baseline cycles", "dynamic cycles", "improvement %")
+	for _, r := range results {
+		if r.Err != nil {
+			t.AddRow(r.Label, "-", "-", fmt.Sprintf("error (%s): %v", r.ErrKind, r.Err))
+			continue
+		}
+		label := r.Label
+		if r.Resumed {
+			label += " (resumed)"
+		}
+		t.AddRow(label, r.BaselineCycles, r.DynamicCycles, r.ImprovementPct)
+	}
+	fmt.Print(t.String())
+}
+
+// printJSON writes v to stdout as indented JSON.
+func printJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
 		fatal(err)
 	}
-	if *outPath != "" {
-		if err := report.SaveJSON(*outPath, sweepOutput{Results: results}); err != nil {
-			fatal(err)
-		}
-	}
+}
 
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sweepOutput{Results: results}); err != nil {
-			fatal(err)
+// exitOnFailedCells ends a sweep whose results are already printed:
+// when some cells failed it summarises them by taxonomy kind on stderr
+// and exits exitPartial.
+func exitOnFailedCells(errs []error, stopProfile func()) {
+	failed, kinds := 0, map[string]int{}
+	for _, err := range errs {
+		if err != nil {
+			failed++
+			kinds[experiment.CellErrorKind(err)]++
 		}
-	} else {
-		t := report.NewTable(
-			fmt.Sprintf("%s sweep on %q: %s vs %s", *kind, *bench, *candName, *baseName),
-			"point", "baseline cycles", "dynamic cycles", "improvement %")
-		for _, r := range results {
-			if r.Err != nil {
-				t.AddRow(r.Label, "-", "-", fmt.Sprintf("error (%s): %v", errKind(r), r.Err))
-				continue
-			}
-			label := r.Label
-			if r.Resumed {
-				label += " (resumed)"
-			}
-			t.AddRow(label, r.BaselineCycles, r.DynamicCycles, r.ImprovementPct)
-		}
-		fmt.Print(t.String())
 	}
-	printTraceCacheSummary(experiment.TraceCacheStats())
-
-	if failed, kinds := failureSummary(results); failed > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells failed (%s); partial results above\n",
-			failed, len(results), kinds)
-		stopProfile()
-		os.Exit(exitPartial)
+	if failed == 0 {
+		return
 	}
+	fmt.Fprintf(os.Stderr, "sweep: %d/%d cells failed (%s); partial results above\n",
+		failed, len(errs), kindCounts(kinds))
+	stopProfile()
+	os.Exit(exitPartial)
 }
 
 // runWorker turns the process into a sweep worker: "stdio" serves the
@@ -389,8 +429,8 @@ type distConfig struct {
 // subprocess workers journal next to the resume journal when -resume
 // is set (so their work survives a coordinator crash too), otherwise
 // in a temp directory that is cleaned up with the run.
-func runDistributed(ctx context.Context, points []experiment.SweepPoint, bench string,
-	baseline, candidate core.Policy, opts experiment.SweepOptions, dc distConfig) ([]experiment.SweepResult, error) {
+func runDistributed(ctx context.Context, fp string, cells []experiment.SweepCell,
+	opts experiment.SweepOptions, dc distConfig) ([]experiment.SweepResult, error) {
 	var pool []dsweep.Worker
 	closeAll := func() {
 		for _, w := range pool {
@@ -410,9 +450,8 @@ func runDistributed(ctx context.Context, points []experiment.SweepPoint, bench s
 			}
 			defer os.RemoveAll(dir)
 		}
-		// Worker journals are named after the coordinator journal so a
-		// mechanism sweep's per-slice runDistributed calls (and sweeps of
-		// different kinds sharing a -resume dir) never collide.
+		// Worker journals are named after the coordinator journal so
+		// sweeps of different kinds sharing a -resume dir never collide.
 		prefix := "worker"
 		if opts.JournalPath != "" {
 			prefix = strings.TrimSuffix(filepath.Base(opts.JournalPath), ".journal") + "-worker"
@@ -442,7 +481,7 @@ func runDistributed(ctx context.Context, points []experiment.SweepPoint, bench s
 	}
 	defer closeAll()
 
-	results, stats, err := dsweep.Run(ctx, points, bench, baseline, candidate, dsweep.Options{
+	results, stats, err := dsweep.Run(ctx, fp, cells, dsweep.Options{
 		Workers:      pool,
 		JournalPath:  opts.JournalPath,
 		Cell:         opts.Cell,
@@ -466,29 +505,6 @@ func runDistributed(ctx context.Context, points []experiment.SweepPoint, bench s
 		fmt.Fprintln(os.Stderr, "sweep: degraded: cells ran in-process because no worker was reachable")
 	}
 	return results, nil
-}
-
-// errKind renders a result's taxonomy kind, defaulting the legacy
-// in-process paths that predate classification.
-func errKind(r experiment.SweepResult) string {
-	if r.ErrKind != "" {
-		return r.ErrKind
-	}
-	return experiment.CellErrorKind(r.Err)
-}
-
-// failureSummary counts failed cells and formats the taxonomy
-// breakdown, e.g. `2 stalled, 1 worker-died`.
-func failureSummary(results []experiment.SweepResult) (int, string) {
-	kinds := map[string]int{}
-	failed := 0
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			kinds[errKind(r)]++
-		}
-	}
-	return failed, kindCounts(kinds)
 }
 
 // kindCounts formats a kind->count map in the taxonomy's canonical
@@ -542,18 +558,19 @@ func reportInterrupted(err error, journalPath string) {
 	}
 }
 
-// runRobust sweeps policies × fault levels over all nine benchmarks.
+// runRobust sweeps policies × fault levels, over all nine benchmarks
+// and the default policy set unless benchmarks or policies narrow it.
 // Any plan built from -fault-* flags is added as a fifth "custom"
 // level on top of the canonical ladder. Exits exitPartial when some
 // cells failed.
 func runRobust(ctx context.Context, cfg experiment.Config, opts experiment.SweepOptions,
-	asJSON bool, outPath string, stopProfile func()) {
+	benchmarks []string, policies []core.Policy, asJSON bool, outPath string, stopProfile func()) {
 	levels := experiment.DefaultFaultLevels()
 	if cfg.Fault != nil {
 		levels = append(levels, experiment.FaultLevel{Name: "custom", Plan: *cfg.Fault})
 		cfg.Fault = nil
 	}
-	cells, err := experiment.RobustnessSweepJournaled(ctx, cfg, nil, nil, levels, opts)
+	cells, err := experiment.RobustnessSweepJournaled(ctx, cfg, benchmarks, policies, levels, opts)
 	if err != nil {
 		reportInterrupted(err, opts.JournalPath)
 		fatal(err)
@@ -563,20 +580,15 @@ func runRobust(ctx context.Context, cfg experiment.Config, opts experiment.Sweep
 			fatal(err)
 		}
 	}
-	failed, kinds := 0, map[string]int{}
-	for _, c := range cells {
+	errs := make([]error, len(cells))
+	for i, c := range cells {
+		errs[i] = c.Err
 		if c.Err != nil {
-			failed++
-			kinds[experiment.CellErrorKind(c.Err)]++
 			fmt.Fprintf(os.Stderr, "sweep: %s/%s/%s: %v\n", c.Benchmark, c.Policy, c.Level, c.Err)
 		}
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(cells); err != nil {
-			fatal(err)
-		}
+		printJSON(cells)
 	} else {
 		rows, cols, vals := experiment.RobustnessMatrix(cells)
 		fmt.Print(report.Matrix(
@@ -588,83 +600,49 @@ func runRobust(ctx context.Context, cfg experiment.Config, opts experiment.Sweep
 			fmt.Printf("model-based health at %-12s %v\n", level+":", hc)
 		}
 	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells failed (%s); partial results above\n",
-			failed, len(cells), kindCounts(kinds))
-		stopProfile()
-		os.Exit(exitPartial)
-	}
+	exitOnFailedCells(errs, stopProfile)
 }
 
-// runMechanism sweeps partitioning mechanisms × policies × benchmarks
-// against the shared baseline and prints the comparison matrix plus a
-// per-benchmark winner table. Each (benchmark, policy) slice journals
-// separately under -resume; when workers are configured each slice is
-// dispatched through the distributed coordinator.
-func runMechanism(ctx context.Context, cfg experiment.Config, opts experiment.SweepOptions,
-	benchmarks []string, policies []core.Policy, baseline core.Policy,
-	asJSON bool, outPath string, dispatch experiment.SweepDispatch, stopProfile func()) {
-	cells, err := experiment.MechanismSweep(ctx, experiment.MechanismSweepSpec{
-		Cfg:        cfg,
-		Benchmarks: benchmarks,
-		Policies:   policies,
-		Baseline:   baseline,
-		Opts:       opts,
-		Dispatch:   dispatch,
-	})
-	if err != nil {
-		reportInterrupted(err, opts.JournalPath)
-		fatal(err)
-	}
+// printMechanism writes a mechanism sweep's cells: to -out as JSON,
+// and to stdout as JSON or as the comparison matrix plus a
+// per-benchmark winner table. Failed cells are also named on stderr.
+func printMechanism(cells []experiment.MechanismCell, asJSON bool, outPath string) {
 	if outPath != "" {
 		if err := report.SaveJSON(outPath, cells); err != nil {
 			fatal(err)
 		}
 	}
-	failed, kinds := 0, map[string]int{}
 	for _, c := range cells {
 		if c.Err != nil {
-			failed++
-			kinds[experiment.CellErrorKind(c.Err)]++
 			fmt.Fprintf(os.Stderr, "sweep: %s/%s/%s: %v\n", c.Benchmark, c.Policy, c.Mechanism, c.Err)
 		}
 	}
 	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(cells); err != nil {
-			fatal(err)
-		}
-	} else {
-		rows, cols, vals := experiment.MechanismMatrix(cells)
-		fmt.Print(report.ComparisonMatrix(
-			"mechanisms: mean improvement over shared baseline (%), policies x mechanisms",
-			rows, cols, vals))
-		// Winner table under the strongest policy in the matrix.
-		winner := core.PolicyModelBased
-		present := map[core.Policy]bool{}
+		printJSON(cells)
+		return
+	}
+	rows, cols, vals := experiment.MechanismMatrix(cells)
+	fmt.Print(report.ComparisonMatrix(
+		"mechanisms: mean improvement over shared baseline (%), policies x mechanisms",
+		rows, cols, vals))
+	// Winner table under the strongest policy in the matrix.
+	winner := core.PolicyModelBased
+	present := map[core.Policy]bool{}
+	for _, c := range cells {
+		present[c.Policy] = true
+	}
+	if !present[winner] && len(cells) > 0 {
+		winner = cells[0].Policy
+	}
+	if best := experiment.MechanismBestFor(cells, winner); len(best) > 0 {
+		fmt.Println()
+		printed := map[string]bool{}
 		for _, c := range cells {
-			present[c.Policy] = true
-		}
-		if !present[winner] && len(cells) > 0 {
-			winner = cells[0].Policy
-		}
-		if best := experiment.MechanismBestFor(cells, winner); len(best) > 0 {
-			fmt.Println()
-			printed := map[string]bool{}
-			for _, c := range cells {
-				if m, ok := best[c.Benchmark]; ok && !printed[c.Benchmark] {
-					printed[c.Benchmark] = true
-					fmt.Printf("best mechanism for %-8s %s (%s)\n", c.Benchmark+":", m, winner)
-				}
+			if m, ok := best[c.Benchmark]; ok && !printed[c.Benchmark] {
+				printed[c.Benchmark] = true
+				fmt.Printf("best mechanism for %-8s %s (%s)\n", c.Benchmark+":", m, winner)
 			}
 		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: %d/%d cells failed (%s); partial results above\n",
-			failed, len(cells), kindCounts(kinds))
-		stopProfile()
-		os.Exit(exitPartial)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -12,8 +13,15 @@ import (
 
 // TestMain doubles as the sweep command: with SWEEP_TEST_ARGS set, the
 // test binary runs main on those arguments, so the tests can observe
-// the real exit code and output of a re-executed process.
+// the real exit code and output of a re-executed process. A
+// coordinator started that way re-execs the binary as its
+// -exec-workers subprocesses with "-worker" as the first argument;
+// those run main on their own arguments.
 func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-worker" {
+		main()
+		os.Exit(0)
+	}
 	if args, ok := os.LookupEnv("SWEEP_TEST_ARGS"); ok {
 		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
 		main()
@@ -47,6 +55,8 @@ func TestCommandLine(t *testing.T) {
 		code   int
 		stdout []string
 		stderr []string
+		// absent must not appear on stdout.
+		absent []string
 	}{
 		{args: "-kind interval -sections 1", code: exitOK,
 			stdout: []string{`interval sweep on "cg": model-based vs shared`, "50k instr", "800k instr"}},
@@ -62,6 +72,12 @@ func TestCommandLine(t *testing.T) {
 		{args: "-kind threads -mechanism sets -set-groups 4 -sections 1", code: exitPartial,
 			stdout: []string{"4 set groups cannot hold 8 threads", "4 set groups cannot hold 16 threads"},
 			stderr: []string{"2/4 cells failed"}},
+		// An explicit -bench and -candidate narrow the robustness
+		// matrix to one benchmark and one policy (static-equal is
+		// policy 2): four fault levels, no other benchmark or policy.
+		{args: "-kind robust -bench cg -candidate static-equal -sections 1 -json", code: exitOK,
+			stdout: []string{`"Benchmark": "cg"`, `"Policy": 2`, `"Level": "catastrophic"`},
+			absent: []string{`"Benchmark": "swim"`, `"Policy": 3`, `"Policy": 4`}},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			code, stdout, stderr := runSweep(t, tc.args)
@@ -76,6 +92,11 @@ func TestCommandLine(t *testing.T) {
 			for _, want := range tc.stderr {
 				if !strings.Contains(stderr, want) {
 					t.Errorf("stderr lacks %q:\n%s", want, stderr)
+				}
+			}
+			for _, bad := range tc.absent {
+				if strings.Contains(stdout, bad) {
+					t.Errorf("stdout contains %q:\n%s", bad, stdout)
 				}
 			}
 		})
@@ -110,6 +131,67 @@ func TestResumeSkipsJournaledCells(t *testing.T) {
 	}
 	if strings.Contains(first, "(resumed)") {
 		t.Errorf("first run marked rows resumed:\n%s", first)
+	}
+}
+
+// TestMechanismDistributedResume: a narrowed mechanism sweep prints
+// byte-identical -json in-process and through two worker subprocesses,
+// which start once for the whole matrix. A rerun against the
+// distributed run's -resume directory reads every cell back from the
+// one coordinator journal, mechanism.journal.
+func TestMechanismDistributedResume(t *testing.T) {
+	const args = "-kind mechanism -bench cg -candidate static-equal -sections 1 -json"
+	code, local, stderr := runSweep(t, args)
+	if code != exitOK {
+		t.Fatalf("in-process run: exit code %d\nstderr: %s", code, stderr)
+	}
+	code, dist, stderr := runSweep(t, args+" -exec-workers 2")
+	if code != exitOK {
+		t.Fatalf("distributed run: exit code %d\nstderr: %s", code, stderr)
+	}
+	if dist != local {
+		t.Errorf("distributed -json differs from in-process:\n%s\nvs\n%s", dist, local)
+	}
+	if n := strings.Count(stderr, "sweep: distributed:"); n != 1 {
+		t.Errorf("coordinator ran %d times, want once:\n%s", n, stderr)
+	}
+
+	dir := t.TempDir()
+	code, first, stderr := runSweep(t, args+" -exec-workers 2 -resume "+dir)
+	if code != exitOK {
+		t.Fatalf("journaled distributed run: exit code %d\nstderr: %s", code, stderr)
+	}
+	if first != local {
+		t.Errorf("journaled distributed -json differs from in-process:\n%s\nvs\n%s", first, local)
+	}
+	code, second, stderr := runSweep(t, args+" -resume "+dir)
+	if code != exitOK {
+		t.Fatalf("resumed run: exit code %d\nstderr: %s", code, stderr)
+	}
+	var cells []struct{ Resumed bool }
+	if err := json.Unmarshal([]byte(second), &cells); err != nil {
+		t.Fatalf("resumed run printed bad JSON: %v\n%s", err, second)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("resumed run printed %d cells, want 3 (one per mechanism)", len(cells))
+	}
+	for i, c := range cells {
+		if !c.Resumed {
+			t.Errorf("cell %d recomputed instead of resuming", i)
+		}
+	}
+	journals, err := filepath.Glob(filepath.Join(dir, "*.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var coordinator []string
+	for _, j := range journals {
+		if !strings.Contains(filepath.Base(j), "-worker") {
+			coordinator = append(coordinator, filepath.Base(j))
+		}
+	}
+	if len(coordinator) != 1 || coordinator[0] != "mechanism.journal" {
+		t.Errorf("coordinator journals %v, want only mechanism.journal", coordinator)
 	}
 }
 

@@ -242,7 +242,7 @@ func TestHTTPWorkerEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	journal := filepath.Join(t.TempDir(), "coord.journal")
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers:     []Worker{&HTTPWorker{BaseURL: srv.URL}},
 			JournalPath: journal,
@@ -313,7 +313,7 @@ func TestChaosDifferentialExecWorkers(t *testing.T) {
 	}()
 
 	journal := filepath.Join(dir, "coord.journal")
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers:     workers,
 			JournalPath: journal,

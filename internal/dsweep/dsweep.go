@@ -10,7 +10,7 @@
 // computation is deterministic and the merge is canonical, so a sweep
 // executed under worker kills, hangs, and corrupted replies produces a
 // journal and result set byte-identical to a fault-free in-process
-// experiment.SweepJournaled. Fingerprint-keyed dedup guarantees a
+// experiment.RunSweepCells. Fingerprint-keyed dedup guarantees a
 // re-dispatched cell is merged at most once no matter how many copies
 // of its result eventually arrive.
 package dsweep
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"intracache/internal/checkpoint"
-	"intracache/internal/core"
 	"intracache/internal/experiment"
 	"intracache/internal/workload"
 )
@@ -58,7 +57,7 @@ type Worker interface {
 type Options struct {
 	// Workers is the pool. An empty pool — or a pool where nobody
 	// answers the initial probe — degrades the run to the plain
-	// in-process experiment.SweepJournaled.
+	// in-process experiment.RunSweepCells.
 	Workers []Worker
 	// JournalPath is the coordinator's journal: resume source, merge
 	// target, and the file the final canonical journal lands in.
@@ -111,27 +110,28 @@ type Stats struct {
 	Attempts map[string]int
 }
 
-// Run executes the sweep across opts.Workers and returns results in
-// point order, exactly like experiment.SweepJournaled (same error
-// policy: non-nil error only for cancellation or when every cell
-// failed). Cells already present in the journal are returned with
-// Resumed set and never dispatched.
-func Run(ctx context.Context, points []experiment.SweepPoint, benchmark string,
-	baseline, candidate core.Policy, opts Options) ([]experiment.SweepResult, Stats, error) {
-	stats := Stats{Cells: len(points), ErrKinds: map[string]int{}, Attempts: map[string]int{}}
-	if _, err := workload.ByName(benchmark); err != nil {
-		return nil, stats, err
+// Run executes the cells of the sweep fingerprinted fp across
+// opts.Workers and returns results in cell order, exactly like
+// experiment.RunSweepCells (same error policy: non-nil error only for
+// cancellation or when every cell failed). Cells already present in
+// the journal are returned with Resumed set and never dispatched.
+func Run(ctx context.Context, fp string, cells []experiment.SweepCell,
+	opts Options) ([]experiment.SweepResult, Stats, error) {
+	stats := Stats{Cells: len(cells), ErrKinds: map[string]int{}, Attempts: map[string]int{}}
+	for _, cell := range cells {
+		if _, err := workload.ByName(cell.Benchmark); err != nil {
+			return nil, stats, err
+		}
 	}
 	logf := opts.Log
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}
-	fp := experiment.SweepFingerprint(points, benchmark, baseline, candidate, 0)
 
 	alive := probe(ctx, opts.Workers, opts.probeTimeout(), logf)
 	stats.WorkersAlive = len(alive)
 	if len(alive) == 0 {
-		out, err := degrade(ctx, points, benchmark, baseline, candidate, opts, &stats, logf)
+		out, err := degrade(ctx, fp, cells, opts, &stats, logf)
 		if merr := canonicalize(opts.JournalPath, fp, nil); merr != nil && err == nil {
 			err = merr
 		}
@@ -139,9 +139,8 @@ func Run(ctx context.Context, points []experiment.SweepPoint, benchmark string,
 	}
 
 	c := &coordinator{
-		opts: opts, fp: fp, points: points, benchmark: benchmark,
-		baseline: baseline, candidate: candidate,
-		out:    make([]experiment.SweepResult, len(points)),
+		opts: opts, fp: fp, cells: cells,
+		out:    make([]experiment.SweepResult, len(cells)),
 		merged: make(map[string]bool),
 		done:   make(chan struct{}),
 		stats:  &stats, logf: logf, ctx: ctx,
@@ -157,9 +156,9 @@ func Run(ctx context.Context, points []experiment.SweepPoint, benchmark string,
 	}
 
 	var pending []*cellState
-	for i := range points {
-		c.out[i] = experiment.SweepResult{Label: points[i].Label, Benchmark: benchmark}
-		key := experiment.CellKey(i, points[i].Label)
+	for i, cell := range cells {
+		c.out[i] = experiment.SweepResult{Label: cell.Label, Benchmark: cell.Benchmark}
+		key := cell.Key
 		if raw, ok := prior[key]; ok {
 			var rec experiment.CellRecord
 			if json.Unmarshal(raw, &rec) == nil {
@@ -271,21 +270,19 @@ func probe(ctx context.Context, workers []Worker, timeout time.Duration,
 }
 
 // degrade is the no-workers-reachable path: the whole sweep runs
-// through the plain in-process SweepJournaled against the same journal.
-func degrade(ctx context.Context, points []experiment.SweepPoint, benchmark string,
-	baseline, candidate core.Policy, opts Options, stats *Stats,
-	logf func(string, ...interface{})) ([]experiment.SweepResult, error) {
+// through the plain in-process RunSweepCells against the same journal.
+func degrade(ctx context.Context, fp string, cells []experiment.SweepCell, opts Options,
+	stats *Stats, logf func(string, ...interface{})) ([]experiment.SweepResult, error) {
 	stats.Degraded = true
 	logf("dsweep: no workers reachable; degrading to in-process sweep")
-	out, err := experiment.SweepJournaled(ctx, points, benchmark, baseline, candidate,
+	out, err := experiment.RunSweepCells(ctx, fp, cells,
 		experiment.SweepOptions{
 			Workers:     opts.LocalWorkers,
 			JournalPath: opts.JournalPath,
 			Cell:        opts.Cell,
 		})
 	for i := range out {
-		key := experiment.CellKey(i, out[i].Label)
-		stats.Attempts[key] = out[i].Attempts
+		stats.Attempts[cells[i].Key] = out[i].Attempts
 		switch {
 		case out[i].Err != nil:
 			stats.Failed++
@@ -330,14 +327,11 @@ const (
 )
 
 type coordinator struct {
-	opts      Options
-	fp        string
-	points    []experiment.SweepPoint
-	benchmark string
-	baseline  core.Policy
-	candidate core.Policy
-	logf      func(string, ...interface{})
-	ctx       context.Context
+	opts  Options
+	fp    string
+	cells []experiment.SweepCell
+	logf  func(string, ...interface{})
+	ctx   context.Context
 
 	queue   chan *cellState
 	done    chan struct{} // closed when every cell reached a terminal state
@@ -430,8 +424,9 @@ func (c *coordinator) localCell(st *cellState) {
 		budget = 1
 	}
 	opts.Retry.Attempts = budget
-	rec, attempts, err := experiment.RunSweepCell(c.ctx, st.key, c.points[st.idx].Cfg,
-		c.benchmark, c.baseline, c.candidate, opts, nil)
+	cell := &c.cells[st.idx]
+	rec, attempts, err := experiment.RunSweepCell(c.ctx, st.key, cell.Cfg,
+		cell.Benchmark, cell.Baseline, cell.Candidate, opts, nil)
 	c.mu.Lock()
 	st.attempts += attempts
 	c.mu.Unlock()
@@ -444,16 +439,17 @@ func (c *coordinator) localCell(st *cellState) {
 
 // task builds the wire task for one dispatch.
 func (c *coordinator) task(st *cellState, attempt int) Task {
+	cell := &c.cells[st.idx]
 	return Task{
 		Key:          st.key,
 		Index:        st.idx,
-		Label:        c.points[st.idx].Label,
-		Benchmark:    c.benchmark,
-		Baseline:     c.baseline.String(),
-		Candidate:    c.candidate.String(),
+		Label:        cell.Label,
+		Benchmark:    cell.Benchmark,
+		Baseline:     cell.Baseline.String(),
+		Candidate:    cell.Candidate.String(),
 		Fingerprint:  c.fp,
 		Attempt:      attempt,
-		Cfg:          c.points[st.idx].Cfg,
+		Cfg:          cell.Cfg,
 		Timeout:      c.opts.Cell.Timeout,
 		StallTimeout: c.opts.Cell.StallTimeout,
 	}
@@ -661,13 +657,13 @@ func (c *coordinator) finish() {
 	}
 }
 
-// verdict mirrors SweepJournaled's error policy.
+// verdict mirrors RunSweepCells' error policy.
 func (c *coordinator) verdict() error {
 	if err := c.ctx.Err(); err != nil {
 		return fmt.Errorf("dsweep: sweep cancelled after %d/%d cells: %w",
-			len(c.points)-c.stats.Failed, len(c.points), err)
+			len(c.cells)-c.stats.Failed, len(c.cells), err)
 	}
-	if len(c.points) > 0 && c.stats.Failed == len(c.points) {
+	if len(c.cells) > 0 && c.stats.Failed == len(c.cells) {
 		var first error
 		for i := range c.out {
 			if c.out[i].Err != nil {

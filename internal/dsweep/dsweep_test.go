@@ -35,6 +35,13 @@ func testPoints(n int) []experiment.SweepPoint {
 	return pts
 }
 
+// runPoints distributes a point sweep of testBench through Run.
+func runPoints(points []experiment.SweepPoint, opts Options) ([]experiment.SweepResult, Stats, error) {
+	return Run(context.Background(),
+		experiment.SweepFingerprint(points, testBench, testBaseline, testCandidate, 0),
+		experiment.PointCells(points, testBench, testBaseline, testCandidate), opts)
+}
+
 // referenceSweep runs the fault-free in-process sweep and returns its
 // results plus the canonical bytes of its journal.
 func referenceSweep(t *testing.T, points []experiment.SweepPoint) ([]experiment.SweepResult, []byte) {
@@ -145,7 +152,7 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	want, wantJournal := referenceSweep(t, points)
 
 	journal := filepath.Join(t.TempDir(), "coord.journal")
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers:     []Worker{faithfulStub("w0"), faithfulStub("w1")},
 			JournalPath: journal,
@@ -169,6 +176,55 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestDistributedMixedCellsMatchInProcess: one coordinator run can
+// span benchmarks and policies, because each Task carries its own
+// cell's. A mechanism matrix distributed across two workers returns
+// the in-process results and a byte-identical canonical journal.
+func TestDistributedMixedCellsMatchInProcess(t *testing.T) {
+	cfg := experiment.QuickConfig()
+	cfg.Sections = 4
+	fp, cells, err := experiment.MechanismSweepCells(experiment.MechanismSweepSpec{
+		Cfg:        cfg,
+		Benchmarks: []string{"cg", "swim"},
+		Policies:   []core.Policy{core.PolicyStaticEqual, core.PolicyModelBased},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "ref.journal")
+	want, err := experiment.RunSweepCells(context.Background(), fp, cells,
+		experiment.SweepOptions{JournalPath: ref})
+	if err != nil {
+		t.Fatalf("in-process sweep: %v", err)
+	}
+	if err := canonicalize(ref, fp, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	journal := filepath.Join(dir, "coord.journal")
+	got, stats, err := Run(context.Background(), fp, cells, Options{
+		Workers:     []Worker{faithfulStub("w0"), faithfulStub("w1")},
+		JournalPath: journal,
+		Log:         t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("distributed sweep: %v", err)
+	}
+	compareResults(t, got, want)
+	for i := range got {
+		if got[i].Benchmark != cells[i].Benchmark {
+			t.Errorf("result %d is for %s, want %s", i, got[i].Benchmark, cells[i].Benchmark)
+		}
+	}
+	if stats.Computed != len(cells) {
+		t.Errorf("stats = %+v, want all %d cells computed", stats, len(cells))
+	}
+	if string(readFile(t, journal)) != string(readFile(t, ref)) {
+		t.Error("distributed journal is not byte-identical to the in-process journal")
+	}
+}
+
 func TestWorkerDeathRedispatches(t *testing.T) {
 	points := testPoints(4)
 	want, _ := referenceSweep(t, points)
@@ -177,7 +233,7 @@ func TestWorkerDeathRedispatches(t *testing.T) {
 	dying.run = func(ctx context.Context, tk Task, onBeat func()) (Result, error) {
 		return Result{}, fmt.Errorf("%w: simulated crash", experiment.ErrWorkerDied)
 	}
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers: []Worker{dying, faithfulStub("healthy")},
 			Cell: experiment.CellOptions{Retry: experiment.RetryPolicy{
@@ -223,7 +279,7 @@ func TestDeadWorkerJournalRecovery(t *testing.T) {
 		return Result{}, fmt.Errorf("%w: died after journaling", experiment.ErrWorkerDied)
 	}
 
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers: []Worker{doomed, faithfulStub("healthy")},
 			Cell: experiment.CellOptions{Retry: experiment.RetryPolicy{
@@ -255,7 +311,7 @@ func TestNoWorkersReachableDegradesInProcess(t *testing.T) {
 		panic("unreachable worker must never run a task")
 	}
 	journal := filepath.Join(t.TempDir(), "coord.journal")
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers:      []Worker{unreachable},
 			JournalPath:  journal,
@@ -282,7 +338,7 @@ func TestAllWorkersLostFallsBackToLocal(t *testing.T) {
 	dying.run = func(ctx context.Context, tk Task, onBeat func()) (Result, error) {
 		return Result{}, fmt.Errorf("%w: crash", experiment.ErrWorkerDied)
 	}
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers: []Worker{dying},
 			Cell: experiment.CellOptions{Retry: experiment.RetryPolicy{
@@ -305,7 +361,7 @@ func TestCorruptReplyIsCellFailureNeverMerged(t *testing.T) {
 		return Result{}, fmt.Errorf("%w: checksum mismatch", experiment.ErrResultCorrupt)
 	}
 	journal := filepath.Join(t.TempDir(), "coord.journal")
-	got, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate,
+	got, stats, err := runPoints(points,
 		Options{
 			Workers:     []Worker{liar},
 			JournalPath: journal,
@@ -341,7 +397,7 @@ func TestResumeSkipsDispatch(t *testing.T) {
 	points := testPoints(3)
 	journal := filepath.Join(t.TempDir(), "coord.journal")
 	opts := Options{Workers: []Worker{faithfulStub("w0")}, JournalPath: journal, Log: t.Logf}
-	first, _, err := Run(context.Background(), points, testBench, testBaseline, testCandidate, opts)
+	first, _, err := runPoints(points, opts)
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
@@ -351,7 +407,7 @@ func TestResumeSkipsDispatch(t *testing.T) {
 		panic("fully journaled sweep must not dispatch")
 	}
 	opts.Workers = []Worker{mustNotRun}
-	second, stats, err := Run(context.Background(), points, testBench, testBaseline, testCandidate, opts)
+	second, stats, err := runPoints(points, opts)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"intracache/internal/cache"
 	"intracache/internal/core"
@@ -23,14 +22,6 @@ func (c Config) WithMechanism(m cache.Mechanism) Config {
 	c.Mechanism = m
 	return c
 }
-
-// SweepDispatch computes one benchmark's point sweep. The experiment
-// package cannot depend on the distributed executor (dsweep imports
-// experiment), so execution is injected: cmd/sweep passes a
-// dsweep-backed dispatcher for -distributed runs, and nil means
-// SweepJournaled in-process.
-type SweepDispatch func(ctx context.Context, points []SweepPoint, benchmark string,
-	baseline, candidate core.Policy, opts SweepOptions) ([]SweepResult, error)
 
 // MechanismCell is one (mechanism, policy, benchmark) outcome of a
 // mechanism sweep: the candidate policy's improvement over the shared
@@ -63,35 +54,14 @@ type MechanismSweepSpec struct {
 	// has no mechanism).
 	Baseline core.Policy
 	Opts     SweepOptions
-	// Dispatch overrides how each (benchmark, policy) slice executes;
-	// nil runs SweepJournaled in-process.
-	Dispatch SweepDispatch
 }
 
-// mechanismJournalPath derives the per-(benchmark, policy) slice
-// journal from the base path: each slice is its own sweep with its own
-// fingerprint, so giving each its own journal keeps every slice
-// independently resumable (and lets distributed dispatchers shard them).
-func mechanismJournalPath(base, benchmark string, pol core.Policy) string {
-	if base == "" {
-		return ""
-	}
-	suffix := fmt.Sprintf("-%s-%s", benchmark, pol)
-	if i := strings.LastIndex(base, "."); i > strings.LastIndex(base, "/") {
-		return base[:i] + suffix + base[i:]
-	}
-	return base + suffix
-}
-
-// MechanismSweep runs the mechanisms × policies × benchmarks matrix.
-// Each (benchmark, policy) slice becomes one point sweep with one point
-// per mechanism (labelled by mechanism name), journaled separately when
-// Opts.JournalPath is set. Slices execute sequentially; the points
-// within a slice run on the sweep's worker pool or through the
-// injected dispatcher. Like Sweep, per-cell failures are carried in the
-// cells and the returned error is non-nil only when nothing succeeded
-// or the context was cancelled.
-func MechanismSweep(ctx context.Context, spec MechanismSweepSpec) ([]MechanismCell, error) {
+// MechanismSweepCells lays the mechanisms × policies × benchmarks
+// matrix out as one flat cell list — benchmark-major, then policy,
+// then mechanism, each cell labelled by its mechanism and keyed
+// "cell/<benchmark>/<policy>/<mechanism>" — and returns the
+// fingerprint its one journal carries.
+func MechanismSweepCells(spec MechanismSweepSpec) (string, []SweepCell, error) {
 	benchmarks := spec.Benchmarks
 	if benchmarks == nil {
 		benchmarks = workload.Names()
@@ -108,64 +78,60 @@ func MechanismSweep(ctx context.Context, spec MechanismSweepSpec) ([]MechanismCe
 		mechanisms = cache.Mechanisms()
 	}
 	if len(benchmarks) == 0 || len(policies) == 0 || len(mechanisms) == 0 {
-		return nil, fmt.Errorf("experiment: empty mechanism sweep")
+		return "", nil, fmt.Errorf("experiment: empty mechanism sweep")
 	}
-	dispatch := spec.Dispatch
-	if dispatch == nil {
-		dispatch = SweepJournaled
-	}
-
-	points := make([]SweepPoint, len(mechanisms))
-	for i, m := range mechanisms {
-		points[i] = SweepPoint{Label: m.String(), Cfg: spec.Cfg.WithMechanism(m)}
-	}
-
-	var cells []MechanismCell
-	failed := 0
+	var cells []SweepCell
+	parts := []string{"mechanism1"}
 	for _, b := range benchmarks {
 		for _, p := range policies {
-			opts := spec.Opts
-			opts.JournalPath = mechanismJournalPath(spec.Opts.JournalPath, b, p)
-			results, err := dispatch(ctx, points, b, spec.Baseline, p, opts)
-			if err != nil && ctx.Err() != nil {
-				return cells, fmt.Errorf("experiment: mechanism sweep cancelled at %s/%s: %w", b, p, ctx.Err())
-			}
-			if results == nil && err != nil {
-				// The slice failed before producing per-point results
-				// (bad benchmark, journal open failure): fail fast
-				// rather than burying a setup error in every cell.
-				return cells, fmt.Errorf("experiment: mechanism sweep %s/%s: %w", b, p, err)
-			}
-			for i, r := range results {
-				cell := MechanismCell{
-					Mechanism:      mechanisms[i],
-					Policy:         p,
-					Benchmark:      b,
-					ImprovementPct: r.ImprovementPct,
-					BaselineCycles: r.BaselineCycles,
-					DynamicCycles:  r.DynamicCycles,
-					Attempts:       r.Attempts,
-					Resumed:        r.Resumed,
-					Err:            r.Err,
+			for _, m := range mechanisms {
+				c := SweepCell{
+					Key:       fmt.Sprintf("cell/%s/%s/%s", b, p, m),
+					Label:     m.String(),
+					Benchmark: b,
+					Baseline:  spec.Baseline,
+					Candidate: p,
+					Cfg:       spec.Cfg.WithMechanism(m),
 				}
-				if cell.Err != nil {
-					failed++
-				}
-				cells = append(cells, cell)
+				cells = append(cells, c)
+				parts = append(parts, c.Key, c.Baseline.String(), c.Cfg.Fingerprint())
 			}
 		}
 	}
-	if len(cells) > 0 && failed == len(cells) {
-		first := cells[0].Err
-		for _, c := range cells {
-			if c.Err != nil {
-				first = c.Err
-				break
-			}
-		}
-		return cells, fmt.Errorf("experiment: mechanism sweep: all %d cells failed; first: %w", failed, first)
+	return hashFingerprint(parts...), cells, nil
+}
+
+// MechanismResults pairs each mechanism-sweep cell with its result.
+func MechanismResults(cells []SweepCell, results []SweepResult) []MechanismCell {
+	var out []MechanismCell
+	for i, r := range results {
+		out = append(out, MechanismCell{
+			Mechanism:      cells[i].Cfg.Mechanism,
+			Policy:         cells[i].Candidate,
+			Benchmark:      cells[i].Benchmark,
+			ImprovementPct: r.ImprovementPct,
+			BaselineCycles: r.BaselineCycles,
+			DynamicCycles:  r.DynamicCycles,
+			Attempts:       r.Attempts,
+			Resumed:        r.Resumed,
+			Err:            r.Err,
+		})
 	}
-	return cells, nil
+	return out
+}
+
+// MechanismSweep runs the mechanism matrix in-process through
+// RunSweepCells, journaled at spec.Opts.JournalPath. Like every cell
+// sweep, per-cell failures are carried in the cells and the returned
+// error is non-nil only when nothing succeeded or the context was
+// cancelled.
+func MechanismSweep(ctx context.Context, spec MechanismSweepSpec) ([]MechanismCell, error) {
+	fp, cells, err := MechanismSweepCells(spec)
+	if err != nil {
+		return nil, err
+	}
+	results, err := RunSweepCells(ctx, fp, cells, spec.Opts)
+	return MechanismResults(cells, results), err
 }
 
 // MechanismMatrix summarises a sweep as mean improvement over the

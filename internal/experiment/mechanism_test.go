@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -117,24 +118,23 @@ func mechSweepConfig() Config {
 }
 
 // TestMechanismSweepJournaledResume runs a one-benchmark mechanism
-// sweep twice against the same journal directory: the second pass must
-// read every cell back (Resumed) with identical numbers, and the
-// per-(benchmark, policy) slice journals must exist under their derived
-// names.
+// sweep twice against the same journal: the second pass must read
+// every cell back (Resumed) with identical numbers, and the whole
+// matrix must live in that one journal.
 func TestMechanismSweepJournaledResume(t *testing.T) {
 	dir := t.TempDir()
 	spec := MechanismSweepSpec{
 		Cfg:        mechSweepConfig(),
 		Benchmarks: []string{"cg"},
-		Policies:   []core.Policy{core.PolicyStaticEqual},
-		Opts:       SweepOptions{JournalPath: filepath.Join(dir, "mech.journal")},
+		Policies:   []core.Policy{core.PolicyStaticEqual, core.PolicyModelBased},
+		Opts:       SweepOptions{JournalPath: filepath.Join(dir, "mechanism.journal")},
 	}
 	first, err := MechanismSweep(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("first pass: %v", err)
 	}
-	if len(first) != len(cache.Mechanisms()) {
-		t.Fatalf("got %d cells, want %d", len(first), len(cache.Mechanisms()))
+	if len(first) != 2*len(cache.Mechanisms()) {
+		t.Fatalf("got %d cells, want %d", len(first), 2*len(cache.Mechanisms()))
 	}
 	dynamics := map[uint64]bool{}
 	for _, c := range first {
@@ -166,56 +166,61 @@ func TestMechanismSweepJournaledResume(t *testing.T) {
 			t.Errorf("cell %d (%s) resumed different numbers", i, c.Mechanism)
 		}
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "mechanism.journal" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("journal dir holds %v, want only mechanism.journal", names)
+	}
 }
 
-// TestMechanismSweepDispatch verifies the execution-injection seam: a
-// custom dispatcher sees one call per (benchmark, policy) slice with
-// one point per mechanism, a slice-derived journal path, and its
-// results flow back into the flattened cells.
-func TestMechanismSweepDispatch(t *testing.T) {
-	var calls []string
-	dispatch := func(ctx context.Context, points []SweepPoint, benchmark string,
-		baseline, candidate core.Policy, opts SweepOptions) ([]SweepResult, error) {
-		calls = append(calls, fmt.Sprintf("%s/%s/%s", benchmark, candidate, opts.JournalPath))
-		out := make([]SweepResult, len(points))
-		for i, p := range points {
-			if p.Cfg.Mechanism.String() != p.Label {
-				t.Errorf("point %d: label %q != config mechanism %s", i, p.Label, p.Cfg.Mechanism)
-			}
-			out[i] = SweepResult{Label: p.Label, Benchmark: benchmark, ImprovementPct: float64(i)}
-		}
-		return out, nil
-	}
+// TestMechanismSweepCells pins the flat matrix layout: benchmark-major,
+// then policy, then mechanism, each cell labelled by its mechanism and
+// configured for it, with keys unique across the one journal. The
+// -json output order of `sweep -kind mechanism` depends on it.
+func TestMechanismSweepCells(t *testing.T) {
 	spec := MechanismSweepSpec{
 		Cfg:        mechSweepConfig(),
 		Benchmarks: []string{"cg", "swim"},
 		Policies:   []core.Policy{core.PolicyStaticEqual, core.PolicyModelBased},
-		Opts:       SweepOptions{JournalPath: "/tmp/x/mech.journal"},
-		Dispatch:   dispatch,
 	}
-	cells, err := MechanismSweep(context.Background(), spec)
+	fp, cells, err := MechanismSweepCells(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCalls := []string{
-		"cg/static-equal//tmp/x/mech-cg-static-equal.journal",
-		"cg/model-based//tmp/x/mech-cg-model-based.journal",
-		"swim/static-equal//tmp/x/mech-swim-static-equal.journal",
-		"swim/model-based//tmp/x/mech-swim-model-based.journal",
-	}
-	if len(calls) != len(wantCalls) {
-		t.Fatalf("dispatcher called %d times: %v", len(calls), calls)
-	}
-	for i, w := range wantCalls {
-		if calls[i] != w {
-			t.Errorf("call %d = %q, want %q", i, calls[i], w)
-		}
-	}
-	if len(cells) != 2*2*len(cache.Mechanisms()) {
+	mechs := cache.Mechanisms()
+	if len(cells) != 2*2*len(mechs) {
 		t.Fatalf("got %d cells", len(cells))
 	}
-	if cells[1].Mechanism != cache.MechSets || cells[1].ImprovementPct != 1 {
-		t.Errorf("cell 1 misflattened: %+v", cells[1])
+	keys := map[string]bool{}
+	i := 0
+	for _, b := range spec.Benchmarks {
+		for _, p := range spec.Policies {
+			for _, m := range mechs {
+				c := cells[i]
+				if c.Benchmark != b || c.Candidate != p || c.Cfg.Mechanism != m || c.Label != m.String() {
+					t.Errorf("cell %d = %s/%s/%s labelled %q, want %s/%s/%s",
+						i, c.Benchmark, c.Candidate, c.Cfg.Mechanism, c.Label, b, p, m)
+				}
+				if c.Baseline != core.PolicyShared {
+					t.Errorf("cell %d baseline %s, want shared", i, c.Baseline)
+				}
+				keys[c.Key] = true
+				i++
+			}
+		}
+	}
+	if len(keys) != len(cells) {
+		t.Errorf("%d distinct keys for %d cells", len(keys), len(cells))
+	}
+	spec.Policies = spec.Policies[:1]
+	if other, _, _ := MechanismSweepCells(spec); other == fp {
+		t.Error("narrowing the policy set left the fingerprint unchanged")
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"intracache/internal/core"
 )
 
 // Simulation runs are single-threaded and independent of one another,
@@ -37,18 +35,6 @@ type SweepResult struct {
 	// deadline / worker-died / corrupt / cancelled / failed); "" when
 	// the cell succeeded. See CellErrorKind.
 	ErrKind string
-}
-
-// Sweep runs baseline-vs-candidate on one benchmark across a set of
-// configurations in parallel and returns one result per point, in
-// order. A failing cell does not abort the sweep: its Err field is
-// populated and the remaining cells still run. The returned error is
-// non-nil only when *every* cell failed (the sweep produced nothing),
-// and the per-cell results are returned alongside it for inspection.
-// It is SweepJournaled without cancellation, journaling or retry.
-func Sweep(points []SweepPoint, benchmark string, baseline, candidate core.Policy, workers int) ([]SweepResult, error) {
-	return SweepJournaled(context.Background(), points, benchmark, baseline, candidate,
-		SweepOptions{Workers: workers})
 }
 
 // forEachIndex applies fn to every index in [0, n) using a bounded

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -177,7 +178,8 @@ func TestSweep(t *testing.T) {
 		cfg.L2KB = l2
 		points = append(points, SweepPoint{Label: "l2-" + itoaTest(l2), Cfg: cfg})
 	}
-	out, err := Sweep(points, "cg", core.PolicyShared, core.PolicyModelBased, 2)
+	out, err := SweepJournaled(context.Background(), points, "cg", core.PolicyShared, core.PolicyModelBased,
+		SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,8 @@ func TestSweep(t *testing.T) {
 }
 
 func TestSweepUnknownBenchmark(t *testing.T) {
-	if _, err := Sweep(nil, "nope", core.PolicyShared, core.PolicyModelBased, 1); err == nil {
+	if _, err := SweepJournaled(context.Background(), nil, "nope", core.PolicyShared, core.PolicyModelBased,
+		SweepOptions{Workers: 1}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
 }
@@ -203,8 +206,8 @@ func TestSweepUnknownBenchmark(t *testing.T) {
 func TestSweepPropagatesErrors(t *testing.T) {
 	bad := QuickConfig()
 	bad.L2KB = 7 // invalid geometry
-	_, err := Sweep([]SweepPoint{{Label: "bad", Cfg: bad}}, "cg",
-		core.PolicyShared, core.PolicyModelBased, 1)
+	_, err := SweepJournaled(context.Background(), []SweepPoint{{Label: "bad", Cfg: bad}}, "cg",
+		core.PolicyShared, core.PolicyModelBased, SweepOptions{Workers: 1})
 	if err == nil {
 		t.Error("invalid sweep config accepted")
 	}
@@ -283,7 +286,8 @@ func TestSweepReturnsPartialResults(t *testing.T) {
 		{Label: "bad", Cfg: bad},
 		{Label: "good", Cfg: good},
 	}
-	out, err := Sweep(points, "cg", core.PolicyShared, core.PolicyStaticEqual, 2)
+	out, err := SweepJournaled(context.Background(), points, "cg", core.PolicyShared, core.PolicyStaticEqual,
+		SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("mixed sweep returned top-level error: %v", err)
 	}

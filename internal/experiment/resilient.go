@@ -282,7 +282,8 @@ type SweepOptions struct {
 	Workers int
 	// JournalPath, when non-empty, records each completed cell durably
 	// so a crashed or cancelled sweep resumes where it stopped. Only
-	// successes are journaled: a failed cell is retried on resume.
+	// successes are read back: a failed cell's fail/ record is for
+	// post-mortems, and the cell is retried on resume.
 	JournalPath string
 	Cell        CellOptions
 }
@@ -414,82 +415,175 @@ func RunSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
 	return rec, attempts, err
 }
 
-// SweepJournaled is Sweep with cancellation, per-cell deadlines and
-// retry, and an optional on-disk journal: cells already journaled by a
-// previous run are returned from the journal (Resumed=true) instead of
-// being recomputed. A cancelled sweep stops dispatching immediately,
-// lets in-flight cells observe their context, and returns ctx's error.
+// SweepCell is one baseline-vs-candidate comparison of a cell sweep:
+// the journal key its record is stored under, a display label, and
+// everything RunSweepCell needs to compute it. Point sweeps and the
+// mechanism sweep both lay themselves out as flat cell lists, which
+// RunSweepCells runs in-process and dsweep.Run distributes.
+type SweepCell struct {
+	Key       string
+	Label     string
+	Benchmark string
+	Baseline  core.Policy
+	Candidate core.Policy
+	Cfg       Config
+}
+
+// PointCells lays a point sweep out as cells, cell i keyed
+// CellKey(i, points[i].Label).
+func PointCells(points []SweepPoint, benchmark string, baseline, candidate core.Policy) []SweepCell {
+	cells := make([]SweepCell, len(points))
+	for i, p := range points {
+		cells[i] = SweepCell{
+			Key: CellKey(i, p.Label), Label: p.Label, Benchmark: benchmark,
+			Baseline: baseline, Candidate: candidate, Cfg: p.Cfg,
+		}
+	}
+	return cells
+}
+
+// SweepJournaled runs baseline-vs-candidate on one benchmark across a
+// set of configurations and returns one result per point, in order.
+// It is RunSweepCells over PointCells, journaled under
+// SweepFingerprint.
 func SweepJournaled(ctx context.Context, points []SweepPoint, benchmark string,
 	baseline, candidate core.Policy, opts SweepOptions) ([]SweepResult, error) {
 	if _, err := workload.ByName(benchmark); err != nil {
 		return nil, err
 	}
-	var err error
-	var jr *checkpoint.Journal
-	var prior map[string]json.RawMessage
-	if opts.JournalPath != "" {
-		fp := SweepFingerprint(points, benchmark, baseline, candidate, 0)
-		jr, prior, err = checkpoint.OpenJournal(opts.JournalPath, fp)
-		if err != nil {
+	return RunSweepCells(ctx, SweepFingerprint(points, benchmark, baseline, candidate, 0),
+		PointCells(points, benchmark, baseline, candidate), opts)
+}
+
+// RunSweepCells runs cells in-process on opts.Workers workers, with
+// cancellation, per-cell deadlines and retry, and an optional journal
+// at opts.JournalPath stamped with fp: cells already journaled by a
+// previous run are returned from the journal (Resumed=true) instead of
+// being recomputed. A failing cell does not abort the sweep: its Err
+// is set and the rest still run. The returned error is non-nil only
+// when the sweep was cancelled or every cell failed; the per-cell
+// results come back alongside it.
+func RunSweepCells(ctx context.Context, fp string, cells []SweepCell, opts SweepOptions) ([]SweepResult, error) {
+	for _, c := range cells {
+		if _, err := workload.ByName(c.Benchmark); err != nil {
 			return nil, err
 		}
-		defer jr.Close()
 	}
-	out := make([]SweepResult, len(points))
-	errs := forEachIndexCtx(ctx, len(points), opts.Workers, func(i int) error {
-		out[i] = SweepResult{Label: points[i].Label, Benchmark: benchmark}
-		key := CellKey(i, points[i].Label)
-		if raw, ok := prior[key]; ok {
-			var rec CellRecord
-			if err := json.Unmarshal(raw, &rec); err == nil {
-				out[i].ImprovementPct = rec.ImprovementPct
-				out[i].BaselineCycles = rec.BaselineCycles
-				out[i].DynamicCycles = rec.DynamicCycles
-				out[i].Resumed = true
+	j := &sweepJournal{path: opts.JournalPath, fp: fp}
+	defer j.close()
+	keys := make([]string, len(cells))
+	for i, c := range cells {
+		keys[i] = c.Key
+	}
+	runs, err := runJournaled(ctx, "sweep", j, opts.Workers, keys,
+		func(ctx context.Context, i int) (CellRecord, int, error) {
+			c := &cells[i]
+			return RunSweepCell(ctx, c.Key, c.Cfg, c.Benchmark, c.Baseline, c.Candidate, opts.Cell, nil)
+		})
+	if runs == nil {
+		return nil, err
+	}
+	out := make([]SweepResult, len(cells))
+	for i, r := range runs {
+		out[i] = SweepResult{
+			Label:          cells[i].Label,
+			Benchmark:      cells[i].Benchmark,
+			ImprovementPct: r.rec.ImprovementPct,
+			BaselineCycles: r.rec.BaselineCycles,
+			DynamicCycles:  r.rec.DynamicCycles,
+			Attempts:       r.attempts,
+			Resumed:        r.resumed,
+			Err:            r.err,
+			ErrKind:        CellErrorKind(r.err),
+		}
+	}
+	return out, err
+}
+
+// sweepJournal is where a sweep journals its cells: the path ("" for
+// none) and the fingerprint its header must carry. runJournaled opens
+// it on first use, so the stages of one sweep share a journal; the
+// sweep closes it when done.
+type sweepJournal struct {
+	path, fp string
+	jr       *checkpoint.Journal
+	prior    map[string]json.RawMessage
+}
+
+func (j *sweepJournal) close() {
+	if j.jr != nil {
+		j.jr.Close()
+	}
+}
+
+// cellRun is one journaled cell's outcome: its record, how many tries
+// it took (0 when read back from the journal), and its final error.
+type cellRun[R any] struct {
+	rec      R
+	attempts int
+	resumed  bool
+	err      error
+}
+
+// runJournaled is the journaled sweep loop every in-process sweep
+// runs on. It opens j, then for each cell i reads back the record a
+// previous run journaled under keys[i] or, failing that, computes it
+// with compute on a pool of workers. Each success is appended under
+// its key and each final failure under FailKeyPrefix+key. The error
+// is the sweep's verdict, named by what: non-nil when j cannot be
+// opened (and the runs are nil), when ctx was cancelled, or when every
+// cell failed.
+func runJournaled[R any](ctx context.Context, what string, j *sweepJournal, workers int,
+	keys []string, compute func(ctx context.Context, i int) (R, int, error)) ([]cellRun[R], error) {
+	if j.jr == nil && j.path != "" {
+		var err error
+		if j.jr, j.prior, err = checkpoint.OpenJournal(j.path, j.fp); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]cellRun[R], len(keys))
+	errs := forEachIndexCtx(ctx, len(keys), workers, func(i int) error {
+		if raw, ok := j.prior[keys[i]]; ok {
+			var rec R
+			if json.Unmarshal(raw, &rec) == nil {
+				out[i] = cellRun[R]{rec: rec, resumed: true}
 				return nil
 			}
 			// Unreadable record: recompute the cell rather than fail.
 		}
-		rec, attempts, err := RunSweepCell(ctx, key, points[i].Cfg, benchmark,
-			baseline, candidate, opts.Cell, nil)
-		out[i].Attempts = attempts
+		rec, attempts, err := compute(ctx, i)
+		out[i].attempts = attempts
 		if err != nil {
-			if jr != nil {
+			if j.jr != nil {
 				// Best-effort: the failure record aids post-mortems but
 				// must not mask the cell's own error.
-				AppendCellFailure(jr, key, err, attempts)
+				AppendCellFailure(j.jr, keys[i], err, attempts)
 			}
 			return err
 		}
-		out[i].ImprovementPct = rec.ImprovementPct
-		out[i].BaselineCycles = rec.BaselineCycles
-		out[i].DynamicCycles = rec.DynamicCycles
-		if jr != nil {
-			return jr.Append(key, rec)
+		out[i].rec = rec
+		if j.jr != nil {
+			return j.jr.Append(keys[i], rec)
 		}
 		return nil
 	})
 	failed := 0
+	var first error
 	for i, err := range errs {
 		if err != nil {
-			out[i].Err = err
-			out[i].ErrKind = CellErrorKind(err)
+			out[i].err = err
 			failed++
+			if first == nil {
+				first = err
+			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return out, fmt.Errorf("experiment: sweep cancelled after %d/%d cells: %w",
-			len(points)-failed, len(points), err)
+		return out, fmt.Errorf("experiment: %s cancelled after %d/%d cells: %w",
+			what, len(keys)-failed, len(keys), err)
 	}
-	if len(points) > 0 && failed == len(points) {
-		first := errs[0]
-		for _, err := range errs {
-			if err != nil {
-				first = err
-				break
-			}
-		}
-		return out, fmt.Errorf("experiment: sweep: all %d cells failed; first: %w", failed, first)
+	if len(keys) > 0 && failed == len(keys) {
+		return out, fmt.Errorf("experiment: %s: all %d cells failed; first: %w", what, failed, first)
 	}
 	return out, nil
 }
@@ -520,10 +614,16 @@ func robustFingerprint(cfg Config, benchmarks []string, policies []core.Policy, 
 	return hashFingerprint(parts...)
 }
 
-// RobustnessSweepJournaled is RobustnessSweep with cancellation,
-// per-cell deadlines/retry, and journaled resume. Both stages journal:
-// clean shared baselines under "base/<benchmark>", cells under
-// "cell/<benchmark>/<policy>/<level>".
+// RobustnessSweepJournaled runs every (benchmark, policy, level) cell,
+// comparing each against a clean shared-cache baseline on the same
+// fixed work (BySections). nil benchmarks means all nine; nil policies
+// means {static-equal, cpi-proportional, model-based}; nil levels
+// means DefaultFaultLevels(). Its two stages run on runJournaled
+// against one journal: clean shared baselines under
+// "base/<benchmark>", then cells under
+// "cell/<benchmark>/<policy>/<level>". Failing cells carry per-cell
+// errors; the returned error is non-nil only when the sweep was
+// cancelled or every cell failed.
 func RobustnessSweepJournaled(ctx context.Context, cfg Config, benchmarks []string,
 	policies []core.Policy, levels []FaultLevel, opts SweepOptions) ([]RobustnessCell, error) {
 	if benchmarks == nil {
@@ -538,139 +638,91 @@ func RobustnessSweepJournaled(ctx context.Context, cfg Config, benchmarks []stri
 	if len(benchmarks) == 0 || len(policies) == 0 || len(levels) == 0 {
 		return nil, fmt.Errorf("experiment: empty robustness sweep")
 	}
-	var jr *checkpoint.Journal
-	var prior map[string]json.RawMessage
-	if opts.JournalPath != "" {
-		var err error
-		jr, prior, err = checkpoint.OpenJournal(opts.JournalPath,
-			robustFingerprint(cfg, benchmarks, policies, levels))
-		if err != nil {
-			return nil, err
-		}
-		defer jr.Close()
-	}
+	const what = "robustness sweep"
+	j := &sweepJournal{path: opts.JournalPath, fp: robustFingerprint(cfg, benchmarks, policies, levels)}
+	defer j.close()
 
-	// Stage 1: clean shared baselines, one per benchmark.
-	baseCycles := make([]uint64, len(benchmarks))
-	baseErrs := forEachIndexCtx(ctx, len(benchmarks), opts.Workers, func(i int) error {
-		key := "base/" + benchmarks[i]
-		if raw, ok := prior[key]; ok {
-			var rec robustBaseRecord
-			if err := json.Unmarshal(raw, &rec); err == nil {
-				baseCycles[i] = rec.WallCycles
-				return nil
-			}
-		}
-		prof, err := workload.ByName(benchmarks[i])
-		if err != nil {
-			return err
-		}
-		c := cfg
-		c.Fault = nil
-		_, err = runCell(ctx, key, opts.Cell, func(cellCtx context.Context, progress func()) error {
-			run, err := RunOneCtx(cellCtx, c, prof, core.PolicyShared, BySections,
-				func(int) error { progress(); return nil })
-			if err != nil {
-				return err
-			}
-			baseCycles[i] = run.Result.WallCycles
-			return nil
+	// Stage 1: clean shared baselines, one per benchmark. Its verdict
+	// is stage 2's: a failed baseline fails every cell built on it.
+	clean := cfg
+	clean.Fault = nil
+	baseKeys := make([]string, len(benchmarks))
+	for i, b := range benchmarks {
+		baseKeys[i] = "base/" + b
+	}
+	bases, err := runJournaled(ctx, what, j, opts.Workers, baseKeys,
+		func(ctx context.Context, i int) (robustBaseRecord, int, error) {
+			run, attempts, err := runFixedWork(ctx, baseKeys[i], clean, benchmarks[i], core.PolicyShared, opts.Cell)
+			return robustBaseRecord{WallCycles: run.Result.WallCycles}, attempts, err
 		})
-		if err != nil {
-			return err
-		}
-		if jr != nil {
-			return jr.Append(key, robustBaseRecord{WallCycles: baseCycles[i]})
-		}
-		return nil
-	})
+	if bases == nil {
+		return nil, err
+	}
 
 	// Stage 2: the (benchmark, policy, level) cells.
-	cells := make([]RobustnessCell, len(benchmarks)*len(policies)*len(levels))
-	errs := forEachIndexCtx(ctx, len(cells), opts.Workers, func(i int) error {
-		b := i / (len(policies) * len(levels))
-		rest := i % (len(policies) * len(levels))
-		p := rest / len(levels)
-		l := rest % len(levels)
-		cells[i] = RobustnessCell{
-			Benchmark: benchmarks[b],
-			Policy:    policies[p],
-			Level:     levels[l].Name,
+	perBench := len(policies) * len(levels)
+	cells := make([]RobustnessCell, len(benchmarks)*perBench)
+	keys := make([]string, len(cells))
+	for i := range cells {
+		c := RobustnessCell{
+			Benchmark: benchmarks[i/perBench],
+			Policy:    policies[i%perBench/len(levels)],
+			Level:     levels[i%len(levels)].Name,
 		}
-		if baseErrs[b] != nil {
-			return fmt.Errorf("experiment: baseline %s: %w", benchmarks[b], baseErrs[b])
-		}
-		key := fmt.Sprintf("cell/%s/%s/%s", benchmarks[b], policies[p], levels[l].Name)
-		if raw, ok := prior[key]; ok {
-			var rec robustCellRecord
-			if err := json.Unmarshal(raw, &rec); err == nil {
-				cells[i].WallCycles = rec.WallCycles
-				cells[i].SharedCycles = rec.SharedCycles
-				cells[i].ImprovementPct = rec.ImprovementPct
-				cells[i].Health = rec.Health
-				cells[i].Faults = rec.Faults
-				cells[i].Resumed = true
-				return nil
+		cells[i] = c
+		keys[i] = fmt.Sprintf("cell/%s/%s/%s", c.Benchmark, c.Policy, c.Level)
+	}
+	runs, err := runJournaled(ctx, what, j, opts.Workers, keys,
+		func(ctx context.Context, i int) (robustCellRecord, int, error) {
+			base := bases[i/perBench]
+			if base.err != nil {
+				return robustCellRecord{}, 0, fmt.Errorf("experiment: baseline %s: %w", cells[i].Benchmark, base.err)
 			}
-		}
-		prof, err := workload.ByName(benchmarks[b])
-		if err != nil {
-			return err
-		}
-		c := cfg
-		if levels[l].Plan.IsZero() {
-			c.Fault = nil
-		} else {
-			plan := levels[l].Plan
-			c.Fault = &plan
-		}
-		attempts, err := runCell(ctx, key, opts.Cell, func(cellCtx context.Context, progress func()) error {
-			run, err := RunOneCtx(cellCtx, c, prof, policies[p], BySections,
-				func(int) error { progress(); return nil })
+			c := clean
+			if plan := levels[i%len(levels)].Plan; !plan.IsZero() {
+				c.Fault = &plan
+			}
+			run, attempts, err := runFixedWork(ctx, keys[i], c, cells[i].Benchmark, cells[i].Policy, opts.Cell)
 			if err != nil {
-				return err
+				return robustCellRecord{}, attempts, err
 			}
-			cells[i].WallCycles = run.Result.WallCycles
-			cells[i].SharedCycles = baseCycles[b]
-			cells[i].ImprovementPct = 100 * stats.Improvement(
-				float64(baseCycles[b]), float64(run.Result.WallCycles))
-			cells[i].Health = run.Result.ControllerHealth
+			rec := robustCellRecord{
+				WallCycles:     run.Result.WallCycles,
+				SharedCycles:   base.rec.WallCycles,
+				ImprovementPct: 100 * stats.Improvement(float64(base.rec.WallCycles), float64(run.Result.WallCycles)),
+				Health:         run.Result.ControllerHealth,
+			}
 			if run.FaultStats != nil {
-				cells[i].Faults = *run.FaultStats
+				rec.Faults = *run.FaultStats
 			}
-			return nil
+			return rec, attempts, nil
 		})
-		cells[i].Attempts = attempts
-		if err != nil {
-			return err
-		}
-		if jr != nil {
-			return jr.Append(key, robustCellRecord{
-				WallCycles:     cells[i].WallCycles,
-				SharedCycles:   cells[i].SharedCycles,
-				ImprovementPct: cells[i].ImprovementPct,
-				Health:         cells[i].Health,
-				Faults:         cells[i].Faults,
-			})
-		}
-		return nil
+	for i, r := range runs {
+		c := &cells[i]
+		c.WallCycles, c.SharedCycles = r.rec.WallCycles, r.rec.SharedCycles
+		c.ImprovementPct, c.Health, c.Faults = r.rec.ImprovementPct, r.rec.Health, r.rec.Faults
+		c.Attempts, c.Resumed, c.Err = r.attempts, r.resumed, r.err
+	}
+	return cells, err
+}
+
+// runFixedWork runs pol on benchmark for cfg.Sections under the cell's
+// deadline, stall watchdog and retry policy, returning the last
+// attempt's run and how many attempts ran.
+func runFixedWork(ctx context.Context, key string, cfg Config, benchmark string,
+	pol core.Policy, opts CellOptions) (Run, int, error) {
+	prof, err := workload.ByName(benchmark)
+	if err != nil {
+		return Run{}, 0, err
+	}
+	var run Run
+	attempts, err := runCell(ctx, key, opts, func(cellCtx context.Context, progress func()) error {
+		var err error
+		run, err = RunOneCtx(cellCtx, cfg, prof, pol, BySections,
+			func(int) error { progress(); return nil })
+		return err
 	})
-	failed := 0
-	for i, err := range errs {
-		if err != nil {
-			cells[i].Err = err
-			failed++
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return cells, fmt.Errorf("experiment: robustness sweep cancelled after %d/%d cells: %w",
-			len(cells)-failed, len(cells), err)
-	}
-	if failed == len(cells) {
-		return cells, fmt.Errorf("experiment: robustness sweep: all %d cells failed; first: %w",
-			failed, cells[0].Err)
-	}
-	return cells, nil
+	return run, attempts, err
 }
 
 // CheckpointSpec configures crash-safe snapshotting of one long run.

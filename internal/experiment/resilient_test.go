@@ -475,4 +475,35 @@ func TestSweepJournaledFailureTaxonomyJournaled(t *testing.T) {
 	if entries[CellKey(0, "p0")] == nil {
 		t.Fatal("cell result missing after canonical merge")
 	}
+
+	// The robustness sweep runs on the same loop, so its failures are
+	// journaled too: the baseline that timed out, and the cell that
+	// failed because of it.
+	robust := filepath.Join(dir, "robust.journal")
+	benchmarks := []string{"cg"}
+	policies := []core.Policy{core.PolicyStaticEqual}
+	levels := DefaultFaultLevels()[:1]
+	if _, err := RobustnessSweepJournaled(context.Background(), cfg, benchmarks, policies, levels,
+		SweepOptions{
+			JournalPath: robust,
+			Cell:        CellOptions{Timeout: time.Nanosecond, Retry: fastRetry(2)},
+		}); err == nil {
+		t.Fatal("robustness sweep with an impossible deadline succeeded")
+	}
+	entries, rerr = checkpoint.ReadJournal(robust, robustFingerprint(cfg, benchmarks, policies, levels))
+	if rerr != nil {
+		t.Fatalf("ReadJournal: %v", rerr)
+	}
+	for key, attempts := range map[string]int{"base/cg": 2, "cell/cg/static-equal/clean": 0} {
+		raw := entries[FailKeyPrefix+key]
+		if raw == nil {
+			t.Fatalf("no fail entry for %s; journal has %v", key, entries)
+		}
+		if err := json.Unmarshal(raw, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if fr.Kind != KindDeadline || fr.Attempts != attempts {
+			t.Errorf("fail entry for %s = %+v, want kind %q after %d attempts", key, fr, KindDeadline, attempts)
+		}
+	}
 }

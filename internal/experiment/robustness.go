@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"context"
-
 	"intracache/internal/core"
 	"intracache/internal/fault"
 )
@@ -60,21 +58,6 @@ type RobustnessCell struct {
 	Attempts int
 	Resumed  bool
 	Err      error
-}
-
-// RobustnessSweep runs every (benchmark, policy, level) cell on the
-// worker pool, comparing each against a clean shared-cache baseline on
-// the same fixed work (BySections). nil benchmarks means all nine; nil
-// policies means {static-equal, cpi-proportional, model-based}; nil
-// levels means DefaultFaultLevels(). Like Sweep, failing cells carry
-// per-cell errors and the returned error is non-nil only when every
-// cell failed.
-// It is RobustnessSweepJournaled without cancellation, journaling or
-// retry.
-func RobustnessSweep(cfg Config, benchmarks []string, policies []core.Policy,
-	levels []FaultLevel, workers int) ([]RobustnessCell, error) {
-	return RobustnessSweepJournaled(context.Background(), cfg, benchmarks, policies, levels,
-		SweepOptions{Workers: workers})
 }
 
 // RobustnessMatrix summarises a sweep as mean improvement over the

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -18,7 +19,8 @@ func TestRobustnessModerateStillBeatsShared(t *testing.T) {
 	if levels[0].Name != "moderate" {
 		t.Fatalf("level order changed: %q", levels[0].Name)
 	}
-	cells, err := RobustnessSweep(cfg, nil, []core.Policy{core.PolicyModelBased}, levels, 0)
+	cells, err := RobustnessSweepJournaled(context.Background(), cfg, nil,
+		[]core.Policy{core.PolicyModelBased}, levels, SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,15 @@ func TestSweepPipelinedMatchesSynchronous(t *testing.T) {
 		return points
 	}
 
-	syncOut, err := Sweep(mkPoints(false), "cg", core.PolicyShared, core.PolicyModelBased, 2)
+	syncOut, err := SweepJournaled(context.Background(), mkPoints(false), "cg",
+		core.PolicyShared, core.PolicyModelBased, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	FlushTraceCache()
 	before := TraceCacheStats()
-	sharedOut, err := Sweep(mkPoints(true), "cg", core.PolicyShared, core.PolicyModelBased, 2)
+	sharedOut, err := SweepJournaled(context.Background(), mkPoints(true), "cg",
+		core.PolicyShared, core.PolicyModelBased, SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,8 @@ func DefaultFaultLevels() []FaultLevel { return experiment.DefaultFaultLevels() 
 // only when every cell failed.
 func RobustnessSweep(cfg Config, benchmarks []string, policies []Policy,
 	levels []FaultLevel, workers int) ([]RobustnessCell, error) {
-	return experiment.RobustnessSweep(cfg, benchmarks, policies, levels, workers)
+	return experiment.RobustnessSweepJournaled(context.Background(), cfg, benchmarks, policies, levels,
+		experiment.SweepOptions{Workers: workers})
 }
 
 // SimulateWithMigration runs a benchmark under a policy and, at the end
