@@ -1,19 +1,37 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"intracache/internal/service"
 	"intracache/internal/sim"
+	"intracache/internal/xrand"
 )
+
+// daemonArg, as the first argument, makes the test binary run the
+// partitiond command on the remaining arguments instead of the tests,
+// so a test can start, and kill, a real daemon process.
+const daemonArg = "-partitiond-daemon"
+
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == daemonArg {
+		os.Args = append([]string{"partitiond"}, os.Args[2:]...)
+		main()
+		os.Exit(exitOK)
+	}
+	os.Exit(m.Run())
+}
 
 // smokeBatch builds a small healthy batch for the daemon tests.
 func smokeBatch(app string, jitter uint64) service.Batch {
@@ -237,5 +255,127 @@ func TestSelftestExitCodes(t *testing.T) {
 	invalid.deadline = time.Second
 	if code := runSelftest(invalid); code != exitHard {
 		t.Fatalf("kill-step+deadline selftest exit=%d, want %d", code, exitHard)
+	}
+}
+
+// TestServeSurvivesSIGKILL kills a real daemon process with SIGKILL at
+// seeded points while it ingests and checkpoints on every 5ms tick, so
+// a kill can land at any point of a checkpoint write. After every kill
+// the checkpoint on disk, if any, must load, its tick counter must never
+// go backwards, and the next daemon must restore it.
+func TestServeSurvivesSIGKILL(t *testing.T) {
+	const rounds = 20
+	ckpt := filepath.Join(t.TempDir(), "pd.ckpt")
+	rng := xrand.New(20261017)
+	var lastTicks uint64
+	restores := 0
+	restored := "" // the restore line the next daemon must log
+	for round := 0; round < rounds; round++ {
+		d := startDaemon(t, "-listen", "127.0.0.1:0", "-tick", "5ms",
+			"-checkpoint-every", "1", "-checkpoint", ckpt)
+		if restored != "" && !strings.Contains(d.startup, restored) {
+			t.Fatalf("round %d: daemon did not log %q:\n%s", round, restored, d.startup)
+		}
+		for i := 0; i < 3; i++ {
+			app := fmt.Sprintf("app-%02d-%d", round, i)
+			if rep := postBatch(t, d.base, smokeBatch(app, uint64(round+i))); rep.Accepted != 4 {
+				t.Fatalf("round %d: ingest %s: %+v", round, app, rep)
+			}
+		}
+		time.Sleep(time.Duration(rng.Intn(40)) * time.Millisecond)
+		d.kill(t)
+
+		if _, err := os.Stat(ckpt); err != nil {
+			restored = ""
+			continue
+		}
+		svc := service.New(service.Options{})
+		if err := svc.LoadCheckpoint(ckpt); err != nil {
+			t.Fatalf("round %d: checkpoint left by SIGKILL does not load: %v", round, err)
+		}
+		st := svc.SnapshotStats()
+		if st.Ticks < lastTicks {
+			t.Fatalf("round %d: restored tick counter went back from %d to %d", round, lastTicks, st.Ticks)
+		}
+		lastTicks = st.Ticks
+		restores++
+		restored = fmt.Sprintf("restored %d sessions (tick %d)", st.Sessions, st.Ticks)
+	}
+	if lastTicks == 0 {
+		t.Fatal("no round left a checkpoint with a tick in it")
+	}
+	t.Logf("%d/%d kills left a loadable checkpoint; last restored tick %d", restores, rounds, lastTicks)
+}
+
+// daemon is a partitiond process started by startDaemon.
+type daemon struct {
+	cmd     *exec.Cmd
+	base    string        // http://host:port
+	startup string        // stderr up to and including the listening line
+	drained chan struct{} // closed once the rest of stderr is read
+}
+
+// startDaemon re-execs the test binary as partitiond with args and
+// waits for its "listening on" line.
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{daemonArg}, args...)...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil { // not reaped: the test failed early
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	d := &daemon{cmd: cmd, drained: make(chan struct{})}
+	listening := make(chan string, 1)
+	var startup strings.Builder
+	go func(out chan<- string) {
+		defer close(d.drained)
+		sc := bufio.NewScanner(stderr)
+		for sc.Scan() {
+			line := sc.Text()
+			if out == nil {
+				continue // keep draining so the daemon never blocks on stderr
+			}
+			startup.WriteString(line + "\n")
+			if _, rest, ok := strings.Cut(line, "listening on "); ok {
+				addr, _, _ := strings.Cut(rest, " ")
+				out <- addr
+				out = nil
+			}
+		}
+		if out != nil {
+			close(out)
+		}
+	}(listening)
+	select {
+	case addr, ok := <-listening:
+		if !ok {
+			t.Fatalf("daemon exited before listening:\n%s", startup.String())
+		}
+		d.base = "http://" + addr
+		d.startup = startup.String()
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not start listening within 30s")
+	}
+	return d
+}
+
+// kill SIGKILLs the daemon and reaps it.
+func (d *daemon) kill(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	<-d.drained
+	if err := d.cmd.Wait(); err == nil {
+		t.Fatal("SIGKILLed daemon exited cleanly")
 	}
 }

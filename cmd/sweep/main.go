@@ -21,17 +21,6 @@
 // the finished cells. -cell-timeout, -stall-timeout and -retries bound
 // and retry individual cells.
 //
-// Cell sweeps can also be distributed across worker processes:
-//
-//	sweep -kind cache -exec-workers 4            # 4 local subprocesses
-//	sweep -worker :9090                          # serve cells over HTTP
-//	sweep -kind cache -worker-url http://h:9090  # use remote workers
-//
-// The coordinator leases cells to workers, re-dispatches on worker
-// death or silence, and falls back to in-process execution when no
-// worker is reachable, so a distributed sweep produces the same
-// results (and the same resume journal, byte for byte) as a local one.
-//
 // Exit codes: 0 when every cell succeeded, 3 when the sweep finished
 // but some cells failed (partial results were still printed and
 // journaled), 1 on a hard error (bad flags, cancellation, every cell
@@ -44,7 +33,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -55,7 +43,6 @@ import (
 	"intracache/internal/cache"
 	"intracache/internal/checkpoint"
 	"intracache/internal/core"
-	"intracache/internal/dsweep"
 	"intracache/internal/experiment"
 	"intracache/internal/fault"
 	"intracache/internal/profiling"
@@ -95,20 +82,9 @@ func main() {
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
 	shareTraces := flag.Bool("share-traces", false, "generate each workload's traces once and replay them in every cell (bit-identical results)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the sweep to this file")
-	workerMode := flag.String("worker", "", `run as a sweep worker instead of a coordinator: "stdio" speaks the protocol on stdin/stdout, anything else is an HTTP listen address like ":9090"`)
-	execWorkers := flag.Int("exec-workers", 0, "distribute cells across this many local worker subprocesses (the binary re-execs itself with -worker stdio)")
-	workerURLs := flag.String("worker-url", "", "comma-separated base URLs of HTTP workers, e.g. http://a:9090,http://b:9090")
-	lease := flag.Duration("lease", 0, "distributed mode: declare a cell lost and re-dispatch it when its worker sends no heartbeat for this long (0 = 10s)")
-	chaosSpec := flag.String("chaos", "", `execution-fault plan injected into workers for chaos testing, e.g. "seed=7,kill=0.2,hang=0.1" (see internal/fault)`)
-	workerJournal := flag.String("worker-journal", "", "worker mode: journal each computed cell here before replying, so a dying worker's work is recoverable")
 	flag.Parse()
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	if *workerMode != "" {
-		runWorker(*workerMode, *workerJournal, *chaosSpec)
-		return
-	}
 
 	stopProfile := profiling.MustStartCPU(*pprofPath)
 	defer stopProfile()
@@ -163,11 +139,9 @@ func main() {
 			},
 		},
 	}
+	journalPath := ""
 	if *resume != "" {
-		if err := os.MkdirAll(*resume, 0o755); err != nil {
-			fatal(err)
-		}
-		opts.JournalPath = filepath.Join(*resume, *kind+".journal")
+		journalPath = filepath.Join(*resume, *kind+".journal")
 	}
 
 	// -bench and -candidate narrow the robust and mechanism matrices
@@ -183,19 +157,15 @@ func main() {
 		policies = []core.Policy{candidate}
 	}
 
-	distributed := *execWorkers > 0 || *workerURLs != ""
-	if *kind == "robust" {
-		if distributed {
-			fmt.Fprintln(os.Stderr, "sweep: -exec-workers/-worker-url apply to cell sweeps only; running robust in-process")
-		}
-		runRobust(ctx, cfg, opts, benchSet, policies, *asJSON, *outPath, stopProfile)
-		return
-	}
-
 	// Every cell sweep is a fingerprinted cell list, run in one place.
+	// The list is built, and -kind checked, before -resume creates its
+	// directory.
 	var fp string
 	var cells []experiment.SweepCell
-	if *kind == "mechanism" {
+	switch *kind {
+	case "robust":
+		// Not a cell list: runRobust runs its two stages below.
+	case "mechanism":
 		fp, cells, err = experiment.MechanismSweepCells(experiment.MechanismSweepSpec{
 			Cfg:        cfg,
 			Benchmarks: benchSet,
@@ -205,13 +175,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-	} else {
+	default:
 		points, err := sweepPoints(*kind, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		if opts.JournalPath != "" {
-			if err := checkJournalMechanism(opts.JournalPath, points, *bench, baseline,
+		if journalPath != "" {
+			if err := checkJournalMechanism(journalPath, points, *bench, baseline,
 				candidate, cfg.Mechanism); err != nil {
 				fatal(err)
 			}
@@ -220,19 +190,18 @@ func main() {
 		cells = experiment.PointCells(points, *bench, baseline, candidate)
 	}
 
-	var results []experiment.SweepResult
-	if distributed {
-		results, err = runDistributed(ctx, fp, cells, opts, distConfig{
-			execWorkers:  *execWorkers,
-			urls:         *workerURLs,
-			lease:        *lease,
-			chaos:        *chaosSpec,
-			resumeDir:    *resume,
-			localWorkers: *workers,
-		})
-	} else {
-		results, err = experiment.RunSweepCells(ctx, fp, cells, opts)
+	if journalPath != "" {
+		if err := os.MkdirAll(*resume, 0o755); err != nil {
+			fatal(err)
+		}
+		opts.JournalPath = journalPath
 	}
+	if *kind == "robust" {
+		runRobust(ctx, cfg, opts, benchSet, policies, *asJSON, *outPath, stopProfile)
+		return
+	}
+
+	results, err := experiment.RunSweepCells(ctx, fp, cells, opts)
 	if err != nil {
 		reportInterrupted(err, opts.JournalPath)
 		fatal(err)
@@ -344,175 +313,11 @@ func exitOnFailedCells(errs []error, stopProfile func()) {
 	os.Exit(exitPartial)
 }
 
-// runWorker turns the process into a sweep worker: "stdio" serves the
-// cell protocol on stdin/stdout (how -exec-workers coordinators drive
-// it), anything else is an HTTP listen address.
-//
-// Both modes shut down gracefully on the first SIGINT/SIGTERM: the
-// in-flight cell (if any) finishes, is journaled, and is replied to,
-// the health probe flips to draining so coordinators stop dispatching,
-// and the process exits 0. A second signal exits 1 immediately.
-func runWorker(mode, journalPath, chaosSpec string) {
-	drain := make(chan struct{})
-	opts := dsweep.ServeOptions{
-		JournalPath: journalPath,
-		Drain:       drain,
-		Log: func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	if chaosSpec != "" {
-		plan, err := fault.ParseExecPlan(chaosSpec)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Chaos = plan
-	}
-
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	hardExit := func() {
-		<-sigs
-		fmt.Fprintln(os.Stderr, "sweep: worker: second signal, exiting immediately")
-		os.Exit(exitHard)
-	}
-
-	if mode == "stdio" {
-		go func() {
-			sig := <-sigs
-			fmt.Fprintf(os.Stderr, "sweep: worker: %v: draining (again to kill)\n", sig)
-			close(drain)
-			hardExit()
-		}()
-		if err := dsweep.ServeStdio(context.Background(), opts); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	handler, err := dsweep.NewHandler(opts)
-	if err != nil {
-		fatal(err)
-	}
-	srv := &http.Server{Addr: mode, Handler: handler}
-	go func() {
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "sweep: worker: %v: draining (again to kill)\n", sig)
-		// Flip the probe first so coordinators stop dispatching, then
-		// let in-flight cells finish; cells legitimately run for
-		// minutes, so the shutdown context carries no deadline — the
-		// second-signal path is the escape hatch.
-		handler.SetDraining(true)
-		go hardExit()
-		if err := srv.Shutdown(context.Background()); err != nil {
-			fmt.Fprintln(os.Stderr, "sweep: worker shutdown:", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "sweep: worker listening on %s\n", mode)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
-	}
-}
-
-// distConfig carries the distributed-mode flags into runDistributed.
-type distConfig struct {
-	execWorkers  int
-	urls         string
-	lease        time.Duration
-	chaos        string
-	resumeDir    string
-	localWorkers int
-}
-
-// runDistributed shards the sweep's cells across worker processes via
-// the dsweep coordinator and reports its accounting on stderr. Local
-// subprocess workers journal next to the resume journal when -resume
-// is set (so their work survives a coordinator crash too), otherwise
-// in a temp directory that is cleaned up with the run.
-func runDistributed(ctx context.Context, fp string, cells []experiment.SweepCell,
-	opts experiment.SweepOptions, dc distConfig) ([]experiment.SweepResult, error) {
-	var pool []dsweep.Worker
-	closeAll := func() {
-		for _, w := range pool {
-			w.Close()
-		}
-	}
-	if dc.execWorkers > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		dir := dc.resumeDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "sweep-workers-")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-		}
-		// Worker journals are named after the coordinator journal so
-		// sweeps of different kinds sharing a -resume dir never collide.
-		prefix := "worker"
-		if opts.JournalPath != "" {
-			prefix = strings.TrimSuffix(filepath.Base(opts.JournalPath), ".journal") + "-worker"
-		}
-		for i := 0; i < dc.execWorkers; i++ {
-			wj := filepath.Join(dir, fmt.Sprintf("%s%d.journal", prefix, i))
-			argv := []string{exe, "-worker", "stdio", "-worker-journal", wj}
-			if dc.chaos != "" {
-				argv = append(argv, "-chaos", dc.chaos)
-			}
-			w, err := dsweep.StartExecWorker(dsweep.ExecWorkerSpec{
-				Name:    fmt.Sprintf("exec%d", i),
-				Argv:    argv,
-				Journal: wj,
-			})
-			if err != nil {
-				closeAll()
-				return nil, err
-			}
-			pool = append(pool, w)
-		}
-	}
-	for _, u := range strings.Split(dc.urls, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			pool = append(pool, &dsweep.HTTPWorker{BaseURL: strings.TrimRight(u, "/")})
-		}
-	}
-	defer closeAll()
-
-	results, stats, err := dsweep.Run(ctx, fp, cells, dsweep.Options{
-		Workers:      pool,
-		JournalPath:  opts.JournalPath,
-		Cell:         opts.Cell,
-		LocalWorkers: dc.localWorkers,
-		Lease:        dc.lease,
-		Log: func(format string, args ...interface{}) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if err != nil {
-		return results, err
-	}
-	fmt.Fprintf(os.Stderr,
-		"sweep: distributed: %d cells (%d resumed, %d computed, %d recovered, %d local), %d dispatches (%d re-dispatched), %d workers lost\n",
-		stats.Cells, stats.Resumed, stats.Computed, stats.Recovered, stats.Local,
-		stats.Dispatches, stats.Redispatches, stats.WorkersRetired)
-	if len(stats.ErrKinds) > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: dispatch failures by kind: %s\n", kindCounts(stats.ErrKinds))
-	}
-	if stats.Degraded {
-		fmt.Fprintln(os.Stderr, "sweep: degraded: cells ran in-process because no worker was reachable")
-	}
-	return results, nil
-}
-
 // kindCounts formats a kind->count map in the taxonomy's canonical
 // order so summaries are stable run to run.
 func kindCounts(kinds map[string]int) string {
 	var parts []string
 	for _, k := range []string{experiment.KindStalled, experiment.KindDeadline,
-		experiment.KindWorkerDied, experiment.KindCorrupt,
 		experiment.KindCancelled, experiment.KindFailed} {
 		if n := kinds[k]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", n, k))

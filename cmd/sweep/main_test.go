@@ -7,21 +7,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestMain doubles as the sweep command: with SWEEP_TEST_ARGS set, the
 // test binary runs main on those arguments, so the tests can observe
-// the real exit code and output of a re-executed process. A
-// coordinator started that way re-execs the binary as its
-// -exec-workers subprocesses with "-worker" as the first argument;
-// those run main on their own arguments.
+// the real exit code and output of a re-executed process.
 func TestMain(m *testing.M) {
-	if len(os.Args) > 1 && os.Args[1] == "-worker" {
-		main()
-		os.Exit(0)
-	}
 	if args, ok := os.LookupEnv("SWEEP_TEST_ARGS"); ok {
 		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
 		main()
@@ -57,6 +51,9 @@ func TestCommandLine(t *testing.T) {
 		stderr []string
 		// absent must not appear on stdout.
 		absent []string
+		// DIR in args is replaced by a fresh path. dirAbsent: the run
+		// must not create it; noJournal: it must hold no journal.
+		dirAbsent, noJournal bool
 	}{
 		{args: "-kind interval -sections 1", code: exitOK,
 			stdout: []string{`interval sweep on "cg": model-based vs shared`, "50k instr", "800k instr"}},
@@ -67,6 +64,26 @@ func TestCommandLine(t *testing.T) {
 		// An unknown flag is a usage error: the flag package exits 2.
 		{args: "-shards 2", code: 2,
 			stderr: []string{"flag provided but not defined: -shards"}},
+		// The distributed-sweep flags are gone.
+		{args: "-worker stdio", code: 2,
+			stderr: []string{"flag provided but not defined: -worker"}},
+		{args: "-worker-journal w.journal", code: 2,
+			stderr: []string{"flag provided but not defined: -worker-journal"}},
+		{args: "-exec-workers 2", code: 2,
+			stderr: []string{"flag provided but not defined: -exec-workers"}},
+		{args: "-worker-url http://127.0.0.1:9090", code: 2,
+			stderr: []string{"flag provided but not defined: -worker-url"}},
+		{args: "-lease 1s", code: 2,
+			stderr: []string{"flag provided but not defined: -lease"}},
+		{args: "-chaos seed=1", code: 2,
+			stderr: []string{"flag provided but not defined: -chaos"}},
+		// A bad kind is rejected before -resume creates its directory.
+		{args: "-kind bogus -resume DIR", code: exitHard, dirAbsent: true,
+			stderr: []string{`unknown sweep kind "bogus"`}},
+		// A run with no sections does no work: a hard error, not a
+		// sweep of zero-cycle successes, and nothing is journaled.
+		{args: "-kind interval -sections 0 -resume DIR", code: exitHard, noJournal: true,
+			stderr: []string{"Sections 0: need a positive run length"}},
 		// Four set groups hold the 2- and 4-thread cells but cannot
 		// hold 8 or 16 threads: a deterministic partial failure.
 		{args: "-kind threads -mechanism sets -set-groups 4 -sections 1", code: exitPartial,
@@ -80,7 +97,8 @@ func TestCommandLine(t *testing.T) {
 			absent: []string{`"Benchmark": "swim"`, `"Policy": 3`, `"Policy": 4`}},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
-			code, stdout, stderr := runSweep(t, tc.args)
+			dir := filepath.Join(t.TempDir(), "resume")
+			code, stdout, stderr := runSweep(t, strings.ReplaceAll(tc.args, "DIR", dir))
 			if code != tc.code {
 				t.Fatalf("exit code %d, want %d\nstderr: %s", code, tc.code, stderr)
 			}
@@ -98,6 +116,12 @@ func TestCommandLine(t *testing.T) {
 				if strings.Contains(stdout, bad) {
 					t.Errorf("stdout contains %q:\n%s", bad, stdout)
 				}
+			}
+			if _, err := os.Stat(dir); tc.dirAbsent && !os.IsNotExist(err) {
+				t.Errorf("run created the -resume directory (stat: %v)", err)
+			}
+			if journals, _ := filepath.Glob(filepath.Join(dir, "*.journal")); tc.noJournal && len(journals) > 0 {
+				t.Errorf("run wrote journals %v", journals)
 			}
 		})
 	}
@@ -134,65 +158,61 @@ func TestResumeSkipsJournaledCells(t *testing.T) {
 	}
 }
 
-// TestMechanismDistributedResume: a narrowed mechanism sweep prints
-// byte-identical -json in-process and through two worker subprocesses,
-// which start once for the whole matrix. A rerun against the
-// distributed run's -resume directory reads every cell back from the
-// one coordinator journal, mechanism.journal.
-func TestMechanismDistributedResume(t *testing.T) {
-	const args = "-kind mechanism -bench cg -candidate static-equal -sections 1 -json"
-	code, local, stderr := runSweep(t, args)
-	if code != exitOK {
-		t.Fatalf("in-process run: exit code %d\nstderr: %s", code, stderr)
-	}
-	code, dist, stderr := runSweep(t, args+" -exec-workers 2")
-	if code != exitOK {
-		t.Fatalf("distributed run: exit code %d\nstderr: %s", code, stderr)
-	}
-	if dist != local {
-		t.Errorf("distributed -json differs from in-process:\n%s\nvs\n%s", dist, local)
-	}
-	if n := strings.Count(stderr, "sweep: distributed:"); n != 1 {
-		t.Errorf("coordinator ran %d times, want once:\n%s", n, stderr)
-	}
-
+// TestMechanismResume: a narrowed mechanism sweep journals its whole
+// matrix to one journal, mechanism.journal, and a rerun against the
+// same -resume directory reads every cell back from it. Both runs print
+// the same cells; only the resume markers (Attempts, Resumed) differ.
+func TestMechanismResume(t *testing.T) {
 	dir := t.TempDir()
-	code, first, stderr := runSweep(t, args+" -exec-workers 2 -resume "+dir)
+	args := "-kind mechanism -bench cg -candidate static-equal -sections 1 -json -resume " + dir
+	code, first, stderr := runSweep(t, args)
 	if code != exitOK {
-		t.Fatalf("journaled distributed run: exit code %d\nstderr: %s", code, stderr)
+		t.Fatalf("first run: exit code %d\nstderr: %s", code, stderr)
 	}
-	if first != local {
-		t.Errorf("journaled distributed -json differs from in-process:\n%s\nvs\n%s", first, local)
-	}
-	code, second, stderr := runSweep(t, args+" -resume "+dir)
+	code, second, stderr := runSweep(t, args)
 	if code != exitOK {
 		t.Fatalf("resumed run: exit code %d\nstderr: %s", code, stderr)
 	}
-	var cells []struct{ Resumed bool }
-	if err := json.Unmarshal([]byte(second), &cells); err != nil {
-		t.Fatalf("resumed run printed bad JSON: %v\n%s", err, second)
+	firstCells, secondCells := decodeCells(t, first), decodeCells(t, second)
+	if len(secondCells) != 3 {
+		t.Fatalf("resumed run printed %d cells, want 3 (one per mechanism)", len(secondCells))
 	}
-	if len(cells) != 3 {
-		t.Fatalf("resumed run printed %d cells, want 3 (one per mechanism)", len(cells))
-	}
-	for i, c := range cells {
-		if !c.Resumed {
+	for i, c := range secondCells {
+		if c["Resumed"] != true {
 			t.Errorf("cell %d recomputed instead of resuming", i)
 		}
+		if firstCells[i]["Resumed"] != false {
+			t.Errorf("cell %d resumed on the first run", i)
+		}
+		for _, marker := range []string{"Attempts", "Resumed"} {
+			delete(c, marker)
+			delete(firstCells[i], marker)
+		}
 	}
-	journals, err := filepath.Glob(filepath.Join(dir, "*.journal"))
+	if !reflect.DeepEqual(firstCells, secondCells) {
+		t.Errorf("resumed run printed different cells:\n%s\nvs\n%s", second, first)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var coordinator []string
-	for _, j := range journals {
-		if !strings.Contains(filepath.Base(j), "-worker") {
-			coordinator = append(coordinator, filepath.Base(j))
+	if len(entries) != 1 || entries[0].Name() != "mechanism.journal" {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
 		}
+		t.Errorf("-resume directory holds %v, want only mechanism.journal", names)
 	}
-	if len(coordinator) != 1 || coordinator[0] != "mechanism.journal" {
-		t.Errorf("coordinator journals %v, want only mechanism.journal", coordinator)
+}
+
+// decodeCells parses a sweep's -json output into one map per cell.
+func decodeCells(t *testing.T, out string) []map[string]any {
+	t.Helper()
+	var cells []map[string]any
+	if err := json.Unmarshal([]byte(out), &cells); err != nil {
+		t.Fatalf("bad -json output: %v\n%s", err, out)
 	}
+	return cells
 }
 
 // tableRows returns the result rows of a sweep table: the lines after

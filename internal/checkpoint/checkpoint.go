@@ -77,9 +77,9 @@ type Snapshot struct {
 
 // Seal wraps an arbitrary payload in the envelope: magic, version,
 // length, CRC64-ECMA, payload. The same framing protects checkpoint
-// snapshots on disk and sweep-cell results on the wire between dsweep
-// workers and the coordinator — any truncation or bit flip is caught by
-// Unseal before the payload is interpreted.
+// snapshots on disk and partitiond ingest batches on the wire — any
+// truncation or bit flip is caught by Unseal before the payload is
+// interpreted.
 func Seal(payload []byte) []byte {
 	out := make([]byte, headerLen+len(payload))
 	copy(out, magic)

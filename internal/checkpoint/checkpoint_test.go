@@ -151,3 +151,28 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 	})
 }
+
+func TestSealUnsealRoundTripAndCorruption(t *testing.T) {
+	payload := []byte(`{"Key":"cell/3","ImprovementPct":12.5}`)
+	sealed := Seal(payload)
+	got, err := Unseal(sealed)
+	if err != nil {
+		t.Fatalf("Unseal: %v", err)
+	}
+	if string(got) != string(payload) {
+		t.Fatalf("Unseal = %q, want %q", got, payload)
+	}
+	// A flipped payload bit must be caught by the CRC.
+	flipped := append([]byte(nil), sealed...)
+	flipped[len(flipped)-1] ^= 0x40
+	if _, err := Unseal(flipped); err == nil {
+		t.Fatal("Unseal accepted a corrupted payload")
+	}
+	// Truncation must be caught by the length field.
+	if _, err := Unseal(sealed[:len(sealed)-3]); err == nil {
+		t.Fatal("Unseal accepted a truncated payload")
+	}
+	if _, err := Unseal(sealed[:5]); err == nil {
+		t.Fatal("Unseal accepted a sub-header payload")
+	}
+}

@@ -68,15 +68,6 @@ func OpenJournal(path, fingerprint string) (*Journal, map[string]json.RawMessage
 	return &Journal{f: f, path: path, keys: keys}, entries, nil
 }
 
-// ReadJournal replays the journal at path without opening it for
-// appending, returning the surviving entries. The same crash-tolerance
-// rules as OpenJournal apply: a torn final line is dropped, corruption
-// anywhere earlier is a hard error. A missing file satisfies
-// os.IsNotExist for callers that treat it as "no work recorded yet".
-func ReadJournal(path, fingerprint string) (map[string]json.RawMessage, error) {
-	return replayJournal(path, fingerprint)
-}
-
 // JournalFingerprint reads the fingerprint in the journal header at
 // path without replaying entries. Callers that can *name* alternative
 // configurations (the sweep CLI probing which -mechanism a journal was
@@ -97,7 +88,7 @@ func JournalFingerprint(path string) (string, error) {
 	return strings.TrimPrefix(line, journalHeader+" "), nil
 }
 
-// replayJournal is the shared read path: header check, fingerprint
+// replayJournal is OpenJournal's read path: header check, fingerprint
 // check, per-line CRC validation, torn-final-line tolerance.
 func replayJournal(path, fingerprint string) (map[string]json.RawMessage, error) {
 	data, err := os.ReadFile(path)

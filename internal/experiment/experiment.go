@@ -211,6 +211,22 @@ const (
 	BySections
 )
 
+// runLength returns the run length mode selects: cfg.Sections for
+// BySections, cfg.Intervals for ByIntervals. A non-positive length is
+// an error, because a run that does no work would report zero cycles
+// as a success. Validate cannot catch it: it accepts a config with only
+// one of the two lengths set.
+func (c Config) runLength(mode RunMode) (int, error) {
+	n, name := c.Intervals, "Intervals"
+	if mode == BySections {
+		n, name = c.Sections, "Sections"
+	}
+	if n <= 0 {
+		return 0, fmt.Errorf("experiment: %s %d: need a positive run length", name, n)
+	}
+	return n, nil
+}
+
 // RunOne simulates one benchmark under one policy.
 func RunOne(cfg Config, prof workload.Profile, pol core.Policy, mode RunMode) (Run, error) {
 	return RunOneCtx(context.Background(), cfg, prof, pol, mode, nil)
@@ -221,6 +237,10 @@ func RunOne(cfg Config, prof workload.Profile, pol core.Policy, mode RunMode) (R
 // partial Run accumulated so far is returned with ctx's error.
 func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.Policy,
 	mode RunMode, hook sim.IntervalHook) (Run, error) {
+	n, err := cfg.runLength(mode)
+	if err != nil {
+		return Run{}, err
+	}
 	gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
 	if err != nil {
 		return Run{}, err
@@ -241,9 +261,9 @@ func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.
 	}
 	var res sim.Result
 	if mode == BySections {
-		res, err = s.RunSectionsContext(ctx, cfg.Sections, hook)
+		res, err = s.RunSectionsContext(ctx, n, hook)
 	} else {
-		res, err = s.RunIntervalsContext(ctx, cfg.Intervals, hook)
+		res, err = s.RunIntervalsContext(ctx, n, hook)
 	}
 	run := Run{Benchmark: prof.Name, Policy: pol, Result: res, RTS: rts}
 	run.noteFaults(inj)
@@ -254,6 +274,10 @@ func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.
 // replayers) under a policy. No phase function is applied: recorded
 // traces carry their phases inside the stream.
 func RunSources(cfg Config, name string, sources []trace.Source, pol core.Policy, mode RunMode) (Run, error) {
+	n, err := cfg.runLength(mode)
+	if err != nil {
+		return Run{}, err
+	}
 	ctl, rts, err := core.ControllerFor(pol)
 	if err != nil {
 		return Run{}, err
@@ -268,9 +292,9 @@ func RunSources(cfg Config, name string, sources []trace.Source, pol core.Policy
 	}
 	var res sim.Result
 	if mode == BySections {
-		res = s.RunSections(cfg.Sections)
+		res = s.RunSections(n)
 	} else {
-		res = s.RunIntervals(cfg.Intervals)
+		res = s.RunIntervals(n)
 	}
 	run := Run{Benchmark: name, Policy: pol, Result: res, RTS: rts}
 	run.noteFaults(inj)
@@ -282,6 +306,10 @@ func RunSources(cfg Config, name string, sources []trace.Source, pol core.Policy
 // the ablation benchmarks use to vary engine internals (spline kind,
 // bootstrap length, movement caps) that the stock policies fix.
 func RunWithEngine(cfg Config, prof workload.Profile, eng core.Engine, mode RunMode) (Run, error) {
+	n, err := cfg.runLength(mode)
+	if err != nil {
+		return Run{}, err
+	}
 	gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
 	if err != nil {
 		return Run{}, err
@@ -303,9 +331,9 @@ func RunWithEngine(cfg Config, prof workload.Profile, eng core.Engine, mode RunM
 	}
 	var res sim.Result
 	if mode == BySections {
-		res = s.RunSections(cfg.Sections)
+		res = s.RunSections(n)
 	} else {
-		res = s.RunIntervals(cfg.Intervals)
+		res = s.RunIntervals(n)
 	}
 	run := Run{Benchmark: prof.Name, Policy: core.PolicyModelBased, Result: res, RTS: rts}
 	run.noteFaults(inj)

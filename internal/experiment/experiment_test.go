@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"intracache/internal/core"
@@ -94,6 +97,52 @@ func TestRunOneDynamicHasRTS(t *testing.T) {
 func TestRunOneByNameUnknown(t *testing.T) {
 	if _, err := RunOneByName(QuickConfig(), "nope", core.PolicyShared, ByIntervals); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// A run whose chosen length is zero or negative does no work, so every
+// run path refuses it instead of reporting zero cycles as a success,
+// and a sweep over such cells fails before it journals anything.
+func TestRunRefusesNonPositiveRunLength(t *testing.T) {
+	prof, _ := workload.ByName("cg")
+	for _, n := range []int{0, -1} {
+		for _, mode := range []RunMode{ByIntervals, BySections} {
+			cfg := QuickConfig()
+			if mode == BySections {
+				cfg.Sections = n
+			} else {
+				cfg.Intervals = n
+			}
+			if _, err := RunOne(cfg, prof, core.PolicyShared, mode); err == nil {
+				t.Errorf("RunOne mode %d accepted run length %d", mode, n)
+			}
+			if _, err := RunWithEngine(cfg, prof, core.NewModelEngine(), mode); err == nil {
+				t.Errorf("RunWithEngine mode %d accepted run length %d", mode, n)
+			}
+			if _, err := RunSources(cfg, "none", nil, core.PolicyShared, mode); err == nil {
+				t.Errorf("RunSources mode %d accepted run length %d", mode, n)
+			}
+			if _, err := CheckpointedRun(context.Background(), cfg, "cg", core.PolicyShared,
+				mode, CheckpointSpec{}, nil); err == nil {
+				t.Errorf("CheckpointedRun mode %d accepted run length %d", mode, n)
+			}
+		}
+
+		cfg := QuickConfig()
+		cfg.Sections = n
+		dir := t.TempDir()
+		points := []SweepPoint{{Label: "p0", Cfg: cfg}}
+		if _, err := SweepJournaled(context.Background(), points, "cg", core.PolicyShared,
+			core.PolicyModelBased, SweepOptions{JournalPath: filepath.Join(dir, "sweep.journal")}); err == nil {
+			t.Errorf("SweepJournaled accepted Sections %d", n)
+		}
+		if _, err := RobustnessSweepJournaled(context.Background(), cfg, []string{"cg"}, nil, nil,
+			SweepOptions{JournalPath: filepath.Join(dir, "robust.journal")}); err == nil {
+			t.Errorf("RobustnessSweepJournaled accepted Sections %d", n)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("Sections %d: sweeps left %d files in the journal directory", n, len(entries))
+		}
 	}
 }
 

@@ -32,8 +32,8 @@ type SweepResult struct {
 	Resumed  bool
 	Err      error
 	// ErrKind classifies Err into the cell error taxonomy (stalled /
-	// deadline / worker-died / corrupt / cancelled / failed); "" when
-	// the cell succeeded. See CellErrorKind.
+	// deadline / cancelled / failed); "" when the cell succeeded. See
+	// CellErrorKind.
 	ErrKind string
 }
 

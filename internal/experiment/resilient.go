@@ -8,7 +8,6 @@ import (
 	"hash/crc64"
 	"io"
 	"io/fs"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -77,23 +76,23 @@ type RetryPolicy struct {
 	MaxDelay  time.Duration
 }
 
-// MaxAttempts is the effective total number of tries (Attempts clamped
-// to at least 1); the dsweep coordinator uses it to budget re-dispatch.
-func (p RetryPolicy) MaxAttempts() int {
+// maxAttempts is the effective total number of tries (Attempts clamped
+// to at least 1).
+func (p RetryPolicy) maxAttempts() int {
 	if p.Attempts <= 1 {
 		return 1
 	}
 	return p.Attempts
 }
 
-// Backoff returns the delay before retry number retry (0-based) of the
+// backoff returns the delay before retry number retry (0-based) of the
 // cell identified by key: capped exponential growth with bounded
 // deterministic jitter. The jitter is ±25%, derived by hashing (key,
-// retry), so a batch of cells failing simultaneously (a dead worker's
-// whole lease set, a shared resource blip) spreads its retries out
-// instead of thundering back in lockstep — while any given cell's
-// retry schedule is exactly reproducible.
-func (p RetryPolicy) Backoff(key string, retry int) time.Duration {
+// retry), so a batch of cells failing simultaneously (a shared
+// resource blip) spreads its retries out instead of thundering back in
+// lockstep — while any given cell's retry schedule is exactly
+// reproducible.
+func (p RetryPolicy) backoff(key string, retry int) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -130,34 +129,25 @@ type CellOptions struct {
 	Retry        RetryPolicy
 }
 
-// The cell error taxonomy. A failed cell is classified so the journal,
-// the sweep summary, and the distributed coordinator's retry logic can
-// tell a hung simulation from a slow one from a dead worker post-hoc:
+// The cell error taxonomy. A failed cell is classified so the journal
+// and the sweep summary can tell a hung simulation from a slow one
+// post-hoc:
 //
 //   - ErrCellStalled: the stall watchdog killed an attempt that made no
 //     interval progress (hung, not slow).
 //   - ErrCellDeadline: the attempt's hard wall-clock deadline expired
 //     (slow, not hung).
-//   - ErrWorkerDied: the process computing the cell died mid-cell
-//     (produced by the dsweep coordinator on worker exit or lease
-//     expiry, never by in-process execution).
-//   - ErrResultCorrupt: the cell computed but its result payload failed
-//     the CRC64 envelope check and was discarded, not merged.
 var (
-	ErrCellStalled   = errors.New("experiment: cell stalled (no interval progress)")
-	ErrCellDeadline  = errors.New("experiment: cell deadline exceeded")
-	ErrWorkerDied    = errors.New("experiment: worker died mid-cell")
-	ErrResultCorrupt = errors.New("experiment: cell result payload corrupt")
+	ErrCellStalled  = errors.New("experiment: cell stalled (no interval progress)")
+	ErrCellDeadline = errors.New("experiment: cell deadline exceeded")
 )
 
 // Cell error kinds, the journal/summary rendering of the taxonomy.
 const (
-	KindStalled    = "stalled"
-	KindDeadline   = "deadline"
-	KindWorkerDied = "worker-died"
-	KindCorrupt    = "corrupt"
-	KindCancelled  = "cancelled"
-	KindFailed     = "failed"
+	KindStalled   = "stalled"
+	KindDeadline  = "deadline"
+	KindCancelled = "cancelled"
+	KindFailed    = "failed"
 )
 
 // CellErrorKind classifies a cell error into the taxonomy above;
@@ -170,37 +160,10 @@ func CellErrorKind(err error) string {
 		return KindStalled
 	case errors.Is(err, ErrCellDeadline), errors.Is(err, context.DeadlineExceeded):
 		return KindDeadline
-	case errors.Is(err, ErrWorkerDied):
-		return KindWorkerDied
-	case errors.Is(err, ErrResultCorrupt):
-		return KindCorrupt
 	case errors.Is(err, context.Canceled):
 		return KindCancelled
 	default:
 		return KindFailed
-	}
-}
-
-// KindError reconstructs a sentinel-wrapped error from a kind and
-// message that crossed a process boundary as strings (a dsweep worker's
-// failure report), so errors.Is classification keeps working on the
-// coordinator side.
-func KindError(kind, msg string) error {
-	switch kind {
-	case "":
-		return nil
-	case KindStalled:
-		return fmt.Errorf("%w: %s", ErrCellStalled, msg)
-	case KindDeadline:
-		return fmt.Errorf("%w: %s", ErrCellDeadline, msg)
-	case KindWorkerDied:
-		return fmt.Errorf("%w: %s", ErrWorkerDied, msg)
-	case KindCorrupt:
-		return fmt.Errorf("%w: %s", ErrResultCorrupt, msg)
-	case KindCancelled:
-		return fmt.Errorf("%w: %s", context.Canceled, msg)
-	default:
-		return errors.New(msg)
 	}
 }
 
@@ -211,7 +174,7 @@ func KindError(kind, msg string) error {
 // identifies the cell for backoff jitter. Returns how many attempts ran
 // and the final error.
 func runCell(ctx context.Context, key string, opts CellOptions, fn func(ctx context.Context, progress func()) error) (attempts int, err error) {
-	tries := opts.Retry.MaxAttempts()
+	tries := opts.Retry.maxAttempts()
 	for try := 0; try < tries; try++ {
 		if cerr := ctx.Err(); cerr != nil {
 			if err == nil {
@@ -227,7 +190,7 @@ func runCell(ctx context.Context, key string, opts CellOptions, fn func(ctx cont
 			return attempts, err
 		}
 		if try+1 < tries {
-			t := time.NewTimer(opts.Retry.Backoff(key, try))
+			t := time.NewTimer(opts.Retry.backoff(key, try))
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -288,11 +251,10 @@ type SweepOptions struct {
 	Cell        CellOptions
 }
 
-// CellRecord is the journaled payload of one successful sweep cell —
-// the exact bytes a dsweep worker ships back to the coordinator. It
+// CellRecord is the journaled payload of one successful sweep cell. It
 // depends only on the cell's configuration (simulations are
-// deterministic), never on where or how often the cell ran, which is
-// what makes journals mergeable and re-dispatch harmless.
+// deterministic), never on when or how often the cell ran, which is
+// what makes a resumed cell identical to a recomputed one.
 type CellRecord struct {
 	ImprovementPct float64
 	BaselineCycles uint64
@@ -300,76 +262,38 @@ type CellRecord struct {
 }
 
 // failRecord is the journaled payload of a cell that exhausted its
-// retries, keyed under FailKeyPrefix so it never shadows a result.
+// retries, keyed under failKeyPrefix so it never shadows a result.
 type failRecord struct {
 	Kind     string
 	Error    string
 	Attempts int
 }
 
-// leaseRecord is the journaled payload of one coordinator dispatch,
-// keyed under LeaseKeyPrefix.
-type leaseRecord struct {
-	Worker  string
-	Attempt int
-}
-
-// AppendCellFailure journals a cell's final failure under
-// FailKeyPrefix. SweepJournaled and the dsweep coordinator both go
-// through it so failure records have a single schema.
-func AppendCellFailure(jr *checkpoint.Journal, key string, err error, attempts int) error {
-	return jr.Append(FailKeyPrefix+key, failRecord{
+// appendCellFailure journals a cell's final failure under
+// failKeyPrefix.
+func appendCellFailure(jr *checkpoint.Journal, key string, err error, attempts int) error {
+	return jr.Append(failKeyPrefix+key, failRecord{
 		Kind: CellErrorKind(err), Error: err.Error(), Attempts: attempts,
 	})
 }
 
-// AppendCellLease journals one coordinator dispatch of a cell (which
-// worker, which global attempt) under LeaseKeyPrefix, making
-// attempted-counts durable across coordinator crashes. Lease records
-// are transient: the canonical merge prunes them.
-func AppendCellLease(jr *checkpoint.Journal, key, worker string, attempt int) error {
-	return jr.Append(fmt.Sprintf("%s%s/%d", LeaseKeyPrefix, key, attempt),
-		leaseRecord{Worker: worker, Attempt: attempt})
-}
-
-// Journal key namespaces. Cell results live under bare CellKey keys;
-// everything else is transient bookkeeping that the canonical merge
-// prunes (see DropTransientJournalKeys).
-const (
-	// FailKeyPrefix + CellKey records a cell's final failure and its
-	// taxonomy kind, so a crashed sweep's post-mortem can tell stalls
-	// from deadlines from dead workers without re-running anything.
-	FailKeyPrefix = "fail/"
-	// LeaseKeyPrefix + CellKey records each coordinator dispatch of a
-	// cell (worker and attempt number), making attempted-counts durable
-	// across coordinator crashes.
-	LeaseKeyPrefix = "lease/"
-)
+// failKeyPrefix + CellKey records a cell's final failure and its
+// taxonomy kind, so a crashed sweep's post-mortem can tell stalls from
+// deadlines without re-running anything. Only bare CellKey records are
+// read back on resume, so failure records (and any other prefixed
+// bookkeeping an older journal holds) never shadow a result.
+const failKeyPrefix = "fail/"
 
 // CellKey is the journal key of sweep cell i with the given label.
 func CellKey(i int, label string) string {
 	return fmt.Sprintf("cell/%d/%s", i, label)
 }
 
-// DropTransientJournalKeys is the canonical-merge filter for sweep
-// journals: lease records always go, and a recorded failure goes once
-// the same cell has a result (the success supersedes it). Pass it as
-// checkpoint.MergeOptions.Drop.
-func DropTransientJournalKeys(key string, entries map[string]json.RawMessage) bool {
-	if strings.HasPrefix(key, LeaseKeyPrefix) {
-		return true
-	}
-	if rest, ok := strings.CutPrefix(key, FailKeyPrefix); ok {
-		return entries[rest] != nil
-	}
-	return false
-}
-
 // SweepFingerprint identifies a sweep: the full point list, benchmark
-// and policy pair, hashed. Journals carry it in their header, dsweep
-// tasks and results echo it, and both refuse to mix state across
-// different fingerprints. The trailing int parameter is ignored; it
-// remains only so existing callers keep compiling.
+// and policy pair, hashed. Journals carry it in their header and refuse
+// to mix state across different fingerprints. The trailing int
+// parameter is ignored; it remains only so existing callers keep
+// compiling.
 func SweepFingerprint(points []SweepPoint, benchmark string, baseline, candidate core.Policy, _ int) string {
 	parts := []string{"sweep1", benchmark, baseline.String(), candidate.String()}
 	for _, p := range points {
@@ -378,29 +302,18 @@ func SweepFingerprint(points []SweepPoint, benchmark string, baseline, candidate
 	return hashFingerprint(parts...)
 }
 
-// RunSweepCell executes one sweep cell — the baseline-vs-candidate
+// runSweepCell executes one sweep cell — the baseline-vs-candidate
 // comparison at one point — under the cell's deadline, stall watchdog
-// and retry policy. It is the single compute path shared by the
-// in-process SweepJournaled and dsweep workers, which is what
-// guarantees a cell's CellRecord is identical no matter which process
-// computed it. onProgress, when non-nil, is called at every interval
-// boundary alongside the watchdog feed (dsweep workers emit heartbeats
-// from it). key identifies the cell for backoff jitter.
-func RunSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
-	baseline, candidate core.Policy, opts CellOptions, onProgress func()) (CellRecord, int, error) {
+// and retry policy. key identifies the cell for backoff jitter.
+func runSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
+	baseline, candidate core.Policy, opts CellOptions) (CellRecord, int, error) {
 	prof, err := workload.ByName(benchmark)
 	if err != nil {
 		return CellRecord{}, 0, err
 	}
 	var rec CellRecord
 	attempts, err := runCell(ctx, key, opts, func(cellCtx context.Context, progress func()) error {
-		hook := func(int) error {
-			progress()
-			if onProgress != nil {
-				onProgress()
-			}
-			return nil
-		}
+		hook := func(int) error { progress(); return nil }
 		c, err := CompareCtx(cellCtx, cfg, prof, baseline, candidate, hook)
 		if err != nil {
 			return err
@@ -417,9 +330,9 @@ func RunSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
 
 // SweepCell is one baseline-vs-candidate comparison of a cell sweep:
 // the journal key its record is stored under, a display label, and
-// everything RunSweepCell needs to compute it. Point sweeps and the
+// everything runSweepCell needs to compute it. Point sweeps and the
 // mechanism sweep both lay themselves out as flat cell lists, which
-// RunSweepCells runs in-process and dsweep.Run distributes.
+// RunSweepCells runs.
 type SweepCell struct {
 	Key       string
 	Label     string
@@ -460,12 +373,17 @@ func SweepJournaled(ctx context.Context, points []SweepPoint, benchmark string,
 // at opts.JournalPath stamped with fp: cells already journaled by a
 // previous run are returned from the journal (Resumed=true) instead of
 // being recomputed. A failing cell does not abort the sweep: its Err
-// is set and the rest still run. The returned error is non-nil only
-// when the sweep was cancelled or every cell failed; the per-cell
-// results come back alongside it.
+// is set and the rest still run. A cell with an unknown benchmark or no
+// run length fails the whole sweep before the journal is opened.
+// Otherwise the returned error is non-nil only when the sweep was
+// cancelled or every cell failed; the per-cell results come back
+// alongside it.
 func RunSweepCells(ctx context.Context, fp string, cells []SweepCell, opts SweepOptions) ([]SweepResult, error) {
 	for _, c := range cells {
 		if _, err := workload.ByName(c.Benchmark); err != nil {
+			return nil, err
+		}
+		if _, err := c.Cfg.runLength(BySections); err != nil {
 			return nil, err
 		}
 	}
@@ -478,7 +396,7 @@ func RunSweepCells(ctx context.Context, fp string, cells []SweepCell, opts Sweep
 	runs, err := runJournaled(ctx, "sweep", j, opts.Workers, keys,
 		func(ctx context.Context, i int) (CellRecord, int, error) {
 			c := &cells[i]
-			return RunSweepCell(ctx, c.Key, c.Cfg, c.Benchmark, c.Baseline, c.Candidate, opts.Cell, nil)
+			return runSweepCell(ctx, c.Key, c.Cfg, c.Benchmark, c.Baseline, c.Candidate, opts.Cell)
 		})
 	if runs == nil {
 		return nil, err
@@ -529,7 +447,7 @@ type cellRun[R any] struct {
 // runs on. It opens j, then for each cell i reads back the record a
 // previous run journaled under keys[i] or, failing that, computes it
 // with compute on a pool of workers. Each success is appended under
-// its key and each final failure under FailKeyPrefix+key. The error
+// its key and each final failure under failKeyPrefix+key. The error
 // is the sweep's verdict, named by what: non-nil when j cannot be
 // opened (and the runs are nil), when ctx was cancelled, or when every
 // cell failed.
@@ -557,7 +475,7 @@ func runJournaled[R any](ctx context.Context, what string, j *sweepJournal, work
 			if j.jr != nil {
 				// Best-effort: the failure record aids post-mortems but
 				// must not mask the cell's own error.
-				AppendCellFailure(j.jr, keys[i], err, attempts)
+				appendCellFailure(j.jr, keys[i], err, attempts)
 			}
 			return err
 		}
@@ -637,6 +555,9 @@ func RobustnessSweepJournaled(ctx context.Context, cfg Config, benchmarks []stri
 	}
 	if len(benchmarks) == 0 || len(policies) == 0 || len(levels) == 0 {
 		return nil, fmt.Errorf("experiment: empty robustness sweep")
+	}
+	if _, err := cfg.runLength(BySections); err != nil {
+		return nil, err
 	}
 	const what = "robustness sweep"
 	j := &sweepJournal{path: opts.JournalPath, fp: robustFingerprint(cfg, benchmarks, policies, levels)}
@@ -746,6 +667,10 @@ type CheckpointSpec struct {
 // sim.Result to the same run executed straight through.
 func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core.Policy,
 	mode RunMode, spec CheckpointSpec, hook sim.IntervalHook) (Run, error) {
+	total, err := cfg.runLength(mode)
+	if err != nil {
+		return Run{}, err
+	}
 	prof, err := workload.ByName(benchmark)
 	if err != nil {
 		return Run{}, err
@@ -769,9 +694,9 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 		return Run{}, err
 	}
 
-	modeName, total := "intervals", cfg.Intervals
+	modeName := "intervals"
 	if mode == BySections {
-		modeName, total = "sections", cfg.Sections
+		modeName = "sections"
 	}
 	meta := checkpoint.Meta{
 		Benchmark:   benchmark,

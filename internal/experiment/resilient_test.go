@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 
@@ -202,6 +203,87 @@ func TestSweepJournaledResume(t *testing.T) {
 	}
 }
 
+// TestSweepJournaledResumesLegacyLeaseJournal: journals written by the
+// distributed sweeps of earlier versions also hold lease/<key>/<n>
+// dispatch records, and list every key once in sorted order. Resume
+// reads records back by cell key only, so such a journal still resumes
+// every cell with the values it holds.
+func TestSweepJournaledResumesLegacyLeaseJournal(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.Sections = 4
+	points := []SweepPoint{
+		{Label: "a", Cfg: cfg},
+		{Label: "b", Cfg: func() Config { c := cfg; c.Seed = 7; return c }()},
+	}
+	fresh, err := SweepJournaled(context.Background(), points, "cg",
+		core.PolicyShared, core.PolicyStaticEqual, SweepOptions{Workers: 2})
+	if err != nil {
+		t.Fatalf("fresh sweep: %v", err)
+	}
+
+	type leaseRecord struct {
+		Worker  string
+		Attempt int
+	}
+	records := map[string]any{}
+	for i, r := range fresh {
+		key := CellKey(i, r.Label)
+		records[key] = CellRecord{
+			ImprovementPct: r.ImprovementPct,
+			BaselineCycles: r.BaselineCycles,
+			DynamicCycles:  r.DynamicCycles,
+		}
+		for attempt := 1; attempt <= 2; attempt++ {
+			records[fmt.Sprintf("lease/%s/%d", key, attempt)] =
+				leaseRecord{Worker: fmt.Sprintf("exec%d", attempt-1), Attempt: attempt}
+		}
+	}
+	keys := make([]string, 0, len(records))
+	for k := range records {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	jr, _, err := checkpoint.OpenJournal(journal,
+		SweepFingerprint(points, "cg", core.PolicyShared, core.PolicyStaticEqual, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if err := jr.Append(k, records[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jr.Close()
+
+	resumed, err := SweepJournaled(context.Background(), points, "cg",
+		core.PolicyShared, core.PolicyStaticEqual, SweepOptions{Workers: 2, JournalPath: journal})
+	if err != nil {
+		t.Fatalf("resumed sweep: %v", err)
+	}
+	for i, r := range resumed {
+		if !r.Resumed {
+			t.Errorf("cell %q recomputed instead of resuming", r.Label)
+		}
+		if r.BaselineCycles != fresh[i].BaselineCycles ||
+			r.DynamicCycles != fresh[i].DynamicCycles ||
+			r.ImprovementPct != fresh[i].ImprovementPct {
+			t.Errorf("cell %q: legacy journal changed the result", r.Label)
+		}
+	}
+}
+
+// readJournal returns the records of the journal at path.
+func readJournal(t *testing.T, path, fp string) map[string]json.RawMessage {
+	t.Helper()
+	jr, entries, err := checkpoint.OpenJournal(path, fp)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
+	jr.Close()
+	return entries
+}
+
 func TestSweepJournaledRejectsForeignJournal(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Sections = 4
@@ -310,8 +392,8 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 		hi := time.Duration(float64(raw) * 1.25)
 		seen := map[time.Duration]bool{}
 		for _, key := range keys {
-			d := p.Backoff(key, retry)
-			if d != p.Backoff(key, retry) {
+			d := p.backoff(key, retry)
+			if d != p.backoff(key, retry) {
 				t.Fatalf("backoff(%q,%d) is not deterministic", key, retry)
 			}
 			if d < lo || d > hi || d > p.MaxDelay {
@@ -332,17 +414,17 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 		retry int
 		want  time.Duration
 	}{
-		{"cell/0/a", 0, p.Backoff("cell/0/a", 0)},
-		{"cell/0/a", 3, p.Backoff("cell/0/a", 3)},
-		{"cell/1/b", 0, p.Backoff("cell/1/b", 0)},
+		{"cell/0/a", 0, p.backoff("cell/0/a", 0)},
+		{"cell/0/a", 3, p.backoff("cell/0/a", 3)},
+		{"cell/1/b", 0, p.backoff("cell/1/b", 0)},
 	} {
-		if got := p.Backoff(tc.key, tc.retry); got != tc.want {
+		if got := p.backoff(tc.key, tc.retry); got != tc.want {
 			t.Fatalf("backoff(%q,%d) = %v, want %v", tc.key, tc.retry, got, tc.want)
 		}
 	}
 	// Zero-value policy still defaults and caps sanely.
 	var zero RetryPolicy
-	if d := zero.Backoff("k", 40); d > 5*time.Second || d < 3*time.Second {
+	if d := zero.backoff("k", 40); d > 5*time.Second || d < 3*time.Second {
 		t.Fatalf("deep-retry backoff %v strayed from the 5s cap (min 3.75s with jitter)", d)
 	}
 }
@@ -356,24 +438,12 @@ func TestCellErrorKindTaxonomy(t *testing.T) {
 		{fmt.Errorf("%w after 5ms", ErrCellStalled), KindStalled},
 		{fmt.Errorf("%w after 1s: %w", ErrCellDeadline, context.DeadlineExceeded), KindDeadline},
 		{context.DeadlineExceeded, KindDeadline},
-		{fmt.Errorf("conn reset: %w", ErrWorkerDied), KindWorkerDied},
-		{fmt.Errorf("unseal: %w", ErrResultCorrupt), KindCorrupt},
 		{context.Canceled, KindCancelled},
 		{errors.New("simulation blew up"), KindFailed},
 	} {
 		if got := CellErrorKind(tc.err); got != tc.want {
 			t.Fatalf("CellErrorKind(%v) = %q, want %q", tc.err, got, tc.want)
 		}
-	}
-	// KindError must round-trip the classification across a process
-	// boundary (worker reports strings, coordinator re-wraps).
-	for _, kind := range []string{KindStalled, KindDeadline, KindWorkerDied, KindCorrupt, KindCancelled, KindFailed} {
-		if got := CellErrorKind(KindError(kind, "remote detail")); got != kind {
-			t.Fatalf("KindError round-trip: %q became %q", kind, got)
-		}
-	}
-	if KindError("", "") != nil {
-		t.Fatal("KindError of empty kind must be nil")
 	}
 }
 
@@ -401,25 +471,8 @@ func TestRunCellDeadlineVsStallClassification(t *testing.T) {
 	}
 }
 
-func TestDropTransientJournalKeys(t *testing.T) {
-	entries := map[string]json.RawMessage{
-		"cell/0/a":      json.RawMessage(`{}`),
-		"fail/cell/0/a": json.RawMessage(`{}`), // superseded by the success above
-		"fail/cell/1/b": json.RawMessage(`{}`), // still unresolved: keep
-		"lease/cell/2":  json.RawMessage(`{}`), // transient bookkeeping: drop
-	}
-	for key, want := range map[string]bool{
-		"cell/0/a": false, "fail/cell/0/a": true, "fail/cell/1/b": false, "lease/cell/2": true,
-	} {
-		if got := DropTransientJournalKeys(key, entries); got != want {
-			t.Fatalf("DropTransientJournalKeys(%q) = %v, want %v", key, got, want)
-		}
-	}
-}
-
 // A sweep whose cell fails terminally must journal the failure with its
-// taxonomy kind, and a later successful run plus canonical merge must
-// supersede it.
+// taxonomy kind, and a later successful run must journal the result.
 func TestSweepJournaledFailureTaxonomyJournaled(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "sweep.journal")
@@ -435,11 +488,8 @@ func TestSweepJournaledFailureTaxonomyJournaled(t *testing.T) {
 		t.Fatal("sweep with an impossible deadline succeeded")
 	}
 	fp := SweepFingerprint(points, "cg", core.PolicyStaticEqual, core.PolicyModelBased, 0)
-	entries, rerr := checkpoint.ReadJournal(journal, fp)
-	if rerr != nil {
-		t.Fatalf("ReadJournal: %v", rerr)
-	}
-	raw := entries[FailKeyPrefix+CellKey(0, "p0")]
+	entries := readJournal(t, journal, fp)
+	raw := entries[failKeyPrefix+CellKey(0, "p0")]
 	if raw == nil {
 		t.Fatalf("no fail entry journaled; journal has %v", entries)
 	}
@@ -454,26 +504,15 @@ func TestSweepJournaledFailureTaxonomyJournaled(t *testing.T) {
 		t.Fatalf("fail entry = %+v, want kind %q after 2 attempts", fr, KindDeadline)
 	}
 
-	// Re-run without the deadline: the cell succeeds, and the canonical
-	// merge drops the now-superseded failure.
+	// Re-run without the deadline: the cell succeeds and is journaled.
 	res, err := SweepJournaled(context.Background(), points, "cg",
 		core.PolicyStaticEqual, core.PolicyModelBased, SweepOptions{JournalPath: journal})
 	if err != nil || res[0].Err != nil {
 		t.Fatalf("clean re-run failed: %v / %v", err, res[0].Err)
 	}
-	if _, err := checkpoint.MergeJournalFiles(journal, fp,
-		checkpoint.MergeOptions{Drop: DropTransientJournalKeys}); err != nil {
-		t.Fatalf("canonical merge: %v", err)
-	}
-	entries, rerr = checkpoint.ReadJournal(journal, fp)
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	if entries[FailKeyPrefix+CellKey(0, "p0")] != nil {
-		t.Fatal("superseded fail entry survived the canonical merge")
-	}
+	entries = readJournal(t, journal, fp)
 	if entries[CellKey(0, "p0")] == nil {
-		t.Fatal("cell result missing after canonical merge")
+		t.Fatal("cell result missing after the clean re-run")
 	}
 
 	// The robustness sweep runs on the same loop, so its failures are
@@ -490,12 +529,9 @@ func TestSweepJournaledFailureTaxonomyJournaled(t *testing.T) {
 		}); err == nil {
 		t.Fatal("robustness sweep with an impossible deadline succeeded")
 	}
-	entries, rerr = checkpoint.ReadJournal(robust, robustFingerprint(cfg, benchmarks, policies, levels))
-	if rerr != nil {
-		t.Fatalf("ReadJournal: %v", rerr)
-	}
+	entries = readJournal(t, robust, robustFingerprint(cfg, benchmarks, policies, levels))
 	for key, attempts := range map[string]int{"base/cg": 2, "cell/cg/static-equal/clean": 0} {
-		raw := entries[FailKeyPrefix+key]
+		raw := entries[failKeyPrefix+key]
 		if raw == nil {
 			t.Fatalf("no fail entry for %s; journal has %v", key, entries)
 		}

@@ -16,7 +16,7 @@ import (
 )
 
 // Wire format: ingest bodies and replies are JSON sealed in the same
-// CRC64 envelope dsweep uses for cell payloads (checkpoint.Seal), so a
+// CRC64 envelope that protects checkpoints on disk (checkpoint.Seal), so a
 // truncated or bit-flipped batch is detected before a single field is
 // interpreted. SealJSON/UnsealJSON are exported for clients — the load
 // generator, partitiond's selftest, and external telemetry agents.
@@ -39,9 +39,8 @@ func UnsealJSON(data []byte, v interface{}) error {
 	return json.Unmarshal(payload, v)
 }
 
-// maxBodyBytes bounds one ingest request body, mirroring the dsweep
-// HTTP worker's cell cap: no legitimate batch comes near it, and it
-// stops a confused client from ballooning the daemon's memory.
+// maxBodyBytes bounds one ingest request body: no legitimate batch
+// comes near it, and it stops a confused client from ballooning the daemon's memory.
 const maxBodyBytes = 8 << 20
 
 // Server exposes a Backend (the single-lock Service or the Sharded
