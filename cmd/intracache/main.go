@@ -53,6 +53,10 @@ func main() {
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	flag.Parse()
+	if *resumeRun && *ckptPath == "" {
+		fmt.Fprintln(os.Stderr, "intracache: -resume needs -checkpoint FILE to resume from")
+		os.Exit(2)
+	}
 
 	stopProfile := profiling.MustStartCPU(*pprofPath)
 	defer stopProfile()

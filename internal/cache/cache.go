@@ -158,15 +158,9 @@ type AccessResult struct {
 	InterThread bool
 	// Evicted is true when the access caused a replacement of a valid line.
 	Evicted bool
-	// EvictedAddr is the byte address of the replaced line (valid only
-	// when Evicted is true). Coherence layers use it to track which
-	// lines leave a private cache.
-	EvictedAddr uint64
 	// InterThreadEviction is true when the evicted line's most recent
 	// accessor was a different thread (a "destructive" interaction).
 	InterThreadEviction bool
-	// WritebackDirty is true when the evicted line was dirty.
-	WritebackDirty bool
 }
 
 // ThreadStats holds per-thread cumulative counters.
@@ -504,9 +498,9 @@ func (c *Cache) idxDelete(la uint64) {
 }
 
 // idxRebuild reconstructs the resident-line table from the line arrays
-// (after Restore or Flush). Duplicate resident lines — representable
-// only in crafted snapshots — disable the index so the scan paths'
-// first-index semantics stay authoritative.
+// (after Restore). Duplicate resident lines — representable only in
+// crafted snapshots — disable the index so the scan paths' first-index
+// semantics stay authoritative.
 func (c *Cache) idxRebuild() {
 	if c.idxSlot == nil {
 		return
@@ -594,8 +588,7 @@ func (c *Cache) lruPushByValue(set, w int, v uint64) {
 }
 
 // lruRebuild reconstructs every set's recency list from the line arrays
-// (after Restore or Flush), ordering each set's valid lines by
-// (lastUse, way).
+// (after Restore), ordering each set's valid lines by (lastUse, way).
 func (c *Cache) lruRebuild() {
 	if !c.lruOn {
 		return
@@ -805,8 +798,6 @@ func (c *Cache) Access(thread int, addr uint64, write bool) AccessResult {
 	j := base + victim
 	if c.tagv[j] != 0 {
 		res.Evicted = true
-		res.EvictedAddr = c.lineAddr(set, c.tags[j])
-		res.WritebackDirty = c.dirty[j]
 		ts.EvictionsCaused++
 		c.stats.Threads[c.owner[j]].EvictionsSuffered++
 		if int(c.lastAcc[j]) != thread {
@@ -879,20 +870,11 @@ func (c *Cache) setsIndex(thread int, la uint64) int {
 	return grp<<c.spgBits | int(la&(1<<c.spgBits-1))
 }
 
-// lineAddr reconstructs a line's byte address from its set and tag.
-func (c *Cache) lineAddr(set int, tag uint64) uint64 {
-	if c.mode == PartitionedSets {
-		return tag << c.lineBits // the tag is the full line address
-	}
-	return ((tag << c.setBits) | uint64(set)) << c.lineBits
-}
-
 // Invalidate removes addr's line from the cache if resident, returning
-// whether it was found (and whether it was dirty). Used by the L1
-// write-invalidate coherence layer; statistics are not affected. Under
-// PartitionedSets every thread's partition is probed — each thread may
-// hold its own replica — though replicas stranded by a repartition are
-// not reachable and simply age out.
+// whether it was found (and whether it was dirty). Statistics are not
+// affected. Under PartitionedSets every thread's partition is probed —
+// each thread may hold its own replica — though replicas stranded by a
+// repartition are not reachable and simply age out.
 func (c *Cache) Invalidate(addr uint64) (found, dirty bool) {
 	la := addr >> c.lineBits
 	if c.mode == PartitionedSets {
@@ -1273,19 +1255,6 @@ func (c *Cache) Occupancy() []int {
 		}
 	}
 	return out
-}
-
-// Flush invalidates every line and clears ownership counts. Statistics
-// are preserved.
-func (c *Cache) Flush() {
-	for i := range c.tagv {
-		c.clearLine(i)
-	}
-	for i := range c.ownCount {
-		c.ownCount[i] = 0
-	}
-	c.idxRebuild()
-	c.lruRebuild()
 }
 
 // checkInvariants verifies internal consistency; used by tests.

@@ -218,29 +218,6 @@ func TestInterThreadInteractionFraction(t *testing.T) {
 	}
 }
 
-func TestDirtyWriteback(t *testing.T) {
-	cfg := smallConfig()
-	c := mustNew(t, cfg, SharedLRU)
-	c.Access(0, addrFor(cfg, 0, 1), true) // dirty fill
-	for tag := uint64(2); tag <= 4; tag++ {
-		c.Access(0, addrFor(cfg, 0, tag), false)
-	}
-	res := c.Access(0, addrFor(cfg, 0, 5), false)
-	if !res.Evicted || !res.WritebackDirty {
-		t.Fatalf("expected dirty writeback, got %+v", res)
-	}
-	// A read hit must not mark dirty; a write hit must.
-	c.Access(0, addrFor(cfg, 1, 1), false)
-	c.Access(0, addrFor(cfg, 1, 1), true)
-	for tag := uint64(2); tag <= 4; tag++ {
-		c.Access(0, addrFor(cfg, 1, tag), false)
-	}
-	res = c.Access(0, addrFor(cfg, 1, 5), false)
-	if !res.WritebackDirty {
-		t.Fatal("write hit did not mark line dirty")
-	}
-}
-
 func TestSetTargetsValidation(t *testing.T) {
 	c := mustNew(t, smallConfig(), Partitioned)
 	if err := c.SetTargets([]int{1, 1, 1, 1}); err != nil {
@@ -376,29 +353,6 @@ func TestZeroTargetThreadStillServed(t *testing.T) {
 	}
 	if !c.Contains(addrFor(cfg, 0, 42)) {
 		t.Error("zero-target thread's fill did not land")
-	}
-	if err := c.checkInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	cfg := smallConfig()
-	c := mustNew(t, cfg, Partitioned)
-	c.Access(0, 0, false)
-	c.Access(1, 64, false)
-	c.Flush()
-	if c.Contains(0) || c.Contains(64) {
-		t.Error("lines survived Flush")
-	}
-	for _, n := range c.Occupancy() {
-		if n != 0 {
-			t.Error("ownership counts survived Flush")
-		}
-	}
-	// Stats preserved.
-	if c.Stats().Totals().Accesses != 2 {
-		t.Error("Flush cleared statistics")
 	}
 	if err := c.checkInvariants(); err != nil {
 		t.Error(err)

@@ -203,7 +203,7 @@ func TestAcceleratedPathEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Force the control cache onto the scan paths. idxSlot is
-			// nil'd (not just idxOK) so Flush/Restore rebuilds cannot
+			// nil'd (not just idxOK) so Restore rebuilds cannot
 			// re-enable the index.
 			slow.idxSlot = nil
 			slow.idxOK = false

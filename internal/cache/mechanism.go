@@ -89,28 +89,6 @@ func Mechanisms() []Mechanism {
 	return []Mechanism{MechWays, MechSets, MechCluster}
 }
 
-// PartitionMechanism is the capacity-allocation surface a partitioning
-// geometry exposes to the allocator: how many indivisible quanta exist,
-// what each thread currently holds, and how to install a new split.
-// Implementations may quantize an installed assignment (set-index
-// partitioning rounds to powers of two); Targets reports what was
-// actually installed.
-type PartitionMechanism interface {
-	Mechanism() Mechanism
-	// Quanta is the total number of capacity units the mechanism
-	// divides among threads: ways, set groups, or cluster-ways.
-	Quanta() int
-	// Targets returns a copy of the installed per-thread quantum
-	// targets (summing to Quanta).
-	Targets() []int
-	// SetTargets installs per-thread quantum targets. Targets must be
-	// non-negative and sum to Quanta; mechanisms with coarser feasible
-	// allocations round internally rather than rejecting.
-	SetTargets([]int) error
-}
-
-var _ PartitionMechanism = (*Cache)(nil)
-
 // Mechanism returns the geometry this cache partitions by. Every
 // way-granular mode — including the shared baselines, whose "quanta"
 // are only notional — reports MechWays.

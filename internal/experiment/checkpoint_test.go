@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"intracache/internal/core"
@@ -219,4 +221,66 @@ func TestCheckpointResumeMissingFileIsFreshStart(t *testing.T) {
 	if len(run.Result.Intervals) != cfg.Intervals {
 		t.Fatalf("ran %d intervals, want %d", len(run.Result.Intervals), cfg.Intervals)
 	}
+}
+
+// TestCheckpointResumeLegacyCoherenceFields loads a checkpoint written
+// while sim.State still had the L1-coherence fields Coherence, Presence
+// and Invalidations, and checks it resumes bit-identically to a
+// straight-through run. Gob skips stream fields the destination type
+// lacks, so such files stay loadable.
+//
+// testdata/coherence-fields.ckpt was generated at commit 5eaacee by
+// calling, from a test in this package,
+//
+//	CheckpointedRun(ctx, legacyCkptConfig(), "cg", core.PolicyModelBased,
+//		ByIntervals, CheckpointSpec{Path: "coherence-fields.ckpt"}, hook)
+//
+// with a hook that returns an error once 10 intervals are done, so the
+// run stops and saves its state after interval 10 of 16. The same
+// configuration run straight through took 4941501 wall cycles there.
+func TestCheckpointResumeLegacyCoherenceFields(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "coherence-fields.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"Coherence", "Presence", "Invalidations"} {
+		if !bytes.Contains(data, []byte(field)) {
+			t.Fatalf("fixture gob stream does not carry sim.State.%s", field)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := legacyCkptConfig()
+	resumed, err := CheckpointedRun(context.Background(), cfg, "cg", core.PolicyModelBased, ByIntervals,
+		CheckpointSpec{Path: path, Resume: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(resumed.Result.Intervals); got != 16 {
+		t.Fatalf("resumed run has %d intervals, want 16", got)
+	}
+	straight, err := CheckpointedRun(context.Background(), cfg, "cg", core.PolicyModelBased, ByIntervals,
+		CheckpointSpec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed.Result, straight.Result) {
+		t.Error("resumed run differs from the straight-through run")
+	}
+	if resumed.Result.WallCycles != 4941501 {
+		t.Errorf("resumed run took %d wall cycles, want 4941501", resumed.Result.WallCycles)
+	}
+}
+
+// legacyCkptConfig is the small-L2 model-based run the legacy
+// checkpoint fixture was written under.
+func legacyCkptConfig() Config {
+	cfg := QuickConfig()
+	cfg.L1KB, cfg.L1Ways = 1, 2
+	cfg.L2KB, cfg.L2Ways = 16, 16
+	cfg.IntervalInstructions = 40_000
+	cfg.Intervals = 16
+	return cfg
 }

@@ -133,20 +133,6 @@ func (c Config) Validate() error {
 	return c.simParams(core.PolicyShared).Validate()
 }
 
-// wrapFault interposes the config's fault injector between the
-// simulator and ctl. Controllers are the only telemetry consumers, so
-// a nil ctl passes through untouched.
-func (c Config) wrapFault(ctl sim.Controller) (sim.Controller, *fault.Injector, error) {
-	if c.Fault == nil || c.Fault.IsZero() || ctl == nil {
-		return ctl, nil, nil
-	}
-	inj, err := fault.NewInjector(*c.Fault, ctl)
-	if err != nil {
-		return nil, nil, err
-	}
-	return inj, inj, nil
-}
-
 // simParams builds the simulator parameters for a policy.
 func (c Config) simParams(pol core.Policy) sim.Params {
 	p := sim.Params{
@@ -190,15 +176,6 @@ type Run struct {
 	FaultStats *fault.Stats
 }
 
-// noteFaults records the injector's counters into the run.
-func (r *Run) noteFaults(inj *fault.Injector) {
-	if inj == nil {
-		return
-	}
-	st := inj.Stats()
-	r.FaultStats = &st
-}
-
 // RunMode selects the run-length clock.
 type RunMode int
 
@@ -227,6 +204,86 @@ func (c Config) runLength(mode RunMode) (int, error) {
 	return n, nil
 }
 
+// workloadInput is what a simulation executes: generated threads,
+// drawn only once the run length checks out and adapted to the config's
+// trace mode, or ready srcs such as trace replayers (no phase function).
+type workloadInput struct {
+	threads func() ([]*trace.ThreadGen, sim.PhaseFunc, error)
+	srcs    []trace.Source
+}
+
+// profileInput draws prof's threads at c's thread count, line size and
+// seed, under prof's phase schedule.
+func (c Config) profileInput(prof workload.Profile) workloadInput {
+	return workloadInput{threads: func() ([]*trace.ThreadGen, sim.PhaseFunc, error) {
+		gens, err := prof.Generators(c.NumThreads, c.LineBytes, c.Seed)
+		return gens, prof.PhaseFunc(c.NumThreads), err
+	}}
+}
+
+// simRun is one built simulation and what its driver needs after it.
+type simRun struct {
+	*sim.Simulator
+	mode  RunMode
+	n     int             // run length in mode's clock
+	inj   *fault.Injector // nil when no fault plan is attached
+	close func()          // releases shared-trace references; call after the run
+}
+
+// newRun is the one place a driver builds a simulation. It checks the
+// run length mode selects, interposes the config's fault injector
+// between the simulator and ctl (a nil ctl consumes no telemetry and
+// passes through), builds the instruction sources, and constructs the
+// simulator for pol's L2 organization.
+func (c Config) newRun(mode RunMode, pol core.Policy, ctl sim.Controller, in workloadInput) (simRun, error) {
+	n, err := c.runLength(mode)
+	if err != nil {
+		return simRun{}, err
+	}
+	var inj *fault.Injector
+	if c.Fault != nil && !c.Fault.IsZero() && ctl != nil {
+		if inj, err = fault.NewInjector(*c.Fault, ctl); err != nil {
+			return simRun{}, err
+		}
+		ctl = inj
+	}
+	srcs, closeSrcs := in.srcs, func() {}
+	var phase sim.PhaseFunc
+	if in.threads != nil {
+		var gens []*trace.ThreadGen
+		if gens, phase, err = in.threads(); err != nil {
+			return simRun{}, err
+		}
+		srcs, closeSrcs = c.sources(gens)
+	}
+	s, err := sim.New(c.simParams(pol), srcs, ctl, phase)
+	if err != nil {
+		closeSrcs()
+		return simRun{}, err
+	}
+	return simRun{Simulator: s, mode: mode, n: n, inj: inj, close: closeSrcs}, nil
+}
+
+// run executes what remains of the run length: a simulator restored
+// from a snapshot continues where the snapshot stopped.
+func (r simRun) run(ctx context.Context, hook sim.IntervalHook) (sim.Result, error) {
+	if r.mode == BySections {
+		return r.RunSectionsContext(ctx, r.n-r.CompletedSections(), hook)
+	}
+	return r.RunIntervalsContext(ctx, r.n, hook)
+}
+
+// output packages res as a Run, with the fault counters when an
+// injector was attached.
+func (r simRun) output(name string, pol core.Policy, res sim.Result, rts *core.RuntimeSystem) Run {
+	run := Run{Benchmark: name, Policy: pol, Result: res, RTS: rts}
+	if r.inj != nil {
+		st := r.inj.Stats()
+		run.FaultStats = &st
+	}
+	return run
+}
+
 // RunOne simulates one benchmark under one policy.
 func RunOne(cfg Config, prof workload.Profile, pol core.Policy, mode RunMode) (Run, error) {
 	return RunOneCtx(context.Background(), cfg, prof, pol, mode, nil)
@@ -237,68 +294,33 @@ func RunOne(cfg Config, prof workload.Profile, pol core.Policy, mode RunMode) (R
 // partial Run accumulated so far is returned with ctx's error.
 func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.Policy,
 	mode RunMode, hook sim.IntervalHook) (Run, error) {
-	n, err := cfg.runLength(mode)
-	if err != nil {
-		return Run{}, err
-	}
-	gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
-	if err != nil {
-		return Run{}, err
-	}
 	ctl, rts, err := core.ControllerFor(pol)
 	if err != nil {
 		return Run{}, err
 	}
-	ctl, inj, err := cfg.wrapFault(ctl)
+	r, err := cfg.newRun(mode, pol, ctl, cfg.profileInput(prof))
 	if err != nil {
 		return Run{}, err
 	}
-	srcs, closeSrcs := cfg.sources(gens)
-	defer closeSrcs()
-	s, err := sim.New(cfg.simParams(pol), srcs, ctl, prof.PhaseFunc(cfg.NumThreads))
-	if err != nil {
-		return Run{}, err
-	}
-	var res sim.Result
-	if mode == BySections {
-		res, err = s.RunSectionsContext(ctx, n, hook)
-	} else {
-		res, err = s.RunIntervalsContext(ctx, n, hook)
-	}
-	run := Run{Benchmark: prof.Name, Policy: pol, Result: res, RTS: rts}
-	run.noteFaults(inj)
-	return run, err
+	defer r.close()
+	res, err := r.run(ctx, hook)
+	return r.output(prof.Name, pol, res, rts), err
 }
 
 // RunSources simulates arbitrary instruction sources (e.g. trace
 // replayers) under a policy. No phase function is applied: recorded
 // traces carry their phases inside the stream.
 func RunSources(cfg Config, name string, sources []trace.Source, pol core.Policy, mode RunMode) (Run, error) {
-	n, err := cfg.runLength(mode)
-	if err != nil {
-		return Run{}, err
-	}
 	ctl, rts, err := core.ControllerFor(pol)
 	if err != nil {
 		return Run{}, err
 	}
-	ctl, inj, err := cfg.wrapFault(ctl)
+	r, err := cfg.newRun(mode, pol, ctl, workloadInput{srcs: sources})
 	if err != nil {
 		return Run{}, err
 	}
-	s, err := sim.New(cfg.simParams(pol), sources, ctl, nil)
-	if err != nil {
-		return Run{}, err
-	}
-	var res sim.Result
-	if mode == BySections {
-		res = s.RunSections(n)
-	} else {
-		res = s.RunIntervals(n)
-	}
-	run := Run{Benchmark: name, Policy: pol, Result: res, RTS: rts}
-	run.noteFaults(inj)
-	return run, nil
+	res, err := r.run(context.Background(), nil)
+	return r.output(name, pol, res, rts), err
 }
 
 // RunWithEngine runs a benchmark on a partitioned L2 driven by the
@@ -306,38 +328,18 @@ func RunSources(cfg Config, name string, sources []trace.Source, pol core.Policy
 // the ablation benchmarks use to vary engine internals (spline kind,
 // bootstrap length, movement caps) that the stock policies fix.
 func RunWithEngine(cfg Config, prof workload.Profile, eng core.Engine, mode RunMode) (Run, error) {
-	n, err := cfg.runLength(mode)
-	if err != nil {
-		return Run{}, err
-	}
-	gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
-	if err != nil {
-		return Run{}, err
-	}
 	rts, err := core.NewRuntimeSystem(eng)
 	if err != nil {
 		return Run{}, err
 	}
-	ctl, inj, err := cfg.wrapFault(sim.Controller(rts))
+	// PolicyModelBased selects a partitioned L2 without UMON.
+	r, err := cfg.newRun(mode, core.PolicyModelBased, rts, cfg.profileInput(prof))
 	if err != nil {
 		return Run{}, err
 	}
-	p := cfg.simParams(core.PolicyModelBased) // partitioned L2, no UMON
-	srcs, closeSrcs := cfg.sources(gens)
-	defer closeSrcs()
-	s, err := sim.New(p, srcs, ctl, prof.PhaseFunc(cfg.NumThreads))
-	if err != nil {
-		return Run{}, err
-	}
-	var res sim.Result
-	if mode == BySections {
-		res = s.RunSections(n)
-	} else {
-		res = s.RunIntervals(n)
-	}
-	run := Run{Benchmark: prof.Name, Policy: core.PolicyModelBased, Result: res, RTS: rts}
-	run.noteFaults(inj)
-	return run, nil
+	defer r.close()
+	res, err := r.run(context.Background(), nil)
+	return r.output(prof.Name, core.PolicyModelBased, res, rts), err
 }
 
 // RunWithMigration runs a benchmark under a policy and, at the end of
@@ -348,32 +350,21 @@ func RunWithMigration(cfg Config, prof workload.Profile, pol core.Policy, swapAt
 	if swapAt < 0 || swapAt >= cfg.Intervals {
 		return Run{}, fmt.Errorf("experiment: swapAt %d outside [0,%d)", swapAt, cfg.Intervals)
 	}
-	gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
-	if err != nil {
-		return Run{}, err
-	}
 	ctl, rts, err := core.ControllerFor(pol)
 	if err != nil {
 		return Run{}, err
 	}
-	ctl, inj, err := cfg.wrapFault(ctl)
+	r, err := cfg.newRun(ByIntervals, pol, ctl, cfg.profileInput(prof))
 	if err != nil {
 		return Run{}, err
 	}
-	srcs, closeSrcs := cfg.sources(gens)
-	defer closeSrcs()
-	s, err := sim.New(cfg.simParams(pol), srcs, ctl, prof.PhaseFunc(cfg.NumThreads))
-	if err != nil {
+	defer r.close()
+	r.RunIntervals(swapAt + 1)
+	if err := r.SwapThreads(i, j); err != nil {
 		return Run{}, err
 	}
-	s.RunIntervals(swapAt + 1)
-	if err := s.SwapThreads(i, j); err != nil {
-		return Run{}, err
-	}
-	res := s.RunIntervals(cfg.Intervals)
-	run := Run{Benchmark: prof.Name, Policy: pol, Result: res, RTS: rts}
-	run.noteFaults(inj)
-	return run, nil
+	res, err := r.run(context.Background(), nil)
+	return r.output(prof.Name, pol, res, rts), err
 }
 
 // RunOneByName is RunOne with a benchmark name lookup.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"intracache/internal/core"
+	"intracache/internal/hierarchy"
 	"intracache/internal/workload"
 )
 
@@ -105,26 +106,61 @@ func TestRunOneByNameUnknown(t *testing.T) {
 // and a sweep over such cells fails before it journals anything.
 func TestRunRefusesNonPositiveRunLength(t *testing.T) {
 	prof, _ := workload.ByName("cg")
+	profs, threads := twoApps(t)
+	// Every driver that builds a simulation refuses a run that would do
+	// no work. Fig10WaySensitivity and RunWithMigration use the interval
+	// clock only.
+	drivers := []struct {
+		name  string
+		modes []RunMode
+		run   func(Config, RunMode) error
+	}{
+		{"RunOne", []RunMode{ByIntervals, BySections}, func(c Config, m RunMode) error {
+			_, err := RunOne(c, prof, core.PolicyShared, m)
+			return err
+		}},
+		{"RunWithEngine", []RunMode{ByIntervals, BySections}, func(c Config, m RunMode) error {
+			_, err := RunWithEngine(c, prof, core.NewModelEngine(), m)
+			return err
+		}},
+		{"RunSources", []RunMode{ByIntervals, BySections}, func(c Config, m RunMode) error {
+			_, err := RunSources(c, "none", nil, core.PolicyShared, m)
+			return err
+		}},
+		{"CheckpointedRun", []RunMode{ByIntervals, BySections}, func(c Config, m RunMode) error {
+			_, err := CheckpointedRun(context.Background(), c, "cg", core.PolicyShared, m, CheckpointSpec{}, nil)
+			return err
+		}},
+		{"RunMultiApp", []RunMode{ByIntervals, BySections}, func(c Config, m RunMode) error {
+			_, err := RunMultiApp(c, profs, threads,
+				&hierarchy.MissRateOSAllocator{ThreadsPerApp: threads}, modelEngines, m)
+			return err
+		}},
+		{"RunMultiAppBaseline", []RunMode{ByIntervals, BySections}, func(c Config, m RunMode) error {
+			_, err := RunMultiAppBaseline(c, profs, threads, core.PolicyStaticEqual, m)
+			return err
+		}},
+		{"Fig10WaySensitivity", []RunMode{ByIntervals}, func(c Config, _ RunMode) error {
+			_, err := Fig10WaySensitivity(c)
+			return err
+		}},
+		{"RunWithMigration", []RunMode{ByIntervals}, func(c Config, _ RunMode) error {
+			_, err := RunWithMigration(c, prof, core.PolicyShared, 0, 0, 1)
+			return err
+		}},
+	}
 	for _, n := range []int{0, -1} {
-		for _, mode := range []RunMode{ByIntervals, BySections} {
-			cfg := QuickConfig()
-			if mode == BySections {
-				cfg.Sections = n
-			} else {
-				cfg.Intervals = n
-			}
-			if _, err := RunOne(cfg, prof, core.PolicyShared, mode); err == nil {
-				t.Errorf("RunOne mode %d accepted run length %d", mode, n)
-			}
-			if _, err := RunWithEngine(cfg, prof, core.NewModelEngine(), mode); err == nil {
-				t.Errorf("RunWithEngine mode %d accepted run length %d", mode, n)
-			}
-			if _, err := RunSources(cfg, "none", nil, core.PolicyShared, mode); err == nil {
-				t.Errorf("RunSources mode %d accepted run length %d", mode, n)
-			}
-			if _, err := CheckpointedRun(context.Background(), cfg, "cg", core.PolicyShared,
-				mode, CheckpointSpec{}, nil); err == nil {
-				t.Errorf("CheckpointedRun mode %d accepted run length %d", mode, n)
+		for _, d := range drivers {
+			for _, mode := range d.modes {
+				cfg := QuickConfig()
+				if mode == BySections {
+					cfg.Sections = n
+				} else {
+					cfg.Intervals = n
+				}
+				if err := d.run(cfg, mode); err == nil {
+					t.Errorf("%s mode %d accepted run length %d", d.name, mode, n)
+				}
 			}
 		}
 

@@ -1,13 +1,13 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"intracache/internal/core"
 	"intracache/internal/sim"
 	"intracache/internal/spline"
 	"intracache/internal/stats"
-	"intracache/internal/trace"
 	"intracache/internal/workload"
 )
 
@@ -255,16 +255,13 @@ func Fig10WaySensitivity(cfg Config) ([]WaySensitivity, error) {
 		return active / float64(r.Result.ThreadInstr[t])
 	}
 	runWith := func(targets []int) (Run, error) {
-		gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
+		r, err := cfg.newRun(ByIntervals, core.PolicyStaticEqual, &fixedTargets{targets: targets}, cfg.profileInput(prof))
 		if err != nil {
 			return Run{}, err
 		}
-		ctl := &fixedTargets{targets: targets}
-		s, err := sim.New(cfg.simParams(core.PolicyStaticEqual), trace.Sources(gens), ctl, prof.PhaseFunc(cfg.NumThreads))
-		if err != nil {
-			return Run{}, err
-		}
-		return Run{Benchmark: prof.Name, Result: s.RunIntervals(cfg.Intervals)}, nil
+		defer r.close()
+		res, err := r.run(context.Background(), nil)
+		return Run{Benchmark: prof.Name, Result: res}, err
 	}
 
 	n := cfg.NumThreads

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"intracache/internal/core"
@@ -97,6 +98,35 @@ func multiAppPhase(profs []workload.Profile, threadsPer []int) sim.PhaseFunc {
 	}
 }
 
+// runMultiApp runs the co-schedule under pol's L2 organization with
+// ctl, on cfg scaled to the total thread count.
+func runMultiApp(cfg Config, profs []workload.Profile, threadsPer []int,
+	pol core.Policy, ctl sim.Controller, mode RunMode) (MultiAppRun, error) {
+
+	total := 0
+	for _, t := range threadsPer {
+		total += t
+	}
+	cfg = cfg.WithThreads(total)
+	r, err := cfg.newRun(mode, pol, ctl, workloadInput{threads: func() ([]*trace.ThreadGen, sim.PhaseFunc, error) {
+		gens, err := multiAppGenerators(cfg, profs, threadsPer)
+		if err != nil {
+			return nil, nil, err
+		}
+		return gens, multiAppPhase(profs, threadsPer), nil
+	}})
+	if err != nil {
+		return MultiAppRun{}, err
+	}
+	defer r.close()
+	res, err := r.run(context.Background(), nil)
+	names := make([]string, len(profs))
+	for i, p := range profs {
+		names[i] = p.Name
+	}
+	return MultiAppRun{Apps: names, ThreadsPer: threadsPer, Result: res}, err
+}
+
 // RunMultiApp simulates the given applications co-scheduled on one CMP
 // under the hierarchical two-level partitioner: osAlloc splits the L2
 // between applications; engineFor builds each application's partition
@@ -105,16 +135,6 @@ func multiAppPhase(profs []workload.Profile, threadsPer []int) sim.PhaseFunc {
 func RunMultiApp(cfg Config, profs []workload.Profile, threadsPer []int,
 	osAlloc hierarchy.OSAllocator, engineFor func(app int) core.Engine, mode RunMode) (MultiAppRun, error) {
 
-	total := 0
-	for _, t := range threadsPer {
-		total += t
-	}
-	cfg = cfg.WithThreads(total)
-
-	gens, err := multiAppGenerators(cfg, profs, threadsPer)
-	if err != nil {
-		return MultiAppRun{}, err
-	}
 	engines := make([]core.Engine, len(profs))
 	for a := range engines {
 		engines[a] = engineFor(a)
@@ -123,21 +143,9 @@ func RunMultiApp(cfg Config, profs []workload.Profile, threadsPer []int,
 	if err != nil {
 		return MultiAppRun{}, err
 	}
-	s, err := sim.New(cfg.simParams(core.PolicyModelBased), trace.Sources(gens), ctl, multiAppPhase(profs, threadsPer))
-	if err != nil {
-		return MultiAppRun{}, err
-	}
-	var res sim.Result
-	if mode == BySections {
-		res = s.RunSections(cfg.Sections)
-	} else {
-		res = s.RunIntervals(cfg.Intervals)
-	}
-	names := make([]string, len(profs))
-	for i, p := range profs {
-		names[i] = p.Name
-	}
-	return MultiAppRun{Apps: names, ThreadsPer: threadsPer, Result: res, Controller: ctl}, nil
+	run, err := runMultiApp(cfg, profs, threadsPer, core.PolicyModelBased, ctl, mode)
+	run.Controller = ctl
+	return run, err
 }
 
 // RunMultiAppBaseline simulates the same co-schedule on an unmanaged
@@ -146,32 +154,9 @@ func RunMultiApp(cfg Config, profs []workload.Profile, threadsPer []int,
 func RunMultiAppBaseline(cfg Config, profs []workload.Profile, threadsPer []int,
 	pol core.Policy, mode RunMode) (MultiAppRun, error) {
 
-	total := 0
-	for _, t := range threadsPer {
-		total += t
-	}
-	cfg = cfg.WithThreads(total)
-	gens, err := multiAppGenerators(cfg, profs, threadsPer)
-	if err != nil {
-		return MultiAppRun{}, err
-	}
 	ctl, _, err := core.ControllerFor(pol)
 	if err != nil {
 		return MultiAppRun{}, err
 	}
-	s, err := sim.New(cfg.simParams(pol), trace.Sources(gens), ctl, multiAppPhase(profs, threadsPer))
-	if err != nil {
-		return MultiAppRun{}, err
-	}
-	var res sim.Result
-	if mode == BySections {
-		res = s.RunSections(cfg.Sections)
-	} else {
-		res = s.RunIntervals(cfg.Intervals)
-	}
-	names := make([]string, len(profs))
-	for i, p := range profs {
-		names[i] = p.Name
-	}
-	return MultiAppRun{Apps: names, ThreadsPer: threadsPer, Result: res}, nil
+	return runMultiApp(cfg, profs, threadsPer, pol, ctl, mode)
 }

@@ -667,15 +667,7 @@ type CheckpointSpec struct {
 // sim.Result to the same run executed straight through.
 func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core.Policy,
 	mode RunMode, spec CheckpointSpec, hook sim.IntervalHook) (Run, error) {
-	total, err := cfg.runLength(mode)
-	if err != nil {
-		return Run{}, err
-	}
 	prof, err := workload.ByName(benchmark)
-	if err != nil {
-		return Run{}, err
-	}
-	gens, err := prof.Generators(cfg.NumThreads, cfg.LineBytes, cfg.Seed)
 	if err != nil {
 		return Run{}, err
 	}
@@ -683,16 +675,11 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 	if err != nil {
 		return Run{}, err
 	}
-	ctl, inj, err := cfg.wrapFault(ctl)
+	r, err := cfg.newRun(mode, pol, ctl, cfg.profileInput(prof))
 	if err != nil {
 		return Run{}, err
 	}
-	srcs, closeSrcs := cfg.sources(gens)
-	defer closeSrcs()
-	s, err := sim.New(cfg.simParams(pol), srcs, ctl, prof.PhaseFunc(cfg.NumThreads))
-	if err != nil {
-		return Run{}, err
-	}
+	defer r.close()
 
 	modeName := "intervals"
 	if mode == BySections {
@@ -703,7 +690,7 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 		Policy:      pol.String(),
 		Fingerprint: cfg.Fingerprint(),
 		Mode:        modeName,
-		Total:       total,
+		Total:       r.n,
 	}
 
 	if spec.Resume && spec.Path != "" {
@@ -714,7 +701,7 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 		case err != nil:
 			return Run{}, err
 		default:
-			if err := restoreSnapshot(snap, meta, s, rts, inj); err != nil {
+			if err := restoreSnapshot(snap, meta, r.Simulator, rts, r.inj); err != nil {
 				return Run{}, err
 			}
 		}
@@ -724,7 +711,7 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 		if spec.Path == "" {
 			return nil
 		}
-		snap, err := captureSnapshot(meta, s, rts, inj)
+		snap, err := captureSnapshot(meta, r.Simulator, rts, r.inj)
 		if err != nil {
 			return err
 		}
@@ -742,19 +729,8 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 		return nil
 	}
 
-	var res sim.Result
-	var runErr error
-	if mode == BySections {
-		remaining := total - s.CompletedSections()
-		if remaining < 0 {
-			remaining = 0
-		}
-		res, runErr = s.RunSectionsContext(ctx, remaining, runHook)
-	} else {
-		res, runErr = s.RunIntervalsContext(ctx, total, runHook)
-	}
-	run := Run{Benchmark: benchmark, Policy: pol, Result: res, RTS: rts}
-	run.noteFaults(inj)
+	res, runErr := r.run(ctx, runHook)
+	run := r.output(benchmark, pol, res, rts)
 	// Persist the stop state whether the run completed or was cancelled:
 	// every interval boundary is a valid resume point, and the atomic
 	// write means a crash here keeps the previous snapshot.

@@ -1,9 +1,9 @@
 package experiment
 
-// Trace sharing: when Config.ShareTraces is set, every run driver
-// (RunOneCtx, RunWithEngine, RunWithMigration, CheckpointedRun — and
-// therefore every sweep cell, which bottoms out in RunOneCtx) wraps its
-// generators in trace.SharedGen over one process-wide segment cache.
+// Trace sharing: when Config.ShareTraces is set, every run built from
+// generated threads (Config.newRun, and therefore every sweep cell)
+// wraps its generators in trace.SharedGen over one process-wide
+// segment cache.
 // Sweep cells that simulate the same workload under different cache
 // configurations consume identical instruction streams, so the first
 // cell generates and publishes each thread's segments and the rest

@@ -3,10 +3,9 @@ package sim_test
 // Differential tests pinning the run-ahead scheduler bit-identical to
 // the retained reference stepper: same Result, and byte-equal
 // checkpoint State at every execution-interval boundary, across
-// randomized configurations (coherence on/off, shared/partitioned/
-// private/TADIP L2, UMON, DRAM, write-backs, phase modulation, replayed
-// traces, faulty telemetry) — including a kill/resume-at-every-interval
-// chain.
+// randomized configurations (shared/partitioned/private/TADIP L2,
+// UMON, DRAM, phase modulation, replayed traces, faulty telemetry) —
+// including a kill/resume-at-every-interval chain.
 
 import (
 	"bytes"
@@ -175,11 +174,11 @@ func diffConfigs() []diffConfig {
 		return 0.8, 1.2
 	}
 
+	// Names with "coherence" or "writeback" are kept as stable test
+	// IDs; sim.Params no longer has those knobs, and the scenarios still
+	// differ from their neighbours in seed, phase and DRAM.
 	add("shared", 11, nil, nil, nil, false)
-	add("shared-coherence", 12, func(p *sim.Params) {
-		p.L1Coherence = true
-		p.InvalidateCycles = 14
-	}, nil, nil, false)
+	add("shared-coherence", 12, nil, nil, nil, false)
 	add("partitioned-umon-ctl", 13, func(p *sim.Params) {
 		p.L2Org = sim.L2Partitioned
 		p.UMONSampleStride = 4
@@ -200,12 +199,9 @@ func diffConfigs() []diffConfig {
 	add("partitioned-writeback-phase", 17, func(p *sim.Params) {
 		p.L2Org = sim.L2Partitioned
 		p.UMONSampleStride = 4
-		p.WritebackCycles = 25
 		p.TADIPInsertion = true
 	}, rot, phase, false)
 	add("shared-coherence-dram-writeback", 18, func(p *sim.Params) {
-		p.L1Coherence = true
-		p.WritebackCycles = 30
 		d := mem.DefaultConfig()
 		p.DRAM = &d
 	}, nil, phase, false)

@@ -22,8 +22,8 @@ import (
 
 // pipeDiffConfigs is the scenario set for the shared-trace differential:
 // every generator-based diff_test scenario, plus extra ones varying
-// thread count, coherence, and phase modulation so the suite crosses
-// the ten-configuration mark without the replay-based pair.
+// thread count and phase modulation so the suite crosses the
+// ten-configuration mark without the replay-based pair.
 func pipeDiffConfigs() []diffConfig {
 	var out []diffConfig
 	for _, c := range diffConfigs() {
@@ -34,8 +34,6 @@ func pipeDiffConfigs() []diffConfig {
 	}
 
 	p2 := diffParams(2, sim.L2Shared)
-	p2.L1Coherence = true
-	p2.InvalidateCycles = 9
 	out = append(out, diffConfig{
 		name:   "pipe-2thread-coherence-phase",
 		params: p2,
@@ -66,7 +64,6 @@ func pipeDiffConfigs() []diffConfig {
 	})
 
 	p4 := diffParams(4, sim.L2TADIP)
-	p4.WritebackCycles = 18
 	out = append(out, diffConfig{
 		name:   "pipe-tadip-writeback-phase",
 		params: p4,

@@ -124,23 +124,6 @@ type Params struct {
 	// organization; incompatible with MaskPartitioning, which is itself
 	// a (way-granular) mechanism ablation.
 	Mechanism cache.Mechanism
-
-	// WritebackCycles, if nonzero, charges the missing thread for each
-	// dirty L2 line its fill displaces (the write-back occupies the
-	// memory channel the fill needs). Zero models an ideal write buffer
-	// that fully hides write-backs, the paper's implicit assumption.
-	WritebackCycles uint64
-
-	// L1Coherence enables write-invalidate coherence between the
-	// private L1s: a write to a line cached by other cores invalidates
-	// their copies (they re-fetch from the shared L2 on next use) and
-	// charges the writer InvalidateCycles. Off by default: the paper's
-	// workloads mostly read shared data, and the flat model keeps
-	// calibration simple.
-	L1Coherence bool
-	// InvalidateCycles is the writer-side cost of each invalidation
-	// broadcast (0 = L2HitCycles).
-	InvalidateCycles uint64
 }
 
 // Validate reports whether the parameters are usable.
@@ -327,11 +310,6 @@ type Simulator struct {
 	ctl     Controller
 	phase   PhaseFunc
 
-	// presence[lineAddr] is a bitmask of cores whose L1 holds the line
-	// (only maintained when L1Coherence is on; NumThreads <= 64).
-	presence      map[uint64]uint64
-	invalidations uint64
-
 	intervalIdx   int
 	intervalAccum uint64
 	intervals     []IntervalStats
@@ -457,12 +435,6 @@ func New(p Params, gens []trace.Source, ctl Controller, phase PhaseFunc) (*Simul
 			return nil, err
 		}
 		s.dram = d
-	}
-	if p.L1Coherence {
-		if p.NumThreads > 64 {
-			return nil, fmt.Errorf("sim: L1 coherence supports at most 64 cores, have %d", p.NumThreads)
-		}
-		s.presence = make(map[uint64]uint64)
 	}
 	s.applyPhase(0)
 	s.noteTargets()
@@ -628,39 +600,29 @@ func (s *Simulator) stepRef() bool {
 // clock). Shared by the reference stepper and the batched scheduler so
 // the two cannot drift.
 func (s *Simulator) memAccess(sel int, th *threadState, in trace.Instr) uint64 {
-	var cost uint64
-	l1res := s.l1[sel].Access(0, in.Addr, in.Write)
-	if s.presence != nil {
-		cost += s.coherence(sel, in.Addr, in.Write, l1res)
+	if s.l1[sel].Access(0, in.Addr, in.Write).Hit {
+		return 0
 	}
-	if !l1res.Hit {
-		th.iv.L1Misses++
-		var l2res cache.AccessResult
-		if s.l2 != nil {
-			l2res = s.l2.Access(sel, in.Addr, in.Write)
-		} else {
-			l2res = s.l2Priv[sel].Access(0, in.Addr, in.Write)
-		}
-		if s.mon != nil {
-			s.mon.Observe(sel, in.Addr)
-		}
-		th.iv.L2Accesses++
-		if l2res.Hit {
-			th.iv.L2Hits++
-			cost += s.p.L2HitCycles
-		} else {
-			th.iv.L2Misses++
-			if s.dram != nil {
-				cost += s.dram.Access(in.Addr, th.cycles)
-			} else {
-				cost += s.p.MemCycles
-			}
-			if l2res.WritebackDirty {
-				cost += s.p.WritebackCycles
-			}
-		}
+	th.iv.L1Misses++
+	var l2res cache.AccessResult
+	if s.l2 != nil {
+		l2res = s.l2.Access(sel, in.Addr, in.Write)
+	} else {
+		l2res = s.l2Priv[sel].Access(0, in.Addr, in.Write)
 	}
-	return cost
+	if s.mon != nil {
+		s.mon.Observe(sel, in.Addr)
+	}
+	th.iv.L2Accesses++
+	if l2res.Hit {
+		th.iv.L2Hits++
+		return s.p.L2HitCycles
+	}
+	th.iv.L2Misses++
+	if s.dram != nil {
+		return s.dram.Access(in.Addr, th.cycles)
+	}
+	return s.p.MemCycles
 }
 
 // stepBatch is the run-ahead scheduler. The ready queue is a min-heap
@@ -829,55 +791,6 @@ func (s *Simulator) popHeapRoot() {
 		s.siftDown(0)
 	}
 }
-
-// coherence maintains the L1 presence map for one access and returns
-// the writer-side invalidation cost, if any.
-func (s *Simulator) coherence(core int, addr uint64, write bool, l1res cache.AccessResult) uint64 {
-	lineMask := ^(uint64(s.p.L1.LineBytes) - 1)
-	line := addr & lineMask
-	bit := uint64(1) << uint(core)
-
-	if l1res.Evicted {
-		evicted := l1res.EvictedAddr & lineMask
-		if m, ok := s.presence[evicted]; ok {
-			if m &^= bit; m == 0 {
-				delete(s.presence, evicted)
-			} else {
-				s.presence[evicted] = m
-			}
-		}
-	}
-	s.presence[line] |= bit
-
-	if !write {
-		return 0
-	}
-	others := s.presence[line] &^ bit
-	if others == 0 {
-		return 0
-	}
-	// Invalidate every other core's copy.
-	var cost uint64
-	invCost := s.p.InvalidateCycles
-	if invCost == 0 {
-		invCost = s.p.L2HitCycles
-	}
-	for c := 0; others != 0; c++ {
-		if others&1 != 0 {
-			if found, _ := s.l1[c].Invalidate(addr); found {
-				s.invalidations++
-				cost += invCost
-			}
-		}
-		others >>= 1
-	}
-	s.presence[line] = bit
-	return cost
-}
-
-// Invalidations returns how many L1 copies the coherence layer has
-// invalidated (0 when coherence is off).
-func (s *Simulator) Invalidations() uint64 { return s.invalidations }
 
 // releaseBarrier advances all threads to the critical thread's arrival
 // time and starts the next parallel section.

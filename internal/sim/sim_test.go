@@ -509,131 +509,3 @@ func TestSwapThreadsMovesWorkload(t *testing.T) {
 			lastPost.Threads[0].L2Misses, lastPost.Threads[3].L2Misses)
 	}
 }
-
-func TestCoherenceInvalidatesOtherCopies(t *testing.T) {
-	p := testParams(L2Shared)
-	p.L1Coherence = true
-	s, err := New(p, makeGens(t, 43, []int{16, 16, 16, 16}), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := uint64(1 << 40)
-	// Core 0 and core 1 both read the line into their L1s.
-	s.l1[0].Access(0, addr, false)
-	s.coherence(0, addr, false, cache.AccessResult{})
-	s.l1[1].Access(0, addr, false)
-	s.coherence(1, addr, false, cache.AccessResult{})
-	if !s.l1[0].Contains(addr) || !s.l1[1].Contains(addr) {
-		t.Fatal("setup failed: line not in both L1s")
-	}
-	// Core 0 writes: core 1's copy must be invalidated, with a cost.
-	cost := s.coherence(0, addr, true, cache.AccessResult{})
-	if cost == 0 {
-		t.Error("invalidation was free")
-	}
-	if s.l1[1].Contains(addr) {
-		t.Error("core 1's copy survived the write")
-	}
-	if s.l1[0].Contains(addr) == false {
-		t.Error("writer's own copy was invalidated")
-	}
-	if s.Invalidations() != 1 {
-		t.Errorf("invalidations = %d, want 1", s.Invalidations())
-	}
-}
-
-func TestCoherenceEndToEnd(t *testing.T) {
-	// With a write-heavy shared region, a coherent run must record
-	// invalidations and take at least as long as the incoherent run.
-	gens := func() []trace.Source {
-		root := xrand.New(77)
-		out := make([]trace.Source, 4)
-		for i := range out {
-			spec := specFor(i, 16)
-			spec.SharedWeight = 0.3
-			spec.WriteRatio = 0.5
-			g, err := trace.NewThread(spec, root.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = g
-		}
-		return out
-	}
-	p := testParams(L2Shared)
-	base, err := New(p, gens(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRes := base.RunSections(2)
-
-	p.L1Coherence = true
-	coh, err := New(p, gens(), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cohRes := coh.RunSections(2)
-
-	if coh.Invalidations() == 0 {
-		t.Error("write-heavy shared workload caused no invalidations")
-	}
-	if base.Invalidations() != 0 {
-		t.Error("incoherent run recorded invalidations")
-	}
-	if cohRes.WallCycles < baseRes.WallCycles {
-		t.Errorf("coherence made the run faster: %d < %d", cohRes.WallCycles, baseRes.WallCycles)
-	}
-}
-
-func TestCoherenceTooManyCores(t *testing.T) {
-	p := testParams(L2Shared)
-	p.L1Coherence = true
-	p.NumThreads = 65
-	p.L2.NumThreads = 65
-	p.IntervalInstructions = 1000
-	gens := make([]trace.Source, 65)
-	root := xrand.New(1)
-	for i := range gens {
-		g, err := trace.NewThread(specFor(i, 8), root.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens[i] = g
-	}
-	if _, err := New(p, gens, nil, nil); err == nil {
-		t.Error("65-core coherent config accepted")
-	}
-}
-
-func TestWritebackCyclesCharged(t *testing.T) {
-	run := func(wb uint64) Result {
-		p := testParams(L2Shared)
-		p.WritebackCycles = wb
-		// Write-heavy workload with a working set far beyond the cache,
-		// so dirty evictions are frequent.
-		root := xrand.New(61)
-		gens := make([]trace.Source, 4)
-		for i := range gens {
-			spec := specFor(i, 512)
-			spec.WriteRatio = 0.6
-			g, err := trace.NewThread(spec, root.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
-			gens[i] = g
-		}
-		s, err := New(p, gens, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.RunSections(2)
-	}
-	free := run(0)
-	charged := run(40)
-	if free.TotalInstr != charged.TotalInstr {
-		t.Fatalf("work differs: %d vs %d", free.TotalInstr, charged.TotalInstr)
-	}
-	if charged.WallCycles <= free.WallCycles {
-		t.Errorf("write-backs were free: %d <= %d", charged.WallCycles, free.WallCycles)
-	}
-}

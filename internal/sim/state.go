@@ -2,20 +2,12 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"intracache/internal/cache"
 	"intracache/internal/mem"
 	"intracache/internal/trace"
 	"intracache/internal/umon"
 )
-
-// PresenceEntry is one line of the coherence presence map: which cores'
-// L1s hold the line.
-type PresenceEntry struct {
-	Line uint64
-	Mask uint64
-}
 
 // ThreadSnapshot is the serializable state of one simulated thread.
 type ThreadSnapshot struct {
@@ -32,8 +24,8 @@ type ThreadSnapshot struct {
 // boundary. Together with the (deterministic) construction parameters it
 // is sufficient to resume the run bit-identically: every piece of
 // mutable machine state is captured — caches, monitors, DRAM banks,
-// coherence presence, per-thread cursors and RNGs, and the interval
-// bookkeeping. Controller state is not included; controllers are
+// per-thread cursors and RNGs, and the interval bookkeeping. Controller
+// state is not included; controllers are
 // checkpointed by their owner (see internal/checkpoint).
 type State struct {
 	NumThreads int
@@ -45,15 +37,6 @@ type State struct {
 	L2Priv  []cache.State
 	Mon     *umon.State
 	DRAM    *mem.State
-
-	// Coherence records whether the captured simulator ran with L1
-	// coherence; Presence is its presence map flattened to line-address
-	// order. A sorted slice (not a map) keeps the gob encoding of two
-	// equal states byte-identical; map iteration order would otherwise
-	// randomize checkpoint bytes between runs.
-	Coherence     bool
-	Presence      []PresenceEntry
-	Invalidations uint64
 
 	IntervalIdx   int
 	IntervalAccum uint64
@@ -71,8 +54,6 @@ func (s *Simulator) State() (State, error) {
 		L2Org:         s.p.L2Org,
 		Threads:       make([]ThreadSnapshot, len(s.threads)),
 		L1:            make([]cache.State, len(s.l1)),
-		Coherence:     s.presence != nil,
-		Invalidations: s.invalidations,
 		IntervalIdx:   s.intervalIdx,
 		IntervalAccum: s.intervalAccum,
 		Barriers:      s.barriers,
@@ -111,15 +92,6 @@ func (s *Simulator) State() (State, error) {
 		d := s.dram.State()
 		st.DRAM = &d
 	}
-	if s.presence != nil {
-		st.Presence = make([]PresenceEntry, 0, len(s.presence))
-		for k, v := range s.presence {
-			st.Presence = append(st.Presence, PresenceEntry{Line: k, Mask: v})
-		}
-		sort.Slice(st.Presence, func(i, j int) bool {
-			return st.Presence[i].Line < st.Presence[j].Line
-		})
-	}
 	for _, iv := range s.intervals {
 		cp := iv
 		cp.Threads = append([]ThreadIntervalStats(nil), iv.Threads...)
@@ -155,8 +127,6 @@ func (s *Simulator) Restore(st State) error {
 		return fmt.Errorf("sim: restore UMON presence mismatch")
 	case (st.DRAM == nil) != (s.dram == nil):
 		return fmt.Errorf("sim: restore DRAM presence mismatch")
-	case st.Coherence != (s.presence != nil):
-		return fmt.Errorf("sim: restore coherence presence mismatch")
 	case st.CurTargets != nil && len(st.CurTargets) != len(s.curTargets):
 		return fmt.Errorf("sim: restore has %d way targets, want %d", len(st.CurTargets), len(s.curTargets))
 	}
@@ -202,13 +172,6 @@ func (s *Simulator) Restore(st State) error {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}
-	if s.presence != nil {
-		s.presence = make(map[uint64]uint64, len(st.Presence))
-		for _, e := range st.Presence {
-			s.presence[e.Line] = e.Mask
-		}
-	}
-	s.invalidations = st.Invalidations
 	s.intervalIdx = st.IntervalIdx
 	s.intervalAccum = st.IntervalAccum
 	s.intervals = nil

@@ -34,21 +34,6 @@ func Sum(xs []float64) float64 {
 	return sum
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: GeoMean requires positive values")
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
 // Variance returns the population variance of xs, or 0 for fewer than
 // two samples.
 func Variance(xs []float64) float64 {
@@ -163,20 +148,6 @@ func NormalizeToMax(xs []float64) []float64 {
 	return out
 }
 
-// NormalizeToFirst scales xs so the first element becomes 1. If the
-// first element is zero the input is copied unchanged.
-func NormalizeToFirst(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	copy(out, xs)
-	if len(xs) == 0 || xs[0] == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] /= xs[0]
-	}
-	return out
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between order statistics.
 func Percentile(xs []float64, p float64) (float64, error) {
@@ -210,13 +181,4 @@ func Improvement(baselineTime, candidateTime float64) float64 {
 		return 0
 	}
 	return (baselineTime - candidateTime) / baselineTime
-}
-
-// Speedup returns baselineTime / candidateTime, the conventional
-// speedup factor for time-like quantities.
-func Speedup(baselineTime, candidateTime float64) float64 {
-	if candidateTime == 0 {
-		return math.Inf(1)
-	}
-	return baselineTime / candidateTime
 }

@@ -39,25 +39,6 @@ func TestSumKahan(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	got, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(got, 4, 1e-9) {
-		t.Errorf("GeoMean = %v, want 4", got)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("GeoMean(nil) did not fail")
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Error("GeoMean with 0 did not fail")
-	}
-	if _, err := GeoMean([]float64{1, -2}); err == nil {
-		t.Error("GeoMean with negative did not fail")
-	}
-}
-
 func TestVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); !almostEq(got, 4, 1e-12) {
@@ -158,20 +139,6 @@ func TestNormalizeToMax(t *testing.T) {
 	}
 }
 
-func TestNormalizeToFirst(t *testing.T) {
-	got := NormalizeToFirst([]float64{2, 4, 6})
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEq(got[i], want[i], 1e-12) {
-			t.Errorf("NormalizeToFirst[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	same := NormalizeToFirst([]float64{0, 5})
-	if same[0] != 0 || same[1] != 5 {
-		t.Errorf("NormalizeToFirst with zero head = %v", same)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct{ p, want float64 }{
@@ -220,12 +187,6 @@ func TestImprovementSpeedup(t *testing.T) {
 	}
 	if got := Improvement(0, 50); got != 0 {
 		t.Errorf("Improvement with zero baseline = %v", got)
-	}
-	if got := Speedup(100, 50); !almostEq(got, 2, 1e-12) {
-		t.Errorf("Speedup = %v, want 2", got)
-	}
-	if got := Speedup(100, 0); !math.IsInf(got, 1) {
-		t.Errorf("Speedup with zero candidate = %v, want +Inf", got)
 	}
 }
 
@@ -280,14 +241,14 @@ func TestQuickNormalizeToMax(t *testing.T) {
 	}
 }
 
-// Property: Improvement and Speedup agree in sign: speedup > 1 iff
-// improvement > 0 (for positive times).
+// Property: Improvement agrees in sign with the speedup ratio: b/c > 1
+// iff improvement > 0 (for positive times).
 func TestQuickImprovementSpeedupConsistency(t *testing.T) {
 	f := func(b, c float64) bool {
 		b = math.Abs(math.Mod(b, 1e6)) + 1
 		c = math.Abs(math.Mod(c, 1e6)) + 1
 		imp := Improvement(b, c)
-		sp := Speedup(b, c)
+		sp := b / c
 		return (imp > 0) == (sp > 1) || imp == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
