@@ -12,13 +12,12 @@
 //	partitiond -listen :9444                        # serve
 //	partitiond -listen :9444 -checkpoint p.ckpt     # crash-safe serve
 //	partitiond -listen :9444 -shards 8              # 8 parallel tick domains
-//	partitiond -selftest -apps 1000                 # load/soak harness
 //
 // -shards N hashes applications over N independent tick/checkpoint
 // domains ticked concurrently by -tick-workers workers; per-session
-// decisions are bit-identical to -shards 1 (the selftest verifies it).
-// Checkpoints become one manifest plus one file per shard, and a
-// manifest only restores at the shard count that wrote it.
+// decisions are bit-identical to -shards 1. Checkpoints become one
+// manifest plus one file per shard, and a manifest only restores at the
+// shard count that wrote it.
 //
 // Serving endpoints: POST /ingest, GET /alloc?app= (add &watch=1&epoch=N
 // to long-poll for the next allocation change), GET /stats,
@@ -28,19 +27,12 @@
 // checkpointed, and the process exits 0. A second signal exits 1
 // immediately.
 //
-// -selftest replays a deterministic fleet of simulated applications
-// (internal/service/loadgen) against an in-process service, with
-// seeded telemetry-fault injection and an optional mid-run
-// kill/restart, and checks the run against the declared SLO.
-//
-// Exit codes mirror sweep's convention: 0 success, 3 degraded — the
-// selftest finished but breached its SLO or the restart differential
-// diverged — and 1 on hard errors.
+// Exit codes: 0 after a clean drain, 1 on hard errors (a checkpoint
+// that does not restore, a listen failure), 2 on usage errors.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -50,17 +42,14 @@ import (
 	"syscall"
 	"time"
 
-	"intracache/internal/fault"
-	"intracache/internal/report"
 	"intracache/internal/service"
-	"intracache/internal/service/loadgen"
 )
 
 // Exit codes (documented in README.md).
 const (
-	exitOK       = 0
-	exitHard     = 1
-	exitDegraded = 3 // selftest ran to completion but breached its SLO
+	exitOK    = 0
+	exitHard  = 1
+	exitUsage = 2
 )
 
 func main() {
@@ -75,23 +64,11 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 60, "checkpoint every N ticks when -checkpoint is set (0 = only on drain)")
 	shards := flag.Int("shards", 1, "independent tick/checkpoint domains; apps are hashed to shards, so a checkpoint only restores at the shard count that wrote it")
 	tickWorkers := flag.Int("tick-workers", 0, "concurrent shard tick workers (0 = min(shards, GOMAXPROCS))")
-
-	selftest := flag.Bool("selftest", false, "run the deterministic load harness instead of serving")
-	apps := flag.Int("apps", 1000, "selftest: concurrent simulated applications")
-	steps := flag.Int("steps", 24, "selftest: fleet steps (one batch per app + one tick each)")
-	threads := flag.Int("threads", 4, "selftest: threads per application")
-	ways := flag.Int("ways", 16, "selftest: cache ways per application")
-	seed := flag.Uint64("seed", 20260808, "selftest: master seed for fleet and fault streams")
-	faultCPINoise := flag.Float64("fault-cpi-noise", 0, "selftest: multiplicative CPI counter noise for the faulted subset")
-	faultDrop := flag.Float64("fault-drop", 0, "selftest: whole-interval sample-loss probability for the faulted subset")
-	faultStuck := flag.Float64("fault-stuck", 0, "selftest: stuck-counter probability for the faulted subset")
-	faultFraction := flag.Float64("fault-fraction", 0, "selftest: fraction of the fleet whose telemetry is fault-injected")
-	burstEvery := flag.Int("burst-every", 0, "selftest: send oversized batches every N steps (0 = never)")
-	sloP99 := flag.Duration("slo-p99", 100*time.Millisecond, "selftest: fail (exit 3) when p99 decision latency exceeds this")
-	killStep := flag.Int("kill-step", 0, "selftest: checkpoint+restart the service after this step and verify decisions match an unkilled run (0 = off)")
-	asJSON := flag.Bool("json", false, "selftest: emit the report as JSON")
-	outPath := flag.String("out", "", "selftest: also write the report as JSON to this file (atomic write)")
 	flag.Parse()
+	if *tick <= 0 {
+		fmt.Fprintf(os.Stderr, "partitiond: -tick must be positive, got %v\n", *tick)
+		os.Exit(exitUsage)
+	}
 
 	opts := service.Options{
 		MaxSessions:       *maxSessions,
@@ -103,20 +80,6 @@ func main() {
 		},
 	}
 
-	if *selftest {
-		os.Exit(runSelftest(selftestConfig{
-			opts: opts, apps: *apps, steps: *steps, threads: *threads, ways: *ways,
-			seed: *seed, deadline: *deadline, sloP99: *sloP99, killStep: *killStep,
-			burstEvery: *burstEvery, asJSON: *asJSON, outPath: *outPath,
-			shards: *shards, tickWorkers: *tickWorkers,
-			plan: fault.Plan{
-				CPINoise:  *faultCPINoise,
-				DropRate:  *faultDrop,
-				StuckRate: *faultStuck,
-			},
-			faultFraction: *faultFraction,
-		}))
-	}
 	os.Exit(serve(*listen, opts, *shards, *tickWorkers, *tick, *deadline, *ckptPath, *ckptEvery, nil))
 }
 
@@ -240,183 +203,4 @@ func serve(listen string, opts service.Options, shards, tickWorkers int, tick, d
 	fmt.Fprintf(os.Stderr, "partitiond: drained: %d sessions, %d decisions, %d samples ingested\n",
 		st.Sessions, st.Decisions, st.SamplesAccepted)
 	return exitOK
-}
-
-// selftestConfig carries the -selftest flags into runSelftest.
-type selftestConfig struct {
-	opts          service.Options
-	apps, steps   int
-	threads, ways int
-	seed          uint64
-	plan          fault.Plan
-	faultFraction float64
-	burstEvery    int
-	deadline      time.Duration
-	sloP99        time.Duration
-	killStep      int
-	shards        int
-	tickWorkers   int
-	asJSON        bool
-	outPath       string
-}
-
-// selftestReport is the -selftest output payload.
-type selftestReport struct {
-	Report          loadgen.Report
-	SLOP99          time.Duration
-	SLOBreached     bool
-	RestartVerified bool
-	RestartDiverged bool
-	// ShardsVerified/ShardsDiverged report the -shards N>1 differential:
-	// every app's decision stream compared against an unsharded run of
-	// the same fleet.
-	ShardsVerified bool
-	ShardsDiverged bool
-}
-
-// runSelftest executes the load harness and grades the run. Returns
-// the process exit code.
-func runSelftest(c selftestConfig) int {
-	hc := loadgen.HarnessConfig{
-		Load: loadgen.Config{
-			Apps:          c.apps,
-			Threads:       c.threads,
-			Ways:          c.ways,
-			Seed:          c.seed,
-			Fault:         c.plan,
-			FaultFraction: c.faultFraction,
-			BurstEvery:    c.burstEvery,
-		},
-		Service:     c.opts,
-		Steps:       c.steps,
-		Deadline:    c.deadline,
-		Shards:      c.shards,
-		TickWorkers: c.tickWorkers,
-	}
-	rep, decisions, err := loadgen.Run(hc)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "partitiond: selftest:", err)
-		return exitHard
-	}
-	out := selftestReport{Report: rep, SLOP99: c.sloP99}
-
-	if c.shards > 1 && c.deadline == 0 {
-		// Shard differential: the same fleet against the unsharded
-		// service must yield byte-identical per-app decision streams
-		// (the global interleaving legitimately differs, so the compare
-		// is per app).
-		uhc := hc
-		uhc.Shards, uhc.TickWorkers = 0, 0
-		_, udecisions, err := loadgen.Run(uhc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "partitiond: selftest (unsharded differential):", err)
-			return exitHard
-		}
-		out.ShardsVerified = true
-		byS, byU := loadgen.DecisionsByApp(decisions), loadgen.DecisionsByApp(udecisions)
-		if len(byS) != len(byU) {
-			out.ShardsDiverged = true
-		}
-		for app, ds := range byS {
-			if !service.DecisionsEqual(ds, byU[app]) {
-				out.ShardsDiverged = true
-				fmt.Fprintf(os.Stderr, "partitiond: selftest: app %s diverged between -shards %d and unsharded\n", app, c.shards)
-				break
-			}
-		}
-	}
-
-	if c.killStep > 0 {
-		// The differential needs an exact decision comparison, which the
-		// wall-clock deadline would break; refuse the combination rather
-		// than report a spurious divergence.
-		if c.deadline > 0 {
-			fmt.Fprintln(os.Stderr, "partitiond: selftest: -kill-step requires -deadline 0 (the differential is exact)")
-			return exitHard
-		}
-		khc := hc
-		khc.KillAtStep = c.killStep
-		dir, err := os.MkdirTemp("", "partitiond-selftest-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "partitiond: selftest:", err)
-			return exitHard
-		}
-		defer os.RemoveAll(dir)
-		khc.CheckpointPath = dir + "/selftest.ckpt"
-		krep, kdecisions, err := loadgen.Run(khc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "partitiond: selftest (kill/restart):", err)
-			return exitHard
-		}
-		out.RestartVerified = krep.Restarted
-		out.RestartDiverged = !service.DecisionsEqual(decisions, kdecisions)
-	}
-	out.SLOBreached = rep.P99 > c.sloP99
-
-	if c.outPath != "" {
-		if err := report.SaveJSON(c.outPath, out); err != nil {
-			fmt.Fprintln(os.Stderr, "partitiond: selftest:", err)
-			return exitHard
-		}
-	}
-	if c.asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "partitiond: selftest:", err)
-			return exitHard
-		}
-	} else {
-		printSelftest(out)
-	}
-
-	switch {
-	case out.SLOBreached:
-		fmt.Fprintf(os.Stderr, "partitiond: selftest: p99 %v breaches SLO %v\n", rep.P99, c.sloP99)
-		return exitDegraded
-	case out.RestartDiverged:
-		fmt.Fprintln(os.Stderr, "partitiond: selftest: post-restart decisions diverged from the unkilled run")
-		return exitDegraded
-	case out.ShardsDiverged:
-		fmt.Fprintln(os.Stderr, "partitiond: selftest: sharded decisions diverged from the unsharded run")
-		return exitDegraded
-	}
-	return exitOK
-}
-
-// printSelftest renders the human-readable selftest report.
-func printSelftest(out selftestReport) {
-	rep := out.Report
-	t := report.NewTable(
-		fmt.Sprintf("partitiond selftest: %d apps x %d steps", rep.Apps, rep.Steps),
-		"metric", "value")
-	t.AddRow("decisions", rep.Decisions)
-	t.AddRow("wall", rep.Wall.Round(time.Millisecond).String())
-	t.AddRow("alloc rate (dec/s)", fmt.Sprintf("%.0f", rep.AllocRatePerSec))
-	t.AddRow("decision p50", rep.P50.String())
-	t.AddRow("decision p99", fmt.Sprintf("%v (SLO %v)", rep.P99, out.SLOP99))
-	t.AddRow("samples ingested", rep.Stats.SamplesAccepted)
-	t.AddRow("dropped oldest / pressure", fmt.Sprintf("%d / %d", rep.Stats.DroppedOldest, rep.Stats.DroppedPressure))
-	t.AddRow("rung model/prop/static", fmt.Sprintf("%d / %d / %d",
-		rep.Stats.RungModel, rep.Stats.RungProportional, rep.Stats.RungStatic))
-	t.AddRow("last-good deadline/pressure", fmt.Sprintf("%d / %d",
-		rep.Stats.LastGoodDeadline, rep.Stats.LastGoodPressure))
-	t.AddRow("engine demotions/promotions", fmt.Sprintf("%d / %d",
-		rep.Stats.EngineDemotions, rep.Stats.EnginePromotions))
-	t.AddRow("engine rejected samples", rep.Stats.EngineRejectedSamples)
-	if out.RestartVerified {
-		verdict := "identical to unkilled run"
-		if out.RestartDiverged {
-			verdict = "DIVERGED from unkilled run"
-		}
-		t.AddRow("kill/restart decisions", verdict)
-	}
-	if out.ShardsVerified {
-		verdict := "identical to unsharded run"
-		if out.ShardsDiverged {
-			verdict = "DIVERGED from unsharded run"
-		}
-		t.AddRow("sharded decisions", verdict)
-	}
-	fmt.Print(t.String())
 }

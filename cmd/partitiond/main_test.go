@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -219,43 +220,82 @@ func TestServeShardedDrainAndRestart(t *testing.T) {
 	}
 }
 
-// TestSelftestSharded pins the -shards selftest path: the sharded run
-// passes its own SLO and the built-in differential against the
-// unsharded service (exit 0); the kill/restart differential runs
-// sharded too.
-func TestSelftestSharded(t *testing.T) {
-	c := selftestConfig{
-		opts: service.Options{}, apps: 40, steps: 4, threads: 2, ways: 8,
-		seed: 7, sloP99: time.Minute, killStep: 2, shards: 4, tickWorkers: 2,
+// TestCommandLine re-execs the test binary as partitiond and checks
+// the flag surface: usage errors exit 2 before any checkpoint restore
+// or listen, and the help text lists exactly the serving flags.
+func TestCommandLine(t *testing.T) {
+	// BAD in args names a file that is not a checkpoint: a run that
+	// reached the restore would exit 1 on it, not 2.
+	bad := filepath.Join(t.TempDir(), "bad.ckpt")
+	if err := os.WriteFile(bad, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if code := runSelftest(c); code != exitOK {
-		t.Fatalf("sharded selftest exit=%d, want %d", code, exitOK)
+	type tcase struct {
+		args   string
+		code   int
+		stderr string
 	}
+	cases := []tcase{
+		{"-tick 0 -checkpoint BAD", exitUsage, "-tick must be positive"},
+		{"-tick -1s -checkpoint BAD", exitUsage, "-tick must be positive"},
+		{"-checkpoint BAD -listen 127.0.0.1:0", exitHard, "restoring checkpoint"},
+	}
+	// The load-harness flags are gone; each is an unknown flag now.
+	for _, f := range []string{"selftest", "apps", "steps", "threads", "ways", "seed",
+		"fault-cpi-noise", "fault-drop", "fault-stuck", "fault-fraction", "burst-every",
+		"slo-p99", "kill-step", "json", "out"} {
+		cases = append(cases, tcase{"-" + f + " 3", exitUsage, "flag provided but not defined: -" + f})
+	}
+	for _, tc := range cases {
+		t.Run(tc.args, func(t *testing.T) {
+			code, stderr := runPartitiond(t, strings.Fields(strings.ReplaceAll(tc.args, "BAD", bad))...)
+			if code != tc.code {
+				t.Fatalf("exit code %d, want %d\nstderr: %s", code, tc.code, stderr)
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr)
+			}
+		})
+	}
+
+	t.Run("-h", func(t *testing.T) {
+		code, stderr := runPartitiond(t, "-h")
+		if code != exitOK {
+			t.Fatalf("exit code %d, want %d\nstderr: %s", code, exitOK, stderr)
+		}
+		var got []string
+		for _, line := range strings.Split(stderr, "\n") {
+			rest, ok := strings.CutPrefix(line, "  -")
+			if !ok || strings.HasPrefix(rest, "test.") { // the test binary's own flags
+				continue
+			}
+			name, _, _ := strings.Cut(rest, " ")
+			got = append(got, name)
+		}
+		want := []string{"checkpoint", "checkpoint-every", "deadline", "listen", "max-sessions",
+			"pressure-highwater", "queue-cap", "samples-per-tick", "shards", "tick", "tick-workers"}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("flags %v, want %v", got, want)
+		}
+	})
 }
 
-// TestSelftestExitCodes pins the documented 0/3 convention: a clean
-// run exits 0, an impossible SLO exits 3 (degraded), both through the
-// same harness the CI soak job drives.
-func TestSelftestExitCodes(t *testing.T) {
-	base := selftestConfig{
-		opts: service.Options{}, apps: 20, steps: 4, threads: 2, ways: 8,
-		seed: 7, sloP99: time.Minute, killStep: 2,
+// runPartitiond re-execs the test binary as partitiond with args and
+// returns its exit code and stderr.
+func runPartitiond(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{daemonArg}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), stderr.String()
 	}
-	if code := runSelftest(base); code != exitOK {
-		t.Fatalf("clean selftest exit=%d, want %d", code, exitOK)
+	if err != nil {
+		t.Fatal(err)
 	}
-	breached := base
-	breached.sloP99 = time.Nanosecond
-	if code := runSelftest(breached); code != exitDegraded {
-		t.Fatalf("SLO-breach selftest exit=%d, want %d", code, exitDegraded)
-	}
-	// -kill-step with a wall-clock deadline cannot be verified exactly;
-	// that is a usage error, not a degraded run.
-	invalid := base
-	invalid.deadline = time.Second
-	if code := runSelftest(invalid); code != exitHard {
-		t.Fatalf("kill-step+deadline selftest exit=%d, want %d", code, exitHard)
-	}
+	return 0, stderr.String()
 }
 
 // TestServeSurvivesSIGKILL kills a real daemon process with SIGKILL at

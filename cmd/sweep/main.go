@@ -18,8 +18,8 @@
 //
 // Long sweeps are crash-safe: with -resume DIR each finished cell is
 // journaled to DIR and a rerun (after a crash, a kill, or ctrl-C) skips
-// the finished cells. -cell-timeout, -stall-timeout and -retries bound
-// and retry individual cells.
+// the finished cells. -cell-timeout and -retries bound and retry
+// individual cells.
 //
 // Exit codes: 0 when every cell succeeded, 3 when the sweep finished
 // but some cells failed (partial results were still printed and
@@ -71,7 +71,6 @@ func main() {
 	resume := flag.String("resume", "", "journal directory: finished cells are recorded there and skipped on rerun")
 	outPath := flag.String("out", "", "also write the results as JSON to this file (atomic write)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "hard wall-clock deadline per cell attempt (0 = none)")
-	stallTimeout := flag.Duration("stall-timeout", 0, "kill a cell making no interval progress for this long (0 = off)")
 	retries := flag.Int("retries", 1, "total attempts per cell (transient failures are retried with capped exponential backoff)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault injection random seed")
 	faultCPINoise := flag.Float64("fault-cpi-noise", 0, "multiplicative CPI counter noise, e.g. 0.1 for ±10%")
@@ -130,8 +129,7 @@ func main() {
 	opts := experiment.SweepOptions{
 		Workers: *workers,
 		Cell: experiment.CellOptions{
-			Timeout:      *cellTimeout,
-			StallTimeout: *stallTimeout,
+			Timeout: *cellTimeout,
 			Retry: experiment.RetryPolicy{
 				Attempts:  *retries,
 				BaseDelay: 100 * time.Millisecond,
@@ -317,8 +315,7 @@ func exitOnFailedCells(errs []error, stopProfile func()) {
 // order so summaries are stable run to run.
 func kindCounts(kinds map[string]int) string {
 	var parts []string
-	for _, k := range []string{experiment.KindStalled, experiment.KindDeadline,
-		experiment.KindCancelled, experiment.KindFailed} {
+	for _, k := range []string{experiment.KindDeadline, experiment.KindCancelled, experiment.KindFailed} {
 		if n := kinds[k]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", n, k))
 		}

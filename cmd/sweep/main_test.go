@@ -77,6 +77,9 @@ func TestCommandLine(t *testing.T) {
 			stderr: []string{"flag provided but not defined: -lease"}},
 		{args: "-chaos seed=1", code: 2,
 			stderr: []string{"flag provided but not defined: -chaos"}},
+		// The stall watchdog is gone; -cell-timeout bounds a cell.
+		{args: "-stall-timeout 1s", code: 2,
+			stderr: []string{"flag provided but not defined: -stall-timeout"}},
 		// A bad kind is rejected before -resume creates its directory.
 		{args: "-kind bogus -resume DIR", code: exitHard, dirAbsent: true,
 			stderr: []string{`unknown sweep kind "bogus"`}},

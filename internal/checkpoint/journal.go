@@ -172,14 +172,6 @@ func (j *Journal) Append(key string, v interface{}) error {
 	return nil
 }
 
-// Has reports whether a key has been journaled (in this process or a
-// previous one).
-func (j *Journal) Has(key string) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.keys[key]
-}
-
 // Len returns the number of distinct journaled keys.
 func (j *Journal) Len() int {
 	j.mu.Lock()

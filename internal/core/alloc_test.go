@@ -8,6 +8,7 @@ package core
 import (
 	"testing"
 
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 	"intracache/internal/xrand"
 )
@@ -49,7 +50,7 @@ func TestModelEngineDecideAllocs(t *testing.T) {
 func TestResilientEngineDecideAllocs(t *testing.T) {
 	e := NewResilientEngine()
 	var mon sim.Monitors = fakeMon{ways: 32, threads: 4}
-	cur := equalSplit(32, 4)
+	cur := cache.EqualSplit(32, 4)
 	// Each thread's CPI falls with its ways, so the search moves ways
 	// and the models collect the three points the fit audit needs.
 	base := []float64{1, 3, 0.5, 2}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 )
 
@@ -67,7 +68,7 @@ func proportionalShares(weights []float64, ways, minWays int) []int {
 	}
 	out := make([]int, n)
 	if total == 0 {
-		copy(out, equalSplit(ways, n))
+		copy(out, cache.EqualSplit(ways, n))
 		return out
 	}
 	// Distribute the ways above the per-thread floor proportionally.
@@ -93,21 +94,6 @@ func proportionalShares(weights []float64, ways, minWays int) []int {
 		out[best]++
 		fracs[best] = -1
 		assigned++
-	}
-	return out
-}
-
-// equalSplit mirrors cache.EqualSplit without importing it (avoids a
-// dependency cycle through test helpers): ways divided evenly with the
-// remainder to the lowest indices.
-func equalSplit(ways, n int) []int {
-	out := make([]int, n)
-	base, rem := ways/n, ways%n
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 	"intracache/internal/spline"
 )
@@ -373,7 +374,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	if len(current) == n {
 		copy(ways, current)
 	} else {
-		copy(ways, equalSplit(totalWays, n))
+		copy(ways, cache.EqualSplit(totalWays, n))
 	}
 
 	cpi := sc.cpi
@@ -493,7 +494,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	}
 	if err := validAssignment(ways, totalWays, n); err != nil {
 		// Defensive: never hand the simulator a broken assignment.
-		return equalSplit(totalWays, n)
+		return cache.EqualSplit(totalWays, n)
 	}
 	return append([]int(nil), ways...)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"intracache/internal/cache"
 	"intracache/internal/spline"
 	"intracache/internal/xrand"
 )
@@ -368,7 +369,7 @@ func TestModelEnginesShareScratchAcrossGoroutines(t *testing.T) {
 		r := xrand.New(seed)
 		e := NewModelEngine()
 		mon := fakeMon{ways: 32, threads: 4 + int(seed%5)}
-		cur := equalSplit(mon.ways, mon.threads)
+		cur := cache.EqualSplit(mon.ways, mon.threads)
 		var out [][]int
 		for i := 0; i < 40; i++ {
 			cpis := make([]float64, mon.threads)

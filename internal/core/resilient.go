@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 	"intracache/internal/spline"
 )
@@ -203,7 +204,7 @@ func (e *ResilientEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current
 	// held intervals that follow.
 	if e.resetSplit {
 		e.resetSplit = false
-		return equalSplit(mon.Ways(), mon.NumThreads())
+		return cache.EqualSplit(mon.Ways(), mon.NumThreads())
 	}
 	switch e.health {
 	case HealthStatic:

@@ -5,13 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 )
 
 // cleanStream feeds n intervals of well-behaved, slowly varying CPIs to
 // an engine and collects its decisions.
 func cleanStream(e Engine, n int, mon fakeMon) [][]int {
-	current := equalSplit(mon.Ways(), mon.NumThreads())
+	current := cache.EqualSplit(mon.Ways(), mon.NumThreads())
 	var out [][]int
 	// Every thread's CPI drifts each interval: real counters essentially
 	// never latch the exact same values twice, and an exact repeat is the
@@ -71,7 +72,7 @@ func TestResilientDemotesToStaticUnderGarbage(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d := re.Decide(garbageInterval(i, current), mon, current)
 		if d != nil {
-			if !reflect.DeepEqual(d, equalSplit(16, 4)) {
+			if !reflect.DeepEqual(d, cache.EqualSplit(16, 4)) {
 				t.Fatalf("interval %d: unexpected decision %v from garbage", i, d)
 			}
 			staticInstalls++
@@ -93,7 +94,7 @@ func TestResilientDemotesToStaticUnderGarbage(t *testing.T) {
 func TestResilientPromotesOnRecovery(t *testing.T) {
 	mon := fakeMon{ways: 16, threads: 4}
 	re := NewResilientEngine()
-	current := equalSplit(16, 4)
+	current := cache.EqualSplit(16, 4)
 	for i := 0; i < 20; i++ {
 		if d := re.Decide(garbageInterval(i, current), mon, current); d != nil {
 			current = d

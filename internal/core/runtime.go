@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 )
 
@@ -69,7 +70,7 @@ func (r *RuntimeSystem) OnInterval(iv sim.IntervalStats, mon sim.Monitors) []int
 			// broken assignment (a bug, or a fallback chain fed garbage)
 			// gets the safe static equal split installed in its place.
 			r.invalidAssignments++
-			targets = equalSplit(mon.Ways(), mon.NumThreads())
+			targets = cache.EqualSplit(mon.Ways(), mon.NumThreads())
 		}
 	}
 	cpis := make([]float64, len(iv.Threads))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"intracache/internal/cache"
 	"intracache/internal/sim"
 )
 
@@ -44,7 +45,7 @@ func (e *UCPEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current []int
 		if curves[t] == nil {
 			// No monitor attached: fall back to an equal split rather
 			// than inventing utilities.
-			return equalSplit(totalWays, n)
+			return cache.EqualSplit(totalWays, n)
 		}
 	}
 

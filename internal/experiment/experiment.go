@@ -286,14 +286,14 @@ func (r simRun) output(name string, pol core.Policy, res sim.Result, rts *core.R
 
 // RunOne simulates one benchmark under one policy.
 func RunOne(cfg Config, prof workload.Profile, pol core.Policy, mode RunMode) (Run, error) {
-	return RunOneCtx(context.Background(), cfg, prof, pol, mode, nil)
+	return RunOneCtx(context.Background(), cfg, prof, pol, mode)
 }
 
-// RunOneCtx is RunOne with cancellation and an optional per-interval
-// progress hook. Cancellation is observed at interval boundaries; the
-// partial Run accumulated so far is returned with ctx's error.
+// RunOneCtx is RunOne with cancellation. Cancellation is observed at
+// interval boundaries; the partial Run accumulated so far is returned
+// with ctx's error.
 func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.Policy,
-	mode RunMode, hook sim.IntervalHook) (Run, error) {
+	mode RunMode) (Run, error) {
 	ctl, rts, err := core.ControllerFor(pol)
 	if err != nil {
 		return Run{}, err
@@ -303,7 +303,7 @@ func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.
 		return Run{}, err
 	}
 	defer r.close()
-	res, err := r.run(ctx, hook)
+	res, err := r.run(ctx, nil)
 	return r.output(prof.Name, pol, res, rts), err
 }
 
@@ -389,18 +389,17 @@ type Comparison struct {
 // Compare runs one benchmark under both policies for the same fixed
 // work and reports the candidate's improvement.
 func Compare(cfg Config, prof workload.Profile, baseline, candidate core.Policy) (Comparison, error) {
-	return CompareCtx(context.Background(), cfg, prof, baseline, candidate, nil)
+	return CompareCtx(context.Background(), cfg, prof, baseline, candidate)
 }
 
-// CompareCtx is Compare with cancellation and an optional per-interval
-// progress hook (shared by both runs).
+// CompareCtx is Compare with cancellation.
 func CompareCtx(ctx context.Context, cfg Config, prof workload.Profile,
-	baseline, candidate core.Policy, hook sim.IntervalHook) (Comparison, error) {
-	base, err := RunOneCtx(ctx, cfg, prof, baseline, BySections, hook)
+	baseline, candidate core.Policy) (Comparison, error) {
+	base, err := RunOneCtx(ctx, cfg, prof, baseline, BySections)
 	if err != nil {
 		return Comparison{}, err
 	}
-	cand, err := RunOneCtx(ctx, cfg, prof, candidate, BySections, hook)
+	cand, err := RunOneCtx(ctx, cfg, prof, candidate, BySections)
 	if err != nil {
 		return Comparison{}, err
 	}

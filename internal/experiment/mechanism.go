@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"intracache/internal/cache"
@@ -118,20 +117,6 @@ func MechanismResults(cells []SweepCell, results []SweepResult) []MechanismCell 
 		})
 	}
 	return out
-}
-
-// MechanismSweep runs the mechanism matrix in-process through
-// RunSweepCells, journaled at spec.Opts.JournalPath. Like every cell
-// sweep, per-cell failures are carried in the cells and the returned
-// error is non-nil only when nothing succeeded or the context was
-// cancelled.
-func MechanismSweep(ctx context.Context, spec MechanismSweepSpec) ([]MechanismCell, error) {
-	fp, cells, err := MechanismSweepCells(spec)
-	if err != nil {
-		return nil, err
-	}
-	results, err := RunSweepCells(ctx, fp, cells, spec.Opts)
-	return MechanismResults(cells, results), err
 }
 
 // MechanismMatrix summarises a sweep as mean improvement over the

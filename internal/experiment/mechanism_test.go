@@ -117,6 +117,17 @@ func mechSweepConfig() Config {
 	return cfg
 }
 
+// runMechanismSweep runs the mechanism matrix in-process, as cmd/sweep
+// does: one cell list through RunSweepCells.
+func runMechanismSweep(spec MechanismSweepSpec) ([]MechanismCell, error) {
+	fp, cells, err := MechanismSweepCells(spec)
+	if err != nil {
+		return nil, err
+	}
+	results, err := RunSweepCells(context.Background(), fp, cells, spec.Opts)
+	return MechanismResults(cells, results), err
+}
+
 // TestMechanismSweepJournaledResume runs a one-benchmark mechanism
 // sweep twice against the same journal: the second pass must read
 // every cell back (Resumed) with identical numbers, and the whole
@@ -129,7 +140,7 @@ func TestMechanismSweepJournaledResume(t *testing.T) {
 		Policies:   []core.Policy{core.PolicyStaticEqual, core.PolicyModelBased},
 		Opts:       SweepOptions{JournalPath: filepath.Join(dir, "mechanism.journal")},
 	}
-	first, err := MechanismSweep(context.Background(), spec)
+	first, err := runMechanismSweep(spec)
 	if err != nil {
 		t.Fatalf("first pass: %v", err)
 	}
@@ -152,7 +163,7 @@ func TestMechanismSweepJournaledResume(t *testing.T) {
 		t.Errorf("all mechanisms produced identical candidate cycles: %v", dynamics)
 	}
 
-	second, err := MechanismSweep(context.Background(), spec)
+	second, err := runMechanismSweep(spec)
 	if err != nil {
 		t.Fatalf("resume pass: %v", err)
 	}

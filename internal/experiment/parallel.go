@@ -31,8 +31,8 @@ type SweepResult struct {
 	Attempts int
 	Resumed  bool
 	Err      error
-	// ErrKind classifies Err into the cell error taxonomy (stalled /
-	// deadline / cancelled / failed); "" when the cell succeeded. See
+	// ErrKind classifies Err into the cell error taxonomy (deadline /
+	// cancelled / failed); "" when the cell succeeded. See
 	// CellErrorKind.
 	ErrKind string
 }

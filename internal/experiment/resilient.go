@@ -8,7 +8,6 @@ import (
 	"hash/crc64"
 	"io"
 	"io/fs"
-	"sync/atomic"
 	"time"
 
 	"intracache/internal/cache"
@@ -23,8 +22,8 @@ import (
 // This file is the crash-safety layer over the experiment drivers:
 // checkpointed single runs (kill -9 at any interval boundary, resume
 // bit-identically), journaled sweeps (finished cells survive a crash
-// and are skipped on -resume), per-cell deadlines, a stall watchdog,
-// and capped-exponential retry for transient cell failures.
+// and are skipped on -resume), per-cell deadlines, and
+// capped-exponential retry for transient cell failures.
 
 // Fingerprint renders every configuration field that affects simulation
 // output into one canonical string. Checkpoint and journal resume use
@@ -122,29 +121,16 @@ func (p RetryPolicy) backoff(key string, retry int) time.Duration {
 type CellOptions struct {
 	// Timeout is a hard wall-clock deadline per attempt (0 = none).
 	Timeout time.Duration
-	// StallTimeout cancels an attempt that makes no interval progress
-	// for this long — a hung cell, as opposed to a merely slow one
-	// (0 = watchdog off).
-	StallTimeout time.Duration
-	Retry        RetryPolicy
+	Retry   RetryPolicy
 }
 
-// The cell error taxonomy. A failed cell is classified so the journal
-// and the sweep summary can tell a hung simulation from a slow one
-// post-hoc:
-//
-//   - ErrCellStalled: the stall watchdog killed an attempt that made no
-//     interval progress (hung, not slow).
-//   - ErrCellDeadline: the attempt's hard wall-clock deadline expired
-//     (slow, not hung).
-var (
-	ErrCellStalled  = errors.New("experiment: cell stalled (no interval progress)")
-	ErrCellDeadline = errors.New("experiment: cell deadline exceeded")
-)
+// ErrCellDeadline marks an attempt whose hard wall-clock deadline
+// expired. A failed cell is classified so the journal and the sweep
+// summary can tell a timed-out cell from a cancelled or failing one.
+var ErrCellDeadline = errors.New("experiment: cell deadline exceeded")
 
 // Cell error kinds, the journal/summary rendering of the taxonomy.
 const (
-	KindStalled   = "stalled"
 	KindDeadline  = "deadline"
 	KindCancelled = "cancelled"
 	KindFailed    = "failed"
@@ -156,8 +142,6 @@ func CellErrorKind(err error) string {
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, ErrCellStalled):
-		return KindStalled
 	case errors.Is(err, ErrCellDeadline), errors.Is(err, context.DeadlineExceeded):
 		return KindDeadline
 	case errors.Is(err, context.Canceled):
@@ -167,13 +151,11 @@ func CellErrorKind(err error) string {
 	}
 }
 
-// runCell executes fn with the cell's deadline, stall watchdog and
-// retry policy applied. fn receives a derived context (cancelled on
-// deadline, stall, or parent cancellation) and a progress callback it
-// must invoke at interval boundaries to feed the watchdog. key
-// identifies the cell for backoff jitter. Returns how many attempts ran
-// and the final error.
-func runCell(ctx context.Context, key string, opts CellOptions, fn func(ctx context.Context, progress func()) error) (attempts int, err error) {
+// runCell executes fn with the cell's deadline and retry policy
+// applied. fn receives a derived context, cancelled on deadline or
+// parent cancellation. key identifies the cell for backoff jitter.
+// Returns how many attempts ran and the final error.
+func runCell(ctx context.Context, key string, opts CellOptions, fn func(ctx context.Context) error) (attempts int, err error) {
 	tries := opts.Retry.maxAttempts()
 	for try := 0; try < tries; try++ {
 		if cerr := ctx.Err(); cerr != nil {
@@ -202,41 +184,26 @@ func runCell(ctx context.Context, key string, opts CellOptions, fn func(ctx cont
 	return attempts, err
 }
 
-// runAttempt is one try: it wires up the deadline and watchdog, recovers
-// panics (fault-injected or otherwise) into errors so the retry loop
-// sees them, and maps watchdog kills to ErrCellStalled.
-func runAttempt(ctx context.Context, opts CellOptions, fn func(ctx context.Context, progress func()) error) (err error) {
-	attemptCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+// runAttempt is one try: it wires up the deadline and recovers panics
+// into errors so the retry loop sees them.
+func runAttempt(ctx context.Context, opts CellOptions, fn func(ctx context.Context) error) (err error) {
+	attemptCtx := ctx
 	if opts.Timeout > 0 {
-		var tcancel context.CancelFunc
-		attemptCtx, tcancel = context.WithTimeout(attemptCtx, opts.Timeout)
-		defer tcancel()
-	}
-	progress := func() {}
-	var stalled atomic.Bool
-	if opts.StallTimeout > 0 {
-		watchdog := time.AfterFunc(opts.StallTimeout, func() {
-			stalled.Store(true)
-			cancel()
-		})
-		defer watchdog.Stop()
-		progress = func() { watchdog.Reset(opts.StallTimeout) }
+		var cancel context.CancelFunc
+		attemptCtx, cancel = context.WithTimeout(ctx, opts.Timeout)
+		defer cancel()
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("experiment: cell panicked: %v", r)
 		}
-		switch {
-		case stalled.Load():
-			err = fmt.Errorf("%w after %v", ErrCellStalled, opts.StallTimeout)
-		case err != nil && opts.Timeout > 0 && errors.Is(err, context.DeadlineExceeded):
+		if err != nil && opts.Timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
 			// Both sentinels stay matchable: ErrCellDeadline for the
 			// taxonomy, context.DeadlineExceeded for existing callers.
 			err = fmt.Errorf("%w after %v: %w", ErrCellDeadline, opts.Timeout, err)
 		}
 	}()
-	return fn(attemptCtx, progress)
+	return fn(attemptCtx)
 }
 
 // SweepOptions configures a journaled sweep.
@@ -278,8 +245,8 @@ func appendCellFailure(jr *checkpoint.Journal, key string, err error, attempts i
 }
 
 // failKeyPrefix + CellKey records a cell's final failure and its
-// taxonomy kind, so a crashed sweep's post-mortem can tell stalls from
-// deadlines without re-running anything. Only bare CellKey records are
+// taxonomy kind, so a crashed sweep's post-mortem can tell deadlines
+// from failures without re-running anything. Only bare CellKey records are
 // read back on resume, so failure records (and any other prefixed
 // bookkeeping an older journal holds) never shadow a result.
 const failKeyPrefix = "fail/"
@@ -303,8 +270,8 @@ func SweepFingerprint(points []SweepPoint, benchmark string, baseline, candidate
 }
 
 // runSweepCell executes one sweep cell — the baseline-vs-candidate
-// comparison at one point — under the cell's deadline, stall watchdog
-// and retry policy. key identifies the cell for backoff jitter.
+// comparison at one point — under the cell's deadline and retry
+// policy. key identifies the cell for backoff jitter.
 func runSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
 	baseline, candidate core.Policy, opts CellOptions) (CellRecord, int, error) {
 	prof, err := workload.ByName(benchmark)
@@ -312,9 +279,8 @@ func runSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
 		return CellRecord{}, 0, err
 	}
 	var rec CellRecord
-	attempts, err := runCell(ctx, key, opts, func(cellCtx context.Context, progress func()) error {
-		hook := func(int) error { progress(); return nil }
-		c, err := CompareCtx(cellCtx, cfg, prof, baseline, candidate, hook)
+	attempts, err := runCell(ctx, key, opts, func(cellCtx context.Context) error {
+		c, err := CompareCtx(cellCtx, cfg, prof, baseline, candidate)
 		if err != nil {
 			return err
 		}
@@ -628,7 +594,7 @@ func RobustnessSweepJournaled(ctx context.Context, cfg Config, benchmarks []stri
 }
 
 // runFixedWork runs pol on benchmark for cfg.Sections under the cell's
-// deadline, stall watchdog and retry policy, returning the last
+// deadline and retry policy, returning the last
 // attempt's run and how many attempts ran.
 func runFixedWork(ctx context.Context, key string, cfg Config, benchmark string,
 	pol core.Policy, opts CellOptions) (Run, int, error) {
@@ -637,10 +603,9 @@ func runFixedWork(ctx context.Context, key string, cfg Config, benchmark string,
 		return Run{}, 0, err
 	}
 	var run Run
-	attempts, err := runCell(ctx, key, opts, func(cellCtx context.Context, progress func()) error {
+	attempts, err := runCell(ctx, key, opts, func(cellCtx context.Context) error {
 		var err error
-		run, err = RunOneCtx(cellCtx, cfg, prof, pol, BySections,
-			func(int) error { progress(); return nil })
+		run, err = RunOneCtx(cellCtx, cfg, prof, pol, BySections)
 		return err
 	})
 	return run, attempts, err

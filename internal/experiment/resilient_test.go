@@ -21,7 +21,7 @@ func fastRetry(attempts int) RetryPolicy {
 func TestRunCellRetriesTransientFailure(t *testing.T) {
 	calls := 0
 	attempts, err := runCell(context.Background(), "cell/test", CellOptions{Retry: fastRetry(4)},
-		func(ctx context.Context, progress func()) error {
+		func(ctx context.Context) error {
 			calls++
 			if calls < 3 {
 				return fmt.Errorf("transient %d", calls)
@@ -39,7 +39,7 @@ func TestRunCellRetriesTransientFailure(t *testing.T) {
 func TestRunCellRecoversPanics(t *testing.T) {
 	calls := 0
 	attempts, err := runCell(context.Background(), "cell/test", CellOptions{Retry: fastRetry(3)},
-		func(ctx context.Context, progress func()) error {
+		func(ctx context.Context) error {
 			calls++
 			if calls == 1 {
 				panic("fault-injected explosion")
@@ -57,7 +57,7 @@ func TestRunCellRecoversPanics(t *testing.T) {
 func TestRunCellExhaustsAttempts(t *testing.T) {
 	boom := errors.New("deterministic failure")
 	attempts, err := runCell(context.Background(), "cell/test", CellOptions{Retry: fastRetry(3)},
-		func(ctx context.Context, progress func()) error { return boom })
+		func(ctx context.Context) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want the cell's error", err)
 	}
@@ -69,7 +69,7 @@ func TestRunCellExhaustsAttempts(t *testing.T) {
 func TestRunCellNoRetryAfterParentCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	attempts, err := runCell(ctx, "cell/test", CellOptions{Retry: fastRetry(5)},
-		func(cellCtx context.Context, progress func()) error {
+		func(cellCtx context.Context) error {
 			cancel()
 			return errors.New("failed while shutting down")
 		})
@@ -84,7 +84,7 @@ func TestRunCellNoRetryAfterParentCancel(t *testing.T) {
 func TestRunCellDeadline(t *testing.T) {
 	attempts, err := runCell(context.Background(), "cell/test",
 		CellOptions{Timeout: 10 * time.Millisecond, Retry: fastRetry(2)},
-		func(cellCtx context.Context, progress func()) error {
+		func(cellCtx context.Context) error {
 			<-cellCtx.Done()
 			return cellCtx.Err()
 		})
@@ -93,43 +93,6 @@ func TestRunCellDeadline(t *testing.T) {
 	}
 	if attempts != 2 {
 		t.Fatalf("attempts=%d, want both attempts to hit the deadline", attempts)
-	}
-}
-
-func TestRunCellStallWatchdog(t *testing.T) {
-	// The cell never reports progress: the watchdog must cancel it and
-	// the error must identify the stall.
-	_, err := runCell(context.Background(), "cell/test",
-		CellOptions{StallTimeout: 10 * time.Millisecond, Retry: fastRetry(1)},
-		func(cellCtx context.Context, progress func()) error {
-			<-cellCtx.Done()
-			return cellCtx.Err()
-		})
-	if !errors.Is(err, ErrCellStalled) {
-		t.Fatalf("err=%v, want ErrCellStalled", err)
-	}
-}
-
-func TestRunCellProgressFeedsWatchdog(t *testing.T) {
-	// Steady progress keeps a slow cell alive well past StallTimeout.
-	// The stall window is generous relative to the progress period so a
-	// GC or scheduler pause on a loaded 1-CPU runner can't flake it.
-	start := time.Now()
-	_, err := runCell(context.Background(), "cell/test",
-		CellOptions{StallTimeout: 100 * time.Millisecond, Retry: fastRetry(1)},
-		func(cellCtx context.Context, progress func()) error {
-			for time.Since(start) < 300*time.Millisecond {
-				select {
-				case <-cellCtx.Done():
-					return cellCtx.Err()
-				case <-time.After(5 * time.Millisecond):
-					progress()
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("progressing cell was killed: %v", err)
 	}
 }
 
@@ -435,7 +398,6 @@ func TestCellErrorKindTaxonomy(t *testing.T) {
 		want string
 	}{
 		{nil, ""},
-		{fmt.Errorf("%w after 5ms", ErrCellStalled), KindStalled},
 		{fmt.Errorf("%w after 1s: %w", ErrCellDeadline, context.DeadlineExceeded), KindDeadline},
 		{context.DeadlineExceeded, KindDeadline},
 		{context.Canceled, KindCancelled},
@@ -447,27 +409,17 @@ func TestCellErrorKindTaxonomy(t *testing.T) {
 	}
 }
 
-// A cell killed by its hard deadline must classify as "deadline", and a
-// stalled cell as "stalled" — the two were indistinguishable post-hoc
-// before the taxonomy.
+// A cell killed by its hard deadline must classify as "deadline", not
+// as a cancellation or a plain failure.
 func TestRunCellDeadlineVsStallClassification(t *testing.T) {
 	_, err := runCell(context.Background(), "cell/test",
 		CellOptions{Timeout: 10 * time.Millisecond, Retry: fastRetry(1)},
-		func(cellCtx context.Context, progress func()) error {
+		func(cellCtx context.Context) error {
 			<-cellCtx.Done()
 			return cellCtx.Err()
 		})
 	if !errors.Is(err, ErrCellDeadline) || CellErrorKind(err) != KindDeadline {
 		t.Fatalf("deadline kill classified as %q (%v), want %q", CellErrorKind(err), err, KindDeadline)
-	}
-	_, err = runCell(context.Background(), "cell/test",
-		CellOptions{StallTimeout: 10 * time.Millisecond, Retry: fastRetry(1)},
-		func(cellCtx context.Context, progress func()) error {
-			<-cellCtx.Done()
-			return cellCtx.Err()
-		})
-	if !errors.Is(err, ErrCellStalled) || CellErrorKind(err) != KindStalled {
-		t.Fatalf("stall kill classified as %q (%v), want %q", CellErrorKind(err), err, KindStalled)
 	}
 }
 

@@ -74,14 +74,6 @@ type Stats struct {
 	QueueCycles uint64 // cycles spent waiting for a busy bank
 }
 
-// RowHitRate returns the fraction of accesses that hit an open row.
-func (s Stats) RowHitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(s.Accesses)
-}
-
 // bank is one DRAM bank's state.
 type bank struct {
 	openRow   uint64

@@ -18,8 +18,8 @@ import (
 // Wire format: ingest bodies and replies are JSON sealed in the same
 // CRC64 envelope that protects checkpoints on disk (checkpoint.Seal), so a
 // truncated or bit-flipped batch is detected before a single field is
-// interpreted. SealJSON/UnsealJSON are exported for clients — the load
-// generator, partitiond's selftest, and external telemetry agents.
+// interpreted. SealJSON/UnsealJSON are exported for clients — the
+// benchmark's load driver and external telemetry agents.
 
 // SealJSON marshals v and wraps it in the checkpoint envelope.
 func SealJSON(v interface{}) ([]byte, error) {

@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"intracache/internal/cache"
 	"intracache/internal/core"
 	"intracache/internal/sim"
 )
@@ -512,7 +513,7 @@ func (s *Service) newSession(app string, threads, ways int) *session {
 		ways:     ways,
 		eng:      eng,
 		rts:      rts,
-		current:  equalSplit(ways, threads),
+		current:  cache.EqualSplit(ways, threads),
 		lastRung: core.HealthModel.String(),
 		epoch:    1,
 		watch:    make(chan struct{}),
@@ -800,20 +801,6 @@ type monitors struct {
 func (m monitors) MissCurve(int) []uint64 { return nil }
 func (m monitors) Ways() int              { return m.ways }
 func (m monitors) NumThreads() int        { return m.threads }
-
-// equalSplit mirrors cache.EqualSplit: ways divided evenly, remainder
-// to the lowest thread indices.
-func equalSplit(ways, n int) []int {
-	out := make([]int, n)
-	base, rem := ways/n, ways%n
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
-}
 
 // latRing keeps the most recent decision latencies for percentile
 // reporting. Bounded, overwritten in place, and deliberately outside

@@ -75,8 +75,5 @@ func (s *Simulator) RunSectionsContext(ctx context.Context, n int, hook Interval
 	return s.result(), nil
 }
 
-// IntervalIndex returns how many execution intervals have completed.
-func (s *Simulator) IntervalIndex() int { return s.intervalIdx }
-
 // CompletedSections returns how many barriers have been crossed.
 func (s *Simulator) CompletedSections() int { return s.barriers }

@@ -168,16 +168,6 @@ func (m *Monitor) MissCurve(thread int) []uint64 {
 	return out
 }
 
-// MarginalHits returns, for each additional way w in [1, Ways], the hit
-// gain of going from w-1 to w ways for the given thread. This is the
-// quantity the greedy (lookahead-free) UCP allocator consumes.
-func (m *Monitor) MarginalHits(thread int) []uint64 {
-	base := thread * (m.cfg.Ways + 1)
-	out := make([]uint64, m.cfg.Ways)
-	copy(out, m.hist[base:base+m.cfg.Ways])
-	return out
-}
-
 // Decay halves every histogram bucket. Calling it once per execution
 // interval gives the allocator an exponentially-weighted window, so
 // phase changes age out of the curves quickly without discarding all

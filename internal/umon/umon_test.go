@@ -119,23 +119,6 @@ func TestMissCurveEndpoints(t *testing.T) {
 	}
 }
 
-func TestMarginalHitsSumsToTotalHits(t *testing.T) {
-	c := cfg4()
-	m := mustNew(t, c)
-	r := xrand.New(9)
-	for i := 0; i < 5000; i++ {
-		m.Observe(1, uint64(r.Intn(512))*64)
-	}
-	marg := m.MarginalHits(1)
-	var sum uint64
-	for _, h := range marg {
-		sum += h
-	}
-	if total := m.HitsAtWays(1, c.Ways); sum != total {
-		t.Errorf("marginal sum %d != total hits %d", sum, total)
-	}
-}
-
 func TestThreadsIsolated(t *testing.T) {
 	c := cfg4()
 	m := mustNew(t, c)

@@ -175,19 +175,6 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a normally-distributed value with mean 0 and
-// standard deviation 1, using the polar Box-Muller method.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // Zipf samples ranks in [0, n) with probability proportional to
 // 1/(rank+1)^alpha. It uses inverse-CDF sampling over a precomputed
 // cumulative table, which is exact and fast for the table sizes the

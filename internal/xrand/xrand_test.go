@@ -151,25 +151,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(23)
-	const draws = 200000
-	var sum, sumsq float64
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / draws
-	variance := sumsq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %v, want ~1", variance)
-	}
-}
-
 func TestZipfBounds(t *testing.T) {
 	r := New(29)
 	z := NewZipf(r, 50, 1.0)
