@@ -14,7 +14,6 @@ import (
 
 	"intracache/internal/core"
 	"intracache/internal/experiment"
-	"intracache/internal/spline"
 	"intracache/internal/workload"
 )
 
@@ -419,37 +418,6 @@ func BenchmarkAblationCPIvsModel(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSplineKind varies the model engine's interpolation
-// algorithm; the paper notes the scheme is independent of the curve
-// fitting choice.
-func BenchmarkAblationSplineKind(b *testing.B) {
-	prof, err := workload.ByName("mgrid")
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := experiment.RunOne(benchCfg(), prof, core.PolicyShared, experiment.BySections)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []spline.Kind{spline.NaturalCubic, spline.PCHIP, spline.Linear} {
-		b.Run(kind.String(), func(b *testing.B) {
-			cfg := benchCfg()
-			var imp float64
-			for i := 0; i < b.N; i++ {
-				eng := core.NewModelEngine()
-				eng.Kind = kind
-				run, err := experiment.RunWithEngine(cfg, prof, eng, experiment.BySections)
-				if err != nil {
-					b.Fatal(err)
-				}
-				imp = 100 * (float64(base.Result.WallCycles) - float64(run.Result.WallCycles)) /
-					float64(base.Result.WallCycles)
-			}
-			b.ReportMetric(imp, "improveVsShared%")
-		})
-	}
-}
-
 // BenchmarkAblationStaticVsPrivate quantifies what cross-partition hits
 // are worth: a statically equal-partitioned *shared* cache (eviction
 // control only) against true per-core private caches of the same
@@ -494,41 +462,6 @@ func BenchmarkAblationDRAMModel(b *testing.B) {
 					}
 					imp = c.ImprovementPct
 				}
-			}
-			b.ReportMetric(imp, "improveVsShared%")
-		})
-	}
-}
-
-// BenchmarkAblationPhaseDetect compares the engine's two defences
-// against phase changes on the phase-heaviest benchmark (swim): fixed
-// point aging alone vs aging plus the online phase detector.
-func BenchmarkAblationPhaseDetect(b *testing.B) {
-	prof, err := workload.ByName("swim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := experiment.RunOne(benchCfg(), prof, core.PolicyShared, experiment.BySections)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, detect := range []bool{false, true} {
-		name := "aging-only"
-		if detect {
-			name = "aging+detector"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchCfg()
-			var imp float64
-			for i := 0; i < b.N; i++ {
-				eng := core.NewModelEngine()
-				eng.PhaseDetect = detect
-				run, err := experiment.RunWithEngine(cfg, prof, eng, experiment.BySections)
-				if err != nil {
-					b.Fatal(err)
-				}
-				imp = 100 * (float64(base.Result.WallCycles) - float64(run.Result.WallCycles)) /
-					float64(base.Result.WallCycles)
 			}
 			b.ReportMetric(imp, "improveVsShared%")
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -105,7 +106,7 @@ func TestProportionalShares(t *testing.T) {
 	}
 	for i, w := range got {
 		if w < 1 {
-			t.Errorf("thread %d below MinWays: %v", i, got)
+			t.Errorf("thread %d below the 1-way floor: %v", i, got)
 		}
 	}
 }
@@ -177,7 +178,7 @@ func TestEqualEngineNeverChanges(t *testing.T) {
 }
 
 func TestCPIModelObserveAndPoints(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(16, 5, 0)
 	m.Observe(8, 9, 0)
 	m.Observe(32, 3, 0)
@@ -197,25 +198,21 @@ func TestCPIModelObserveAndPoints(t *testing.T) {
 }
 
 func TestCPIModelBlend(t *testing.T) {
-	m := NewCPIModel(0.5)
+	m := NewCPIModel()
 	m.Observe(16, 4, 0)
 	m.Observe(16, 8, 0)
 	_, cpis := m.Points()
-	if cpis[0] != 6 {
-		t.Errorf("blended CPI = %v, want 6", cpis[0])
+	// The revisit weighs the newest observation by modelBlend = 0.6.
+	if want := 0.6*8 + 0.4*4; math.Abs(cpis[0]-want) > 1e-12 {
+		t.Errorf("blended CPI = %v, want %v", cpis[0], want)
 	}
-	// Invalid blend falls back to default.
-	d := NewCPIModel(-3)
-	d.Observe(8, 10, 0)
-	d.Observe(8, 0.01, 0)
-	_, got := d.Points()
-	if got[0] >= 10 || got[0] <= 0 {
-		t.Errorf("default blend produced %v", got[0])
+	if m.Len() != 1 {
+		t.Errorf("revisit added a point: len %d", m.Len())
 	}
 }
 
 func TestCPIModelFit(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	if m.Fit(spline.NaturalCubic) != nil {
 		t.Error("fit of empty model not nil")
 	}
@@ -277,23 +274,27 @@ func TestModelEngineBootstrapThenModels(t *testing.T) {
 
 func TestModelEngineRespectsMinWays(t *testing.T) {
 	e := NewModelEngine()
-	e.MinWays = 2
 	mon := fakeMon{ways: 16, threads: 4}
 	cur := []int{4, 4, 4, 4}
 	var got []int
 	cpis := [][]float64{
 		{1, 1, 9, 1}, {1, 1, 8.5, 1}, {1, 1, 8, 1}, {1, 1, 7.5, 1}, {1, 1, 7, 1},
 	}
+	atFloor := false
 	for i, c := range cpis {
 		got = e.Decide(ivWith(i, c, cur), mon, cur)
 		if got != nil {
 			cur = got
 		}
 		for th, w := range cur {
-			if w < 2 {
-				t.Fatalf("interval %d: thread %d below MinWays: %v", i, th, cur)
+			if w < minWays {
+				t.Fatalf("interval %d: thread %d below the %d-way floor: %v", i, th, minWays, cur)
 			}
+			atFloor = atFloor || w == minWays
 		}
+	}
+	if !atFloor {
+		t.Errorf("no thread ever reached the floor, so it was never tested: %v", cur)
 	}
 }
 

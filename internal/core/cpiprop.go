@@ -13,26 +13,25 @@ import (
 // largest share. The scheme is deliberately naive: it assumes CPI is a
 // usable proxy for cache need without knowing how CPI responds to
 // ways; the ModelEngine removes that assumption.
-type CPIProportionalEngine struct {
-	// MinWays is the smallest allocation any thread can receive
-	// (default 1), preventing way starvation of cache-light threads.
-	MinWays int
-}
+type CPIProportionalEngine struct{}
 
-// NewCPIProportionalEngine returns the engine with the default
-// one-way floor.
-func NewCPIProportionalEngine() *CPIProportionalEngine {
-	return &CPIProportionalEngine{MinWays: 1}
-}
+// NewCPIProportionalEngine returns the engine.
+func NewCPIProportionalEngine() *CPIProportionalEngine { return &CPIProportionalEngine{} }
 
 // Name implements Engine.
 func (e *CPIProportionalEngine) Name() string { return "cpi-proportional" }
 
 // Decide implements Engine.
 func (e *CPIProportionalEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, _ []int) []int {
+	return cpiProportional(iv, mon)
+}
+
+// cpiProportional is the Fig. 12 rule, with every thread held at or
+// above minWays so cache-light threads are not starved of ways.
+func cpiProportional(iv sim.IntervalStats, mon sim.Monitors) []int {
 	weights := make([]float64, len(iv.Threads))
 	for t, ts := range iv.Threads {
 		weights[t] = ts.CPI()
 	}
-	return proportionalShares(weights, mon.Ways(), e.MinWays)
+	return proportionalShares(weights, mon.Ways(), minWays)
 }

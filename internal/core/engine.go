@@ -48,17 +48,17 @@ func validAssignment(targets []int, ways, threads int) error {
 }
 
 // proportionalShares converts non-negative weights into integer way
-// counts summing to ways, with every thread guaranteed at least
-// minWays (clamped so n*minWays <= ways). Remainder ways go to the
-// largest fractional shares, ties to the lower thread index. All-zero
-// weights fall back to an equal split.
-func proportionalShares(weights []float64, ways, minWays int) []int {
+// counts summing to ways, with every thread guaranteed at least floor
+// ways (clamped so n*floor <= ways). Remainder ways go to the largest
+// fractional shares, ties to the lower thread index. All-zero weights
+// fall back to an equal split.
+func proportionalShares(weights []float64, ways, floor int) []int {
 	n := len(weights)
-	if minWays*n > ways {
-		minWays = ways / n
+	if floor*n > ways {
+		floor = ways / n
 	}
-	if minWays < 0 {
-		minWays = 0
+	if floor < 0 {
+		floor = 0
 	}
 	var total float64
 	for _, w := range weights {
@@ -72,7 +72,7 @@ func proportionalShares(weights []float64, ways, minWays int) []int {
 		return out
 	}
 	// Distribute the ways above the per-thread floor proportionally.
-	spare := ways - minWays*n
+	spare := ways - floor*n
 	fracs := make([]float64, n)
 	assigned := 0
 	for i, w := range weights {
@@ -80,7 +80,7 @@ func proportionalShares(weights []float64, ways, minWays int) []int {
 			w = 0
 		}
 		share := w / total * float64(spare)
-		out[i] = minWays + int(share)
+		out[i] = floor + int(share)
 		fracs[i] = share - float64(int(share))
 		assigned += out[i]
 	}

@@ -19,8 +19,7 @@ import (
 // stamped with the interval that produced it so stale points — taken
 // before a program phase change — can be pruned.
 type CPIModel struct {
-	pts   []modelPoint // ascending by ways, one point per way count
-	blend float64      // weight of the newest observation when revisiting
+	pts []modelPoint // ascending by ways, one point per way count
 }
 
 // modelPoint is one observed way count with its (blended) CPI and the
@@ -31,17 +30,39 @@ type modelPoint struct {
 	stamp int
 }
 
-// NewCPIModel returns an empty model. blend in (0,1] controls how fast
-// repeated observations at the same way count replace older ones; the
-// paper's models simply use the latest data, which corresponds to
-// blend = 1, but a little smoothing (default 0.6) makes the fits robust
-// to interval noise without changing steady-state behaviour.
-func NewCPIModel(blend float64) *CPIModel {
-	if blend <= 0 || blend > 1 {
-		blend = 0.6
-	}
-	return &CPIModel{blend: blend}
-}
+// The model engine's tuning. Every figure and every test runs with
+// these values; a leave-one-out ablation of any of them is a one-line
+// edit here.
+const (
+	// modelBlend is the weight of the newest observation when a way
+	// count is revisited. The paper's models simply use the latest
+	// data, which corresponds to 1; a little smoothing makes the fits
+	// robust to interval noise without changing steady-state behaviour.
+	modelBlend = 0.6
+	// minWays is the smallest allocation any thread may hold, under
+	// every dynamic engine.
+	minWays = 1
+	// maxPointAge prunes model points older than this many intervals.
+	maxPointAge = 12
+	// bootstrapIntervals is how many leading intervals use the
+	// CPI-proportional rule to harvest diverse data points (the paper's
+	// Fig. 13 uses two).
+	bootstrapIntervals = 2
+	// minSpread is the hysteresis guard: when the predicted CPIs at the
+	// current assignment, and the observed ones, are within a relative
+	// band of (1 + minSpread), the threads are considered balanced and
+	// the assignment is left alone. Without it, interval noise on
+	// balanced (cache-resident) applications drives pointless
+	// repartitioning that can thrash the cache.
+	minSpread = 0.08
+	// perDonorCap bounds how many ways one decision may take from a
+	// single donor.
+	perDonorCap = 2
+)
+
+// NewCPIModel returns an empty model. Repeated observations at the same
+// way count are blended with weight modelBlend.
+func NewCPIModel() *CPIModel { return &CPIModel{} }
 
 // validPoint reports whether (ways, cpi) can inform a model.
 func validPoint(ways int, cpi float64) bool {
@@ -58,19 +79,11 @@ func (m *CPIModel) Observe(ways int, cpi float64, interval int) {
 	}
 	i, found := slices.BinarySearchFunc(m.pts, ways, func(p modelPoint, w int) int { return cmp.Compare(p.ways, w) })
 	if found {
-		m.pts[i].cpi = m.blend*cpi + (1-m.blend)*m.pts[i].cpi
+		m.pts[i].cpi = modelBlend*cpi + (1-modelBlend)*m.pts[i].cpi
 		m.pts[i].stamp = interval
 		return
 	}
 	m.pts = slices.Insert(m.pts, i, modelPoint{ways: ways, cpi: cpi, stamp: interval})
-}
-
-// ResetTo discards every point and seeds the model with one fresh
-// observation — the response to a detected phase change, where all
-// history describes behaviour that no longer exists.
-func (m *CPIModel) ResetTo(ways int, cpi float64, interval int) {
-	m.pts = m.pts[:0]
-	m.Observe(ways, cpi, interval)
 }
 
 // Prune drops points last observed before `oldest`, but never below
@@ -220,64 +233,22 @@ func (p predictor) eval(w int) float64 {
 //     is applied, harvesting two differently-shaped data points per
 //     thread;
 //   - from then on, each thread's (ways, CPI) history is fitted with a
-//     cubic spline, and the engine iteratively moves one way from the
-//     lowest-predicted-CPI thread to the highest-predicted-CPI thread,
-//     re-predicting both CPIs from the models after each move, until
-//     the identity of the critical (highest-CPI) thread changes — then
-//     it backs off one step and installs the result (Fig. 13 Step 2).
+//     natural cubic spline, and the engine iteratively moves one way
+//     from the lowest-predicted-CPI thread to the highest-predicted-CPI
+//     thread, re-predicting both CPIs from the models after each move,
+//     until the identity of the critical (highest-CPI) thread changes —
+//     then it backs off one step and installs the result (Fig. 13
+//     Step 2).
+//
+// Its tuning is the package constants above. The zero value is ready
+// to use.
 type ModelEngine struct {
-	// Kind selects the interpolation algorithm (default NaturalCubic,
-	// the paper's choice).
-	Kind spline.Kind
-	// MinWays is the smallest allocation any thread may hold (default 1).
-	MinWays int
-	// Blend is the CPIModel observation blend (default 0.6).
-	Blend float64
-	// MaxPointAge prunes model points older than this many intervals
-	// (default 12; 0 disables pruning).
-	MaxPointAge int
-	// BootstrapIntervals is how many leading intervals use the
-	// CPI-proportional rule to harvest diverse data points (default 2,
-	// as in the paper's Fig. 13).
-	BootstrapIntervals int
-	// MinSpread is the hysteresis guard: when the predicted CPIs at the
-	// current assignment are within a relative band of (1 + MinSpread),
-	// the threads are considered balanced and the assignment is left
-	// alone. Without it, interval noise on balanced (cache-resident)
-	// applications drives pointless repartitioning that can thrash the
-	// cache. Default 0.08.
-	MinSpread float64
-	// PhaseDetect, when true, attaches a PhaseDetector and resets a
-	// thread's CPI model the moment its CPI jumps out of its baseline
-	// band — immediate forgetting on phase changes instead of waiting
-	// out MaxPointAge. Off by default; the phase ablation benchmark
-	// measures its value.
-	PhaseDetect bool
-
-	// MaxMovePerInterval caps how many ways one Decide call may move
-	// (0 = Ways/8, minimum 2). Models fitted from a handful of noisy
-	// interval samples extrapolate poorly far from their data; the cap
-	// turns a potentially catastrophic mispredicted jump into a bounded
-	// step that the next interval's fresh observation corrects.
-	MaxMovePerInterval int
-
-	boot     *CPIProportionalEngine
 	models   []*CPIModel
-	detector *PhaseDetector
 	interval int
 }
 
-// NewModelEngine returns a ModelEngine with the paper's defaults.
-func NewModelEngine() *ModelEngine {
-	return &ModelEngine{
-		Kind:               spline.NaturalCubic,
-		MinWays:            1,
-		Blend:              0.6,
-		MaxPointAge:        12,
-		BootstrapIntervals: 2,
-		MinSpread:          0.08,
-	}
-}
+// NewModelEngine returns a ModelEngine.
+func NewModelEngine() *ModelEngine { return &ModelEngine{} }
 
 // Name implements Engine.
 func (e *ModelEngine) Name() string { return "model-based" }
@@ -286,24 +257,17 @@ func (e *ModelEngine) Name() string { return "model-based" }
 // before the first Decide call). Used by the Fig. 15 reproduction.
 func (e *ModelEngine) Models() []*CPIModel { return e.models }
 
+// ensure sizes the models for n threads. A thread count other than the
+// models' (only a hand-built snapshot can cause one) starts every
+// model afresh.
 func (e *ModelEngine) ensure(n int) {
-	if e.models == nil {
-		e.models = make([]*CPIModel, n)
-		for i := range e.models {
-			e.models[i] = NewCPIModel(e.Blend)
-		}
-		e.boot = &CPIProportionalEngine{MinWays: e.minWays()}
-		if e.PhaseDetect {
-			e.detector = NewPhaseDetector(n)
-		}
+	if len(e.models) == n {
+		return
 	}
-}
-
-func (e *ModelEngine) minWays() int {
-	if e.MinWays <= 0 {
-		return 1
+	e.models = make([]*CPIModel, n)
+	for i := range e.models {
+		e.models[i] = NewCPIModel()
 	}
-	return e.MinWays
 }
 
 // Decide implements Engine.
@@ -316,36 +280,16 @@ func (e *ModelEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current []i
 	if e.interval > 0 {
 		for t, ts := range iv.Threads {
 			e.models[t].Observe(ts.WaysAssigned, ts.CPI(), e.interval)
-			if e.MaxPointAge > 0 {
-				e.models[t].Prune(e.interval - e.MaxPointAge)
-			}
-		}
-		if e.detector != nil {
-			obs := make([]float64, len(iv.Threads))
-			for t, ts := range iv.Threads {
-				obs[t] = ts.CPI()
-			}
-			for t, flagged := range e.detector.Observe(obs) {
-				if flagged {
-					e.models[t].ResetTo(iv.Threads[t].WaysAssigned, obs[t], e.interval)
-				}
-			}
+			e.models[t].Prune(e.interval - maxPointAge)
 		}
 	}
 	e.interval++
 	// Bootstrap: the paper applies the CPI-based rule at the end of the
 	// first two intervals to collect diverse data points.
-	if e.interval <= e.bootstrapIntervals() {
-		return e.boot.Decide(iv, mon, current)
+	if e.interval <= bootstrapIntervals {
+		return cpiProportional(iv, mon)
 	}
 	return e.partition(iv, mon, current)
-}
-
-func (e *ModelEngine) bootstrapIntervals() int {
-	if e.BootstrapIntervals <= 0 {
-		return 2
-	}
-	return e.BootstrapIntervals
 }
 
 // partition runs the Fig. 13 iterative reassignment over the fitted
@@ -357,16 +301,16 @@ func (e *ModelEngine) bootstrapIntervals() int {
 func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current []int) []int {
 	n := mon.NumThreads()
 	totalWays := mon.Ways()
-	minWays := e.minWays()
-	if minWays*n > totalWays {
-		minWays = totalWays / n
+	floor := minWays
+	if floor*n > totalWays {
+		floor = totalWays / n
 	}
 
 	sc := getScratch(n)
 	defer scratchPool.Put(sc)
 	preds := sc.preds
 	for t := 0; t < n; t++ {
-		preds[t] = newPredictor(e.models[t], e.Kind, iv.Threads[t].CPI(), &sc.fits[t])
+		preds[t] = newPredictor(e.models[t], spline.NaturalCubic, iv.Threads[t].CPI(), &sc.fits[t])
 	}
 
 	// Working assignment starts from what is currently installed.
@@ -389,7 +333,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	for t, ts := range iv.Threads {
 		obs[t] = ts.CPI()
 	}
-	if e.MinSpread > 0 && relSpread(cpi) <= e.MinSpread && relSpread(obs) <= e.MinSpread {
+	if relSpread(cpi) <= minSpread && relSpread(obs) <= minSpread {
 		return nil
 	}
 
@@ -413,20 +357,17 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	//     ("this thread got faster when its allocation shrank") offers
 	//     the search a free lunch and it drains that thread dry.
 	//
-	// Movement per decision is capped (see MaxMovePerInterval), and a
-	// hard iteration bound guarantees termination on flat models.
-	maxMove := e.MaxMovePerInterval
-	if maxMove <= 0 {
-		maxMove = totalWays / 8
-	}
-	if maxMove < 2 {
-		maxMove = 2
-	}
+	// Movement per decision is capped at an eighth of the ways (at least
+	// two), which also bounds the iterations on flat models. Models
+	// fitted from a handful of noisy interval samples extrapolate
+	// poorly far from their data; the cap turns a potentially
+	// catastrophic mispredicted jump into a bounded step that the next
+	// interval's fresh observation corrects.
+	maxMove := max(totalWays/8, 2)
 	// donated[d] counts ways taken from thread d this decision; capping
-	// it bounds how wrong a single mispredicted donor can go before the
-	// next interval's observation corrects its model.
+	// it at perDonorCap bounds how wrong a single mispredicted donor can
+	// go before the next interval's observation corrects its model.
 	donated := sc.donated
-	const perDonorCap = 2
 	moved := 0
 	sc.prev = sortedDesc(sc.prev, cpi)
 	for iter := 0; iter < maxMove; iter++ {
@@ -440,7 +381,7 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 		// actually helped or not is taken into account") and cannot
 		// freeze on a single scarred model while a surplus-rich thread
 		// sits next to it.
-		minT := argMinDonor(preds, ways, donated, perDonorCap, minWays, maxT)
+		minT := argMinDonor(preds, ways, donated, perDonorCap, floor, maxT)
 		if minT < 0 || minT == maxT {
 			break
 		}
@@ -483,9 +424,9 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 		// The threshold is double the descent hysteresis: exploration
 		// perturbs a converged state, so it needs stronger evidence of
 		// imbalance than ordinary model-driven moves do.
-		if relSpread(obs) > 2*e.MinSpread {
+		if relSpread(obs) > 2*minSpread {
 			maxT := argMaxF(cpi)
-			minT := argMinDonor(preds, ways, donated, perDonorCap, minWays, maxT)
+			minT := argMinDonor(preds, ways, donated, perDonorCap, floor, maxT)
 			if minT >= 0 && minT != maxT && preds[minT].eval(ways[minT]-1) < cpi[maxT] {
 				ways[maxT]++
 				ways[minT]--
@@ -591,11 +532,11 @@ func argMaxF(xs []float64) int {
 // donating one way is lowest, excluding `skip`, threads at the way
 // floor, and threads that already donated `cap` ways this decision;
 // -1 if none qualifies.
-func argMinDonor(preds []predictor, ways, donated []int, cap, minWays, skip int) int {
+func argMinDonor(preds []predictor, ways, donated []int, cap, floor, skip int) int {
 	best := -1
 	var bestCost float64
 	for i := range preds {
-		if i == skip || ways[i] <= minWays || donated[i] >= cap {
+		if i == skip || ways[i] <= floor || donated[i] >= cap {
 			continue
 		}
 		cost := preds[i].eval(ways[i] - 1)

@@ -14,7 +14,7 @@ import (
 )
 
 func TestCPIModelPrune(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(4, 10, 1)
 	m.Observe(8, 6, 2)
 	m.Observe(16, 4, 3)
@@ -37,7 +37,7 @@ func TestCPIModelPrune(t *testing.T) {
 }
 
 func TestCPIModelPruneKeepsFreshTies(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(4, 10, 5)
 	m.Observe(8, 6, 5)
 	m.Observe(16, 4, 5)
@@ -52,7 +52,7 @@ func TestCPIModelPruneKeepsFreshTies(t *testing.T) {
 }
 
 func TestPredictorLinearExtrapolation(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(8, 10, 0)
 	m.Observe(16, 6, 0)
 	p := newPredictor(m, spline.NaturalCubic, 0, new(fitScratch))
@@ -71,7 +71,7 @@ func TestPredictorLinearExtrapolation(t *testing.T) {
 }
 
 func TestPredictorExtrapolationFloor(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(8, 2, 0)
 	m.Observe(16, 1, 0)
 	p := newPredictor(m, spline.NaturalCubic, 0, new(fitScratch))
@@ -82,7 +82,7 @@ func TestPredictorExtrapolationFloor(t *testing.T) {
 }
 
 func TestPredictorSinglePointAndEmpty(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	p := newPredictor(m, spline.NaturalCubic, 7.5, new(fitScratch))
 	if got := p.eval(10); got != 7.5 {
 		t.Errorf("empty model eval = %v, want fallback 7.5", got)
@@ -100,7 +100,7 @@ func TestPredictorSinglePointAndEmpty(t *testing.T) {
 // interpolates linearly, as every kind does through two, rather than
 // evaluating a nil fit.
 func TestPredictorUnknownKindInterpolatesLinearly(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(4, 9, 0)
 	m.Observe(8, 5, 0)
 	m.Observe(16, 4, 0)
@@ -195,10 +195,10 @@ func TestArgMinDonorPrefersCheapPostDonationCost(t *testing.T) {
 	// Thread 0 has the lowest current CPI but a steep cliff one way
 	// down (stale low-allocation point); thread 1 has a flat model.
 	// The donor choice must pick thread 1.
-	m0 := NewCPIModel(1)
+	m0 := NewCPIModel()
 	m0.Observe(1, 18, 0)
 	m0.Observe(5, 5.0, 10)
-	m1 := NewCPIModel(1)
+	m1 := NewCPIModel()
 	m1.Observe(15, 5.6, 9)
 	m1.Observe(16, 5.5, 10)
 	preds := []predictor{
@@ -214,7 +214,7 @@ func TestArgMinDonorPrefersCheapPostDonationCost(t *testing.T) {
 }
 
 func TestArgMinDonorRespectsCapAndFloor(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(4, 5, 0)
 	m.Observe(8, 4, 0)
 	preds := []predictor{
@@ -239,19 +239,22 @@ func TestModelEngineExplorationUnfreezesFlatModel(t *testing.T) {
 	// prediction) but is clearly the critical thread must still receive
 	// a way through the exploration step.
 	e := NewModelEngine()
-	e.BootstrapIntervals = 1
 	mon := fakeMon{ways: 32, threads: 4}
 	cur := []int{8, 8, 8, 8}
-	// Interval 0 (cold, skipped for models) bootstraps; all equal CPIs
-	// keep the proportional rule at an even split.
-	got := e.Decide(ivWith(0, []float64{5, 5, 5, 5}, cur), mon, cur)
-	if got != nil {
-		cur = got
+	// The bootstrap intervals see equal CPIs, which keep the
+	// proportional rule at an even split.
+	for i := 0; i < bootstrapIntervals; i++ {
+		if got := e.Decide(ivWith(i, []float64{5, 5, 5, 5}, cur), mon, cur); got != nil {
+			cur = got
+		}
+	}
+	if cur[2] != 8 {
+		t.Fatalf("bootstrap moved ways: %v", cur)
 	}
 	// From now on thread 2 is persistently critical with a CPI that
 	// never varies (so its model stays flat at a single allocation).
-	for i := 1; i < 8; i++ {
-		got = e.Decide(ivWith(i, []float64{4, 4, 9, 4}, cur), mon, cur)
+	for i := bootstrapIntervals; i < 8; i++ {
+		got := e.Decide(ivWith(i, []float64{4, 4, 9, 4}, cur), mon, cur)
 		if got != nil {
 			cur = got
 		}
@@ -288,43 +291,42 @@ func TestModelEngineHysteresisHoldsBalanced(t *testing.T) {
 
 func TestModelEnginePerDonorCapBoundsSingleDecision(t *testing.T) {
 	e := NewModelEngine()
-	e.BootstrapIntervals = 1
 	mon := fakeMon{ways: 64, threads: 4}
 	cur := []int{16, 16, 16, 16}
-	got := e.Decide(ivWith(0, []float64{2, 2, 12, 2}, cur), mon, cur)
-	if got != nil {
-		cur = got
+	// The bootstrap intervals seed the models; every later decision is
+	// a model-phase step whose donors are capped.
+	cpis := [][]float64{
+		{2, 2, 12, 2}, {2.5, 2.4, 11, 2.6}, {2.6, 2.5, 10.5, 2.4}, {2.4, 2.6, 10, 2.5},
 	}
-	// Seed models with two intervals, then check one model-phase step.
-	got = e.Decide(ivWith(1, []float64{2.5, 2.4, 11, 2.6}, cur), mon, cur)
-	prev := append([]int(nil), cur...)
-	if got != nil {
-		copy(prev, cur)
-		cur = got
-	}
-	got = e.Decide(ivWith(2, []float64{2.6, 2.5, 10.5, 2.4}, cur), mon, cur)
-	if got == nil {
-		return
-	}
-	for i := range got {
-		if i == 2 {
+	checked := 0
+	for i, c := range cpis {
+		got := e.Decide(ivWith(i, c, cur), mon, cur)
+		if got == nil {
 			continue
 		}
-		if cur[i]-got[i] > 2 {
-			t.Errorf("thread %d donated %d ways in one decision (cap 2): %v -> %v",
-				i, cur[i]-got[i], cur, got)
+		if i >= bootstrapIntervals {
+			checked++
+			for j := range got {
+				if j != 2 && cur[j]-got[j] > perDonorCap {
+					t.Errorf("interval %d: thread %d donated %d ways in one decision (cap %d): %v -> %v",
+						i, j, cur[j]-got[j], perDonorCap, cur, got)
+				}
+			}
 		}
+		cur = got
+	}
+	if checked == 0 {
+		t.Fatal("no model-phase decision moved ways, so the cap was never tested")
 	}
 }
 
 // Property: regardless of CPI sequences, the engine's assignments are
-// always valid, never starve a thread below MinWays, and never move
-// more than MaxMovePerInterval ways per decision.
+// always valid, never starve a thread below minWays, and never move
+// more than the move cap, W/8 = 4 at 32 ways, per decision.
 func TestQuickModelEngineBoundedMovement(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		e := NewModelEngine()
-		e.MaxMovePerInterval = 4
 		mon := fakeMon{ways: 32, threads: 4}
 		cur := []int{8, 8, 8, 8}
 		for i := 0; i < 15; i++ {
@@ -344,13 +346,13 @@ func TestQuickModelEngineBoundedMovement(t *testing.T) {
 				if got[j] > cur[j] {
 					moved += got[j] - cur[j]
 				}
-				if got[j] < 1 {
+				if got[j] < minWays {
 					return false
 				}
 			}
 			// Bootstrap intervals may jump arbitrarily; model phase is
 			// capped.
-			if i >= 2 && moved > 4 {
+			if i >= bootstrapIntervals && moved > 32/8 {
 				return false
 			}
 			cur = got

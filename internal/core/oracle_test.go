@@ -15,14 +15,10 @@ import (
 type oracleModel struct {
 	points map[int]float64
 	stamp  map[int]int
-	blend  float64
 }
 
-func newOracleModel(blend float64) *oracleModel {
-	if blend <= 0 || blend > 1 {
-		blend = 0.6
-	}
-	return &oracleModel{points: make(map[int]float64), stamp: make(map[int]int), blend: blend}
+func newOracleModel() *oracleModel {
+	return &oracleModel{points: make(map[int]float64), stamp: make(map[int]int)}
 }
 
 func (m *oracleModel) Observe(ways int, cpi float64, interval int) {
@@ -30,19 +26,11 @@ func (m *oracleModel) Observe(ways int, cpi float64, interval int) {
 		return
 	}
 	if old, ok := m.points[ways]; ok {
-		m.points[ways] = m.blend*cpi + (1-m.blend)*old
+		m.points[ways] = modelBlend*cpi + (1-modelBlend)*old
 	} else {
 		m.points[ways] = cpi
 	}
 	m.stamp[ways] = interval
-}
-
-func (m *oracleModel) ResetTo(ways int, cpi float64, interval int) {
-	for w := range m.points {
-		delete(m.points, w)
-		delete(m.stamp, w)
-	}
-	m.Observe(ways, cpi, interval)
 }
 
 func (m *oracleModel) Prune(oldest int) {
@@ -202,7 +190,7 @@ func checkAgainstOracle(t *testing.T, m *CPIModel, o *oracleModel, sc *fitScratc
 	if got, want := m.ModelState(), o.state(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("state %+v, oracle %+v", got, want)
 	}
-	for _, kind := range []spline.Kind{spline.NaturalCubic, spline.PCHIP, spline.Linear} {
+	for _, kind := range []spline.Kind{spline.NaturalCubic, spline.Linear} {
 		p := newPredictor(m, kind, 7.25, sc)
 		q := oraclePredictor(o, kind, 7.25)
 		for w := 0; w <= oracleWays; w++ {
@@ -217,26 +205,22 @@ func checkAgainstOracle(t *testing.T, m *CPIModel, o *oracleModel, sc *fitScratc
 }
 
 // FuzzCPIModelOracle drives the slice-backed CPIModel and the map-based
-// oracle through the same Observe (with revisits), Prune, ResetTo and
+// oracle through the same Observe (with revisits), Prune and
 // checkpoint round-trip sequence. Each step is three bytes: an op and
 // two operands.
 func FuzzCPIModelOracle(f *testing.F) {
-	f.Add([]byte{4, 0, 8, 40, 0, 16, 30, 0, 12, 50, 4, 5, 0, 0, 8, 41, 6, 0, 0, 4, 3, 0})
-	f.Add([]byte{1, 0, 1, 9, 0, 2, 9, 0, 3, 9, 0, 4, 9, 0, 5, 9, 4, 0, 0, 7, 7, 0, 4, 0, 0})
-	f.Add([]byte{5, 0, 20, 100, 0, 20, 101, 5, 8, 60, 6, 0, 0, 0, 21, 7, 4, 1, 0, 0, 3, 200})
-	f.Add([]byte{2, 0, 0, 29, 0, 1, 58, 0, 2, 87, 0, 24, 10, 6, 0, 0})
+	f.Add([]byte{0, 8, 40, 0, 16, 30, 0, 12, 50, 4, 5, 0, 0, 8, 41, 5, 0, 0, 4, 3, 0})
+	f.Add([]byte{0, 1, 9, 0, 2, 9, 0, 3, 9, 0, 4, 9, 0, 5, 9, 4, 0, 0, 6, 7, 0, 4, 0, 0})
+	f.Add([]byte{0, 20, 100, 0, 20, 101, 0, 8, 60, 5, 0, 0, 0, 21, 7, 4, 1, 0, 0, 3, 200})
+	f.Add([]byte{0, 0, 29, 0, 1, 58, 0, 2, 87, 0, 24, 10, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		blend := float64(data[0]%6) / 5 // 0 selects the default blend
-		m, o := NewCPIModel(blend), newOracleModel(blend)
+		m, o := NewCPIModel(), newOracleModel()
 		var sc fitScratch // reused across steps: stale storage must not leak
 		interval := 0
-		for i := 1; i+2 < len(data); i += 3 {
+		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
 			ways := int(a%(oracleWays+2)) - 1 // -1 must be dropped
-			switch op % 8 {
+			switch op % 7 {
 			case 0, 1, 2:
 				interval++
 				m.Observe(ways, fuzzCPI(b), interval)
@@ -248,11 +232,7 @@ func FuzzCPIModelOracle(f *testing.F) {
 				m.Prune(interval - int(a%16))
 				o.Prune(interval - int(a%16))
 			case 5:
-				interval++
-				m.ResetTo(ways, fuzzCPI(b), interval)
-				o.ResetTo(ways, fuzzCPI(b), interval)
-			case 6:
-				m2 := NewCPIModel(blend)
+				m2 := NewCPIModel()
 				if err := m2.RestoreModelState(m.ModelState()); err != nil {
 					t.Fatalf("round trip of %+v: %v", m.ModelState(), err)
 				}

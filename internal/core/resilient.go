@@ -40,9 +40,28 @@ func (h Health) String() string {
 	}
 }
 
+// The resilient engine's hysteresis and validation thresholds.
+const (
+	// window is the quality-history length, in intervals.
+	window = 6
+	// demoteBad demotes one rung when at least this many of the last
+	// window intervals were bad.
+	demoteBad = 3
+	// promoteBad promotes one rung when at most this many of the last
+	// window intervals were bad, over a full window.
+	promoteBad = 0
+	// dwell is the minimum number of intervals between consecutive
+	// level changes; with demoteBad and promoteBad it forms the
+	// hysteresis band.
+	dwell = 4
+	// jumpFactor flags a thread sample whose CPI moved by more than
+	// this factor relative to its last trusted sample.
+	jumpFactor = 4
+)
+
 // ResilientEngine hardens the model-based partitioner against degraded
-// telemetry. It wraps the stock ModelEngine and CPIProportionalEngine
-// in a three-rung fallback chain (model → CPI-proportional → static
+// telemetry. It wraps the stock ModelEngine and the CPI-proportional
+// rule in a three-rung fallback chain (model → CPI-proportional → static
 // equal) driven by per-interval measurement quality:
 //
 //   - every interval's samples are validated before any engine sees
@@ -65,25 +84,9 @@ func (h Health) String() string {
 // transparent pass-through to the stock ModelEngine, so healthy-path
 // behaviour (and every paper figure) is unchanged.
 type ResilientEngine struct {
-	// Model decides at HealthModel; Prop decides at HealthProportional.
+	// Model decides at HealthModel; the CPI-proportional rule decides
+	// at HealthProportional.
 	Model *ModelEngine
-	Prop  *CPIProportionalEngine
-
-	// Window is the quality-history length (default 6 intervals).
-	Window int
-	// DemoteBad demotes one rung when at least this many of the last
-	// Window intervals were bad (default 3).
-	DemoteBad int
-	// PromoteBad promotes one rung when at most this many of the last
-	// Window intervals were bad, over a full window (default 0).
-	PromoteBad int
-	// Dwell is the minimum number of intervals between consecutive
-	// level changes (default 4); with DemoteBad/PromoteBad it forms the
-	// hysteresis band.
-	Dwell int
-	// JumpFactor flags a thread sample whose CPI moved by more than
-	// this factor relative to its last trusted sample (default 4).
-	JumpFactor float64
 
 	health       Health
 	ring         []bool
@@ -99,18 +102,9 @@ type ResilientEngine struct {
 	rejected     uint64
 }
 
-// NewResilientEngine returns the hardened model-based engine with
-// default thresholds.
+// NewResilientEngine returns the hardened model-based engine.
 func NewResilientEngine() *ResilientEngine {
-	return &ResilientEngine{
-		Model:      NewModelEngine(),
-		Prop:       NewCPIProportionalEngine(),
-		Window:     6,
-		DemoteBad:  3,
-		PromoteBad: 0,
-		Dwell:      4,
-		JumpFactor: 4,
-	}
+	return &ResilientEngine{Model: NewModelEngine()}
 }
 
 // Name implements Engine. The resilient engine *is* the model-based
@@ -131,46 +125,22 @@ func (e *ResilientEngine) Promotions() int { return e.promotions }
 // discarded.
 func (e *ResilientEngine) RejectedSamples() uint64 { return e.rejected }
 
-func (e *ResilientEngine) window() int {
-	if e.Window <= 0 {
-		return 6
-	}
-	return e.Window
-}
-
-func (e *ResilientEngine) demoteBad() int {
-	if e.DemoteBad <= 0 {
-		return 3
-	}
-	return e.DemoteBad
-}
-
-func (e *ResilientEngine) dwell() int {
-	if e.Dwell <= 0 {
-		return 4
-	}
-	return e.Dwell
-}
-
-func (e *ResilientEngine) jumpFactor() float64 {
-	if e.JumpFactor <= 1 {
-		return 4
-	}
-	return e.JumpFactor
-}
-
+// ensure sizes the engine's state for n threads. A thread count other
+// than the per-thread state's (only a hand-built snapshot can cause
+// one) starts that state afresh, so a sample is never checked against
+// another thread's history.
 func (e *ResilientEngine) ensure(n int) {
 	if e.ring == nil {
-		e.ring = make([]bool, e.window())
+		e.ring = make([]bool, window)
+	}
+	if len(e.lastReported) != n {
 		e.lastReported = make([]sim.ThreadIntervalStats, n)
 		e.lastGood = make([]sim.ThreadIntervalStats, n)
 		e.haveGood = make([]bool, n)
+		e.haveReported = false
 	}
 	if e.Model == nil {
 		e.Model = NewModelEngine()
-	}
-	if e.Prop == nil {
-		e.Prop = NewCPIProportionalEngine()
 	}
 }
 
@@ -213,7 +183,7 @@ func (e *ResilientEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current
 		if bad {
 			return nil // tainted interval: hold the current partition
 		}
-		return e.Prop.Decide(iv, mon, current)
+		return cpiProportional(iv, mon)
 	default:
 		if bad {
 			return nil
@@ -228,7 +198,6 @@ func (e *ResilientEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current
 // or jumps implausibly far from the thread's last trusted CPI.
 func (e *ResilientEngine) assess(iv sim.IntervalStats) (suspect []bool, bad bool) {
 	suspect = make([]bool, len(iv.Threads))
-	jf := e.jumpFactor()
 	for t, ts := range iv.Threads {
 		cpi := ts.CPI()
 		switch {
@@ -237,7 +206,7 @@ func (e *ResilientEngine) assess(iv sim.IntervalStats) (suspect []bool, bad bool
 		case e.haveReported && sameCounters(ts, e.lastReported[t]):
 			suspect[t] = true
 		case e.haveGood[t]:
-			if prev := e.lastGood[t].CPI(); prev > 0 && (cpi > prev*jf || cpi < prev/jf) {
+			if prev := e.lastGood[t].CPI(); prev > 0 && (cpi > prev*jumpFactor || cpi < prev/jumpFactor) {
 				suspect[t] = true
 			}
 		}
@@ -284,17 +253,17 @@ func (e *ResilientEngine) badCount() int {
 
 // maybeTransition moves one rung at a time, respecting the dwell time.
 func (e *ResilientEngine) maybeTransition() {
-	if e.sinceChange < e.dwell() {
+	if e.sinceChange < dwell {
 		return
 	}
 	bad := e.badCount()
 	switch {
-	case bad >= e.demoteBad() && e.health < HealthStatic:
+	case bad >= demoteBad && e.health < HealthStatic:
 		e.health++
 		e.demotions++
 		e.sinceChange = 0
 		e.resetSplit = true
-	case bad <= e.PromoteBad && e.filled == len(e.ring) && e.health > HealthModel:
+	case bad <= promoteBad && e.filled == len(e.ring) && e.health > HealthModel:
 		e.health--
 		e.promotions++
 		e.sinceChange = 0
@@ -318,7 +287,7 @@ func (e *ResilientEngine) suspectFits() bool {
 			continue
 		}
 		assessed++
-		if suspectFit(m, e.Model.Kind, &sc.fits[0]) {
+		if suspectFit(m, spline.NaturalCubic, &sc.fits[0]) {
 			suspects++
 		}
 	}

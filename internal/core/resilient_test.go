@@ -18,13 +18,7 @@ func cleanStream(e Engine, n int, mon fakeMon) [][]int {
 	// never latch the exact same values twice, and an exact repeat is the
 	// stuck-counter signature.
 	for i := 0; i < n; i++ {
-		cpis := []float64{
-			2 + 0.01*float64(i),
-			4 - 0.01*float64(i),
-			1.5 + 0.02*float64(i),
-			3 + 0.01*float64(i%7) + 0.001*float64(i),
-		}
-		d := e.Decide(ivWith(i, cpis, current), mon, current)
+		d := e.Decide(ivWith(i, cleanCPIs(i), current), mon, current)
 		out = append(out, d)
 		if d != nil {
 			current = d
@@ -174,7 +168,7 @@ func TestResilientKeepsPartitionWhenAllSamplesBad(t *testing.T) {
 }
 
 func TestCPIModelObserveRejectsNonFinite(t *testing.T) {
-	m := NewCPIModel(1)
+	m := NewCPIModel()
 	m.Observe(4, math.NaN(), 0)
 	m.Observe(5, math.Inf(1), 0)
 	m.Observe(6, math.Inf(-1), 0)
@@ -243,4 +237,148 @@ func TestRestoreRefusesInvalidModelPoints(t *testing.T) {
 	if ms := e.Model.Models()[0].ModelState(); len(ms.Points) != 3 || len(ms.Stamps) != 3 {
 		t.Errorf("restored model state %+v", ms)
 	}
+}
+
+// resilientAfter runs a fresh ResilientEngine through n clean 4-thread,
+// 32-way intervals and returns it with the assignment in force.
+func resilientAfter(n int) (*ResilientEngine, []int) {
+	e := NewResilientEngine()
+	mon := fakeMon{ways: 32, threads: 4}
+	cur := cache.EqualSplit(32, 4)
+	for i := 0; i < n; i++ {
+		if got := e.Decide(ivWith(i, cleanCPIs(i), cur), mon, cur); got != nil {
+			cur = got
+		}
+	}
+	return e, cur
+}
+
+// cleanCPIs is the 4-thread CPI vector of clean interval i: every
+// thread's CPI drifts, so no sample repeats the one before it.
+func cleanCPIs(i int) []float64 {
+	return []float64{
+		2 + 0.01*float64(i),
+		4 - 0.01*float64(i),
+		1.5 + 0.02*float64(i),
+		3 + 0.01*float64(i%7) + 0.001*float64(i),
+	}
+}
+
+// decideValid runs k more clean 4-thread intervals through e, starting
+// at interval from, and fails on any invalid assignment.
+func decideValid(t *testing.T, e *ResilientEngine, cur []int, from, k int) {
+	t.Helper()
+	mon := fakeMon{ways: 32, threads: 4}
+	for i := from; i < from+k; i++ {
+		got := e.Decide(ivWith(i, cleanCPIs(i), cur), mon, cur)
+		if got == nil {
+			continue
+		}
+		if err := validAssignment(got, 32, 4); err != nil {
+			t.Fatalf("interval %d: %v", i, err)
+		}
+		cur = got
+	}
+}
+
+// A snapshot the engine could never have produced, one that would index
+// out of range on the next Decide, is refused at restore.
+func TestResilientRestoreRefusesInconsistentState(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(st *ResilientEngineState)
+	}{
+		{"window position past the end", func(st *ResilientEngineState) { st.Pos = window }},
+		{"negative window position", func(st *ResilientEngineState) { st.Pos = -1 }},
+		{"window overfilled", func(st *ResilientEngineState) { st.Filled = window + 1 }},
+		{"negative fill", func(st *ResilientEngineState) { st.Filled = -1 }},
+		{"short window", func(st *ResilientEngineState) { st.Ring = st.Ring[:window-1] }},
+		{"health out of range", func(st *ResilientEngineState) { st.Health = HealthStatic + 1 }},
+		{"models cut", func(st *ResilientEngineState) { st.Model.Models = st.Model.Models[:2] }},
+		{"trusted samples cut", func(st *ResilientEngineState) { st.LastGood = st.LastGood[:2] }},
+		{"trusted flags cut", func(st *ResilientEngineState) { st.HaveGood = st.HaveGood[:2] }},
+		{"reported samples cut", func(st *ResilientEngineState) { st.LastReported = st.LastReported[:2] }},
+	}
+	for _, tc := range cases {
+		e, _ := resilientAfter(10)
+		st := e.EngineState()
+		tc.mutate(&st)
+		if err := NewResilientEngine().RestoreEngineState(st); err == nil {
+			t.Errorf("%s: restore accepted the state", tc.name)
+		}
+	}
+}
+
+// The per-thread state a restore accepts never breaks a later Decide:
+// a model that never ran has no points to restore, and a consistent
+// snapshot for fewer threads starts its per-thread state afresh when a
+// wider interval arrives.
+func TestResilientRestoreAcceptsConsistentState(t *testing.T) {
+	e, cur := resilientAfter(10)
+	st := e.EngineState()
+	st.Model.Models = nil
+	r := NewResilientEngine()
+	if err := r.RestoreEngineState(st); err != nil {
+		t.Fatalf("restore without models: %v", err)
+	}
+	decideValid(t, r, cur, 10, 5)
+
+	st = e.EngineState()
+	st.LastReported, st.LastGood, st.HaveGood = st.LastReported[:2], st.LastGood[:2], st.HaveGood[:2]
+	st.Model.Models = st.Model.Models[:2]
+	r = NewResilientEngine()
+	if err := r.RestoreEngineState(st); err != nil {
+		t.Fatalf("restore of a 2-thread snapshot: %v", err)
+	}
+	decideValid(t, r, cur, 10, 5)
+	if got := len(r.Model.Models()); got != 4 {
+		t.Errorf("engine models %d threads after 4-thread intervals", got)
+	}
+}
+
+// FuzzRestoreResilientEngine restores a state captured after ten
+// decisions with its window position, fill, dwell counter and health
+// set from the input and each per-thread slice truncated or extended.
+// Either the restore refuses the state, or the next five 4-thread
+// decisions neither panic nor return an invalid assignment.
+func FuzzRestoreResilientEngine(f *testing.F) {
+	// 10 decisions leave position 4, a full window, 10 intervals since
+	// the last change, the model rung and 4 threads everywhere.
+	f.Add([]byte{4, 6, 10, 0, 4, 4, 4, 4})
+	f.Add([]byte{6, 6, 10, 0, 4, 4, 4, 4})
+	f.Add([]byte{0, 0, 0, 2, 2, 2, 2, 2})
+	f.Add([]byte{1, 3, 0, 1, 4, 4, 4, 0})
+	f.Add([]byte{0, 9, 200, 0, 4, 2, 4, 4})
+	f.Add([]byte{5, 5, 3, 0, 7, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(int8(b))
+		}
+		e, cur := resilientAfter(10)
+		st := e.EngineState()
+		st.Pos, st.Filled, st.SinceChange, st.Health = next(), next(), next(), Health(next())
+		st.LastReported = resize(st.LastReported, next())
+		st.LastGood = resize(st.LastGood, next())
+		st.HaveGood = resize(st.HaveGood, next())
+		st.Model.Models = resize(st.Model.Models, next())
+		r := NewResilientEngine()
+		if err := r.RestoreEngineState(st); err != nil {
+			return
+		}
+		decideValid(t, r, cur, 10, 5)
+	})
+}
+
+// resize truncates s to n&7 elements or extends it with zero values.
+func resize[T any](s []T, n int) []T {
+	n &= 7
+	if n <= len(s) {
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
 }

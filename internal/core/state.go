@@ -8,9 +8,7 @@ import (
 	"intracache/internal/sim"
 )
 
-// CPIModelState is the serializable form of one thread's CPI model. The
-// blend weight is configuration, not state; it is re-established by the
-// engine that recreates the model.
+// CPIModelState is the serializable form of one thread's CPI model.
 type CPIModelState struct {
 	Points map[int]float64
 	Stamps map[int]int
@@ -52,34 +50,10 @@ func (m *CPIModel) RestoreModelState(st CPIModelState) error {
 	return nil
 }
 
-// PhaseDetectorState is the serializable form of a PhaseDetector.
-type PhaseDetectorState struct {
-	EWMA []float64
-	Seen []bool
-}
-
-// DetectorState captures the detector's baselines for checkpointing.
-func (d *PhaseDetector) DetectorState() PhaseDetectorState {
-	return PhaseDetectorState{
-		EWMA: append([]float64(nil), d.ewma...),
-		Seen: append([]bool(nil), d.seen...),
-	}
-}
-
-// RestoreDetectorState overlays a snapshot onto the detector.
-func (d *PhaseDetector) RestoreDetectorState(st PhaseDetectorState) {
-	d.ewma = append([]float64(nil), st.EWMA...)
-	d.seen = append([]bool(nil), st.Seen...)
-}
-
 // ModelEngineState is the serializable mutable state of a ModelEngine.
-// Tuning knobs (Kind, Blend, thresholds) are configuration and are not
-// carried: a restored engine keeps whatever knobs it was constructed
-// with, which must match the original for bit-identical resume.
 type ModelEngineState struct {
 	Models   []CPIModelState
 	Interval int
-	Detector *PhaseDetectorState
 }
 
 // EngineState captures the engine's mutable state for checkpointing.
@@ -88,10 +62,6 @@ func (e *ModelEngine) EngineState() ModelEngineState {
 	for _, m := range e.models {
 		st.Models = append(st.Models, m.ModelState())
 	}
-	if e.detector != nil {
-		d := e.detector.DetectorState()
-		st.Detector = &d
-	}
 	return st
 }
 
@@ -99,23 +69,11 @@ func (e *ModelEngine) EngineState() ModelEngineState {
 func (e *ModelEngine) RestoreEngineState(st ModelEngineState) error {
 	if len(st.Models) > 0 {
 		e.ensure(len(st.Models))
-		if len(st.Models) != len(e.models) {
-			return fmt.Errorf("core: restore has %d models, engine has %d", len(st.Models), len(e.models))
-		}
 		for i, ms := range st.Models {
 			if err := e.models[i].RestoreModelState(ms); err != nil {
 				return fmt.Errorf("core: restoring thread %d model: %w", i, err)
 			}
 		}
-	}
-	if st.Detector != nil {
-		if e.detector == nil {
-			if !e.PhaseDetect {
-				return fmt.Errorf("core: restore carries a phase detector but PhaseDetect is off")
-			}
-			e.detector = NewPhaseDetector(len(st.Detector.EWMA))
-		}
-		e.detector.RestoreDetectorState(*st.Detector)
 	}
 	e.interval = st.Interval
 	return nil
@@ -164,17 +122,28 @@ func (e *ResilientEngine) EngineState() ResilientEngineState {
 	return st
 }
 
-// RestoreEngineState overlays a snapshot onto the engine.
+// RestoreEngineState overlays a snapshot onto the engine. It refuses a
+// snapshot the engine could never have produced and that would index
+// out of range on the next Decide: a quality window of the wrong size,
+// a window position or fill count outside it, or per-thread state
+// (reported and trusted samples, their flags, and the models) of
+// unequal lengths. Per-thread state and models may each be empty: an
+// engine that has not decided yet, or whose model never ran, has none.
 func (e *ResilientEngine) RestoreEngineState(st ResilientEngineState) error {
-	if st.Ring != nil {
-		e.ensure(len(st.LastReported))
-		if len(st.Ring) != len(e.ring) {
-			return fmt.Errorf("core: restore quality window has %d slots, engine has %d", len(st.Ring), len(e.ring))
-		}
-		copy(e.ring, st.Ring)
-		e.lastReported = append([]sim.ThreadIntervalStats(nil), st.LastReported...)
-		e.lastGood = append([]sim.ThreadIntervalStats(nil), st.LastGood...)
-		e.haveGood = append([]bool(nil), st.HaveGood...)
+	if st.Ring != nil && len(st.Ring) != window {
+		return fmt.Errorf("core: restore quality window has %d slots, engine has %d", len(st.Ring), window)
+	}
+	if st.Pos < 0 || st.Pos >= window || st.Filled < 0 || st.Filled > window {
+		return fmt.Errorf("core: restore window position %d / fill %d outside a %d-slot window", st.Pos, st.Filled, window)
+	}
+	n := len(st.LastReported)
+	if len(st.LastGood) != n || len(st.HaveGood) != n ||
+		(n > 0 && len(st.Model.Models) > 0 && len(st.Model.Models) != n) {
+		return fmt.Errorf("core: restore per-thread state disagrees: %d reported, %d trusted, %d trusted flags, %d models",
+			n, len(st.LastGood), len(st.HaveGood), len(st.Model.Models))
+	}
+	if st.Health < HealthModel || st.Health > HealthStatic {
+		return fmt.Errorf("core: restore health %d out of range", st.Health)
 	}
 	if e.Model == nil {
 		e.Model = NewModelEngine()
@@ -182,9 +151,12 @@ func (e *ResilientEngine) RestoreEngineState(st ResilientEngineState) error {
 	if err := e.Model.RestoreEngineState(st.Model); err != nil {
 		return err
 	}
-	if st.Health < HealthModel || st.Health > HealthStatic {
-		return fmt.Errorf("core: restore health %d out of range", st.Health)
+	if st.Ring != nil {
+		e.ring = append([]bool(nil), st.Ring...)
 	}
+	e.lastReported = append([]sim.ThreadIntervalStats(nil), st.LastReported...)
+	e.lastGood = append([]sim.ThreadIntervalStats(nil), st.LastGood...)
+	e.haveGood = append([]bool(nil), st.HaveGood...)
 	e.health = st.Health
 	e.pos = st.Pos
 	e.filled = st.Filled

@@ -16,13 +16,12 @@ import (
 // application: the slow (high-CPI) thread executes fewer instructions
 // per interval, generates fewer monitored accesses, and is therefore
 // systematically out-bid by fast cache-friendly threads.
-type UCPEngine struct {
-	// MinWays is the smallest allocation any thread may hold (default 1).
-	MinWays int
-}
+//
+// Every thread keeps at least minWays ways.
+type UCPEngine struct{}
 
-// NewUCPEngine returns the engine with the default one-way floor.
-func NewUCPEngine() *UCPEngine { return &UCPEngine{MinWays: 1} }
+// NewUCPEngine returns the engine.
+func NewUCPEngine() *UCPEngine { return &UCPEngine{} }
 
 // Name implements Engine.
 func (e *UCPEngine) Name() string { return "throughput-ucp" }
@@ -31,12 +30,9 @@ func (e *UCPEngine) Name() string { return "throughput-ucp" }
 func (e *UCPEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current []int) []int {
 	n := mon.NumThreads()
 	totalWays := mon.Ways()
-	minWays := e.MinWays
-	if minWays <= 0 {
-		minWays = 1
-	}
-	if minWays*n > totalWays {
-		minWays = totalWays / n
+	floor := minWays
+	if floor*n > totalWays {
+		floor = totalWays / n
 	}
 
 	curves := make([][]uint64, n)
@@ -54,9 +50,9 @@ func (e *UCPEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current []int
 	// drops the most from its current allocation to the next way.
 	ways := make([]int, n)
 	for t := range ways {
-		ways[t] = minWays
+		ways[t] = floor
 	}
-	remaining := totalWays - minWays*n
+	remaining := totalWays - floor*n
 	for ; remaining > 0; remaining-- {
 		best, bestGain := -1, uint64(0)
 		for t := 0; t < n; t++ {

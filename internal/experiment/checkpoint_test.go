@@ -225,9 +225,10 @@ func TestCheckpointResumeMissingFileIsFreshStart(t *testing.T) {
 
 // TestCheckpointResumeLegacyCoherenceFields loads a checkpoint written
 // while sim.State still had the L1-coherence fields Coherence, Presence
-// and Invalidations, and checks it resumes bit-identically to a
-// straight-through run. Gob skips stream fields the destination type
-// lacks, so such files stay loadable.
+// and Invalidations, and core.ModelEngineState still had the phase
+// detector's Detector field of type PhaseDetectorState, and checks it
+// resumes bit-identically to a straight-through run. Gob skips stream
+// fields the destination type lacks, so such files stay loadable.
 //
 // testdata/coherence-fields.ckpt was generated at commit 5eaacee by
 // calling, from a test in this package,
@@ -243,9 +244,9 @@ func TestCheckpointResumeLegacyCoherenceFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"Coherence", "Presence", "Invalidations"} {
-		if !bytes.Contains(data, []byte(field)) {
-			t.Fatalf("fixture gob stream does not carry sim.State.%s", field)
+	for _, name := range []string{"Coherence", "Presence", "Invalidations", "PhaseDetectorState", "Detector"} {
+		if !bytes.Contains(data, []byte(name)) {
+			t.Fatalf("fixture gob stream does not carry %s", name)
 		}
 	}
 	path := filepath.Join(t.TempDir(), "run.ckpt")

@@ -324,9 +324,8 @@ func RunSources(cfg Config, name string, sources []trace.Source, pol core.Policy
 }
 
 // RunWithEngine runs a benchmark on a partitioned L2 driven by the
-// given partition engine, bypassing the policy table. This is the hook
-// the ablation benchmarks use to vary engine internals (spline kind,
-// bootstrap length, movement caps) that the stock policies fix.
+// given partition engine, bypassing the policy table, for engines no
+// policy builds.
 func RunWithEngine(cfg Config, prof workload.Profile, eng core.Engine, mode RunMode) (Run, error) {
 	rts, err := core.NewRuntimeSystem(eng)
 	if err != nil {

@@ -12,19 +12,14 @@ import (
 	"intracache/internal/fault"
 	"intracache/internal/service"
 	"intracache/internal/sim"
-	"intracache/internal/spline"
 )
 
-// Golden digests of ResilientEngine decision streams over a seeded,
-// partly faulted fleet. Any change to the model engine's arithmetic —
-// a reordered sum, a different sort, a skipped or extra point — moves
-// these, so an optimisation of the decision path must leave them as
-// they are.
-var goldenEngineDigests = map[spline.Kind]string{
-	spline.NaturalCubic: "60c4b3dd1b469a9d",
-	spline.PCHIP:        "cb2a942a1debcef9",
-	spline.Linear:       "79264de6eb2949e3",
-}
+// goldenEngineDigest is the digest of ResilientEngine decision streams
+// over a seeded, partly faulted fleet. Any change to the model engine's
+// arithmetic — a reordered sum, a different sort, a skipped or extra
+// point — moves it, so an optimisation of the decision path must leave
+// it as it is.
+const goldenEngineDigest = "60c4b3dd1b469a9d"
 
 const goldenServiceDigest = "f972aaaa6dbf0600"
 
@@ -61,45 +56,42 @@ func putInt(h hash.Hash, v int64) {
 }
 
 // TestResilientEngineDecisionDigest drives one ResilientEngine per app
-// directly, for every spline kind, and hashes each decision (targets or
-// hold) together with the health rung it was made at.
+// directly and hashes each decision (targets or hold) together with the
+// health rung it was made at.
 func TestResilientEngineDecisionDigest(t *testing.T) {
 	const intervals = 60
 	cfg := digestFleet()
-	for kind, want := range goldenEngineDigests {
-		fleet, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	fleet, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	mon := digestMon{ways: cfg.Ways, threads: cfg.Threads}
+	for _, app := range fleet.Apps {
+		eng := core.NewResilientEngine()
+		cur := make([]int, cfg.Threads)
+		for t := range cur {
+			cur[t] = cfg.Ways / cfg.Threads
 		}
-		h := sha256.New()
-		mon := digestMon{ways: cfg.Ways, threads: cfg.Threads}
-		for _, app := range fleet.Apps {
-			eng := core.NewResilientEngine()
-			eng.Model.Kind = kind
-			cur := make([]int, cfg.Threads)
-			for t := range cur {
-				cur[t] = cfg.Ways / cfg.Threads
+		for i := 0; i < intervals; i++ {
+			smp := app.NextBatch(1).Samples[0]
+			iv := sim.IntervalStats{Index: i, Threads: smp.Threads}
+			for t := range iv.Threads {
+				iv.Threads[t].WaysAssigned = cur[t]
 			}
-			for i := 0; i < intervals; i++ {
-				smp := app.NextBatch(1).Samples[0]
-				iv := sim.IntervalStats{Index: i, Threads: smp.Threads}
-				for t := range iv.Threads {
-					iv.Threads[t].WaysAssigned = cur[t]
-				}
-				got := eng.Decide(iv, mon, cur)
-				putInt(h, int64(eng.Health()))
-				putInt(h, int64(len(got)))
-				for _, w := range got {
-					putInt(h, int64(w))
-				}
-				if got != nil {
-					cur = append(cur[:0], got...)
-				}
+			got := eng.Decide(iv, mon, cur)
+			putInt(h, int64(eng.Health()))
+			putInt(h, int64(len(got)))
+			for _, w := range got {
+				putInt(h, int64(w))
+			}
+			if got != nil {
+				cur = append(cur[:0], got...)
 			}
 		}
-		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != want {
-			t.Errorf("%v: decision digest %s, want %s", kind, got, want)
-		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil))[:16]; got != goldenEngineDigest {
+		t.Errorf("decision digest %s, want %s", got, goldenEngineDigest)
 	}
 }
 

@@ -1,0 +1,87 @@
+package service
+
+import (
+	"strings"
+	"testing"
+
+	"intracache/internal/core"
+)
+
+// A sealed, CRC-valid checkpoint can carry engine state no engine ever
+// produced. Each of these restored without error and then panicked
+// with an index out of range on the next tick, which in partitiond
+// runs in the ticker goroutine and kills the daemon. Restore must
+// refuse them, and leave the service empty and serving.
+func TestRestoreRefusesInconsistentEngineState(t *testing.T) {
+	const threads = 4
+	capture := func(t *testing.T) State {
+		t.Helper()
+		svc := New(Options{})
+		for step := 0; step < 2; step++ {
+			if rep := svc.Ingest(mkBatch("a", threads, 16, 2, uint64(step*100))); rep.Rejected != "" {
+				t.Fatalf("ingest: %+v", rep)
+			}
+			svc.Tick(0)
+		}
+		st, err := svc.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := st.Sessions[0].Runtime.Engine.Resilient
+		if len(r.LastReported) != threads || len(r.Model.Models) != threads {
+			t.Fatalf("captured engine holds %d samples and %d models, want %d of each",
+				len(r.LastReported), len(r.Model.Models), threads)
+		}
+		return st
+	}
+	cases := []struct {
+		name   string
+		mutate func(r *core.ResilientEngineState)
+	}{
+		{"window position past the end", func(r *core.ResilientEngineState) { r.Pos = 6 }},
+		{"negative window position", func(r *core.ResilientEngineState) { r.Pos = -1 }},
+		{"window overfilled", func(r *core.ResilientEngineState) { r.Filled = 9 }},
+		{"models cut", func(r *core.ResilientEngineState) { r.Model.Models = r.Model.Models[:2] }},
+		{"trusted samples cut", func(r *core.ResilientEngineState) {
+			r.LastGood, r.HaveGood = r.LastGood[:2], r.HaveGood[:2]
+		}},
+		{"reported samples cut", func(r *core.ResilientEngineState) { r.LastReported = r.LastReported[:2] }},
+		{"every per-thread slice cut", func(r *core.ResilientEngineState) {
+			r.LastReported, r.LastGood, r.HaveGood = r.LastReported[:2], r.LastGood[:2], r.HaveGood[:2]
+			r.Model.Models = r.Model.Models[:2]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := capture(t)
+			tc.mutate(st.Sessions[0].Runtime.Engine.Resilient)
+			fresh := New(Options{})
+			err := fresh.Restore(st)
+			if err == nil {
+				// Show what the accepted state does to the next tick.
+				fresh.Ingest(mkBatch("a", threads, 16, 2, 900))
+				fresh.Tick(0)
+				t.Fatal("restore accepted the state")
+			}
+			if !strings.Contains(err.Error(), `"a"`) {
+				t.Errorf("refusal %q does not name the session", err)
+			}
+			if rep := fresh.Ingest(mkBatch("a", threads, 16, 2, 900)); rep.Rejected != "" {
+				t.Fatalf("ingest after refused restore: %+v", rep)
+			}
+			if ds := fresh.Tick(0); len(ds) != 1 {
+				t.Fatalf("tick after refused restore: %+v", ds)
+			}
+		})
+	}
+
+	// The unmodified capture restores and ticks.
+	fresh := New(Options{})
+	if err := fresh.Restore(capture(t)); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Ingest(mkBatch("a", threads, 16, 2, 900))
+	if ds := fresh.Tick(0); len(ds) != 1 || ds[0].Rung != "model" {
+		t.Fatalf("tick after restore: %+v", ds)
+	}
+}

@@ -167,9 +167,6 @@ type Options struct {
 	// sheds the backlog down to the newest MaxSamplesPerTick samples,
 	// and lets the next tick recover (default QueueCap).
 	PressureHighWater int
-	// MaxDecisionLog bounds each session's runtime decision log
-	// (default 8; the log exists for introspection, not steering).
-	MaxDecisionLog int
 	// Now is the deadline clock, a seam for deterministic tests
 	// (default time.Now).
 	Now func() time.Time
@@ -205,12 +202,9 @@ func (o Options) pressureHighWater() int {
 	return o.PressureHighWater
 }
 
-func (o Options) maxDecisionLog() int {
-	if o.MaxDecisionLog <= 0 {
-		return 8
-	}
-	return o.MaxDecisionLog
-}
+// maxDecisionLog bounds each session's runtime decision log; the log
+// exists for introspection, not steering.
+const maxDecisionLog = 8
 
 // Validation caps: a batch that claims shapes beyond these is
 // malformed, not ambitious. They bound per-session allocation work.
@@ -506,7 +500,7 @@ func (s *Service) newSession(app string, threads, ways int) *session {
 		// Unreachable: the engine is never nil. Guard anyway.
 		panic(err)
 	}
-	rts.MaxLog = s.opts.maxDecisionLog()
+	rts.MaxLog = maxDecisionLog
 	sess := &session{
 		app:      app,
 		threads:  threads,

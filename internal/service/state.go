@@ -122,9 +122,16 @@ func (s *Service) Restore(st State) error {
 		if err != nil {
 			return err
 		}
-		rts.MaxLog = s.opts.maxDecisionLog()
+		rts.MaxLog = maxDecisionLog
 		if err := rts.Restore(ss.Runtime); err != nil {
 			return fmt.Errorf("service: restoring session %q: %w", ss.App, err)
+		}
+		// Restore has checked the engine's per-thread state against
+		// itself; it must also be for this session's threads, or empty
+		// before the engine's first decision.
+		r := ss.Runtime.Engine.Resilient
+		if n := max(len(r.LastReported), len(r.Model.Models)); n != 0 && n != ss.Threads {
+			return fmt.Errorf("service: session %q engine has state for %d threads, session has %d", ss.App, n, ss.Threads)
 		}
 		sess := &session{
 			app:             ss.App,

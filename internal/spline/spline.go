@@ -2,12 +2,10 @@
 // model-based partitioning scheme (Sec. VI-B of the paper). The paper
 // fits each thread's CPI-vs-ways data points with "a simple cubic spline
 // interpolation" and notes that the choice of fitting algorithm is
-// independent of the scheme; this package therefore provides three
-// interchangeable interpolants behind one interface:
+// independent of the scheme; this package provides two interpolants
+// behind one interface:
 //
-//   - Natural cubic spline (the paper's default)
-//   - PCHIP (Fritsch–Carlson monotone cubic) — avoids the overshoot a
-//     natural spline can exhibit with sparse, noisy CPI samples
+//   - Natural cubic spline (the paper's choice, and the engine's)
 //   - Piecewise linear — the trivially robust fallback
 //
 // All interpolants clamp extrapolation to the boundary values: CPI
@@ -39,11 +37,8 @@ type Kind int
 
 const (
 	// NaturalCubic is the classic natural cubic spline (second
-	// derivative zero at both ends). The paper's default.
+	// derivative zero at both ends). The paper's choice.
 	NaturalCubic Kind = iota
-	// PCHIP is the Fritsch–Carlson monotone piecewise-cubic Hermite
-	// interpolant; it never overshoots the data.
-	PCHIP
 	// Linear is piecewise-linear interpolation.
 	Linear
 )
@@ -53,8 +48,6 @@ func (k Kind) String() string {
 	switch k {
 	case NaturalCubic:
 		return "natural-cubic"
-	case PCHIP:
-		return "pchip"
 	case Linear:
 		return "linear"
 	default:
@@ -65,7 +58,7 @@ func (k Kind) String() string {
 var errTooFew = errors.New("spline: need at least one data point")
 
 // Fit builds an interpolator of the given kind, which must be one of
-// the three above, over the points (xs[i], ys[i]). The slices must
+// the two above, over the points (xs[i], ys[i]). The slices must
 // have equal nonzero length and every coordinate must be finite: a
 // single NaN or Inf would contaminate the whole tridiagonal solve and
 // make Eval return NaN everywhere, so such inputs are rejected up
@@ -84,7 +77,7 @@ func Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
 // is ready to use; a Fitter must not be used concurrently.
 type Fitter struct {
 	x, y, m []float64 // knots, values and Hermite slopes of the fit
-	h, w    []float64 // knot spacings; secants (PCHIP) or sigma (natural)
+	h, w    []float64 // knot spacings and second derivatives
 	b, d    []float64 // diagonal and right-hand side of the natural spline's system
 	pts     []point   // sort buffer for unsorted or duplicate input
 
@@ -135,10 +128,8 @@ func (f *Fitter) Fit(kind Kind, xs, ys []float64) (Interpolator, error) {
 	case len(x) == 2 || kind == Linear:
 		f.lin = linear{x: x, y: y}
 		return &f.lin, nil
-	case kind == NaturalCubic:
-		f.fitNatural()
 	default:
-		f.fitPCHIP()
+		f.fitNatural()
 	}
 	f.cub = cubic{x: x, y: y, m: f.m}
 	return &f.cub, nil
@@ -206,7 +197,7 @@ func (l *linear) Eval(x float64) float64 {
 
 // cubic is a piecewise-cubic Hermite interpolant: on segment i the
 // curve is defined by endpoint values y[i], y[i+1] and endpoint slopes
-// m[i], m[i+1]. Both the natural spline and PCHIP reduce to this form.
+// m[i], m[i+1]. The natural spline is fitted into this form.
 type cubic struct {
 	x, y, m []float64
 }
@@ -283,67 +274,4 @@ func (f *Fitter) fitNatural() {
 	}
 	last := n - 2
 	slopes[n-1] = (y[n-1]-y[last])/h[last] + h[last]/6*(2*sigma[n-1]+sigma[last])
-}
-
-// fitPCHIP computes Fritsch–Carlson monotone slopes into f.m.
-func (f *Fitter) fitPCHIP() {
-	x, y := f.x, f.y
-	n := len(x)
-	h, delta := grow(f.h, n-1), grow(f.w, n-1)
-	f.h, f.w = h, delta
-	for i := 0; i < n-1; i++ {
-		h[i] = x[i+1] - x[i]
-		delta[i] = (y[i+1] - y[i]) / h[i]
-	}
-	m := grow(f.m, n)
-	f.m = m
-	// Interior slopes: weighted harmonic mean when the secants agree in
-	// sign, zero otherwise (local extremum).
-	for i := 1; i < n-1; i++ {
-		if delta[i-1]*delta[i] <= 0 {
-			m[i] = 0
-			continue
-		}
-		w1 := 2*h[i] + h[i-1]
-		w2 := h[i] + 2*h[i-1]
-		m[i] = (w1 + w2) / (w1/delta[i-1] + w2/delta[i])
-	}
-	// Endpoint slopes: one-sided three-point estimate, clipped to
-	// preserve monotonicity and shape.
-	m[0] = edgeSlope(h[0], h[min(1, n-2)], delta[0], delta[min(1, n-2)])
-	m[n-1] = edgeSlope(h[n-2], h[max(0, n-3)], delta[n-2], delta[max(0, n-3)])
-}
-
-// edgeSlope is the standard PCHIP endpoint slope formula with the
-// Fritsch–Carlson shape-preserving clips applied.
-func edgeSlope(h0, h1, d0, d1 float64) float64 {
-	s := ((2*h0+h1)*d0 - h0*d1) / (h0 + h1)
-	if s*d0 <= 0 {
-		return 0
-	}
-	if d0*d1 < 0 && absF(s) > 3*absF(d0) {
-		return 3 * d0
-	}
-	return s
-}
-
-func absF(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

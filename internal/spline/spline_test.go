@@ -109,7 +109,7 @@ func TestFitterMatchesFreshFitBitForBit(t *testing.T) {
 	var reused Fitter
 	for trial := 0; trial < 3000; trial++ {
 		xs, ys := randomPoints(r, 1+r.Intn(10))
-		kind := Kind(r.Intn(3))
+		kind := Kind(r.Intn(2))
 		wantX, wantY := dedupSortedOracle(xs, ys)
 
 		got, err := reused.Fit(kind, xs, ys)
@@ -154,7 +154,7 @@ func TestFitterReusesStorage(t *testing.T) {
 	xs := []float64{1, 2, 4, 8, 16, 32}
 	ys := []float64{9, 7.5, 6, 4.2, 3.9, 3.85}
 	shuffled := []float64{8, 1, 32, 4, 16, 2}
-	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+	for _, kind := range []Kind{NaturalCubic, Linear} {
 		var f Fitter
 		if _, err := f.Fit(kind, shuffled, ys); err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestFitterReusesStorage(t *testing.T) {
 }
 
 func TestFitRejectsNonFinite(t *testing.T) {
-	kinds := []Kind{NaturalCubic, PCHIP, Linear}
+	kinds := []Kind{NaturalCubic, Linear}
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	for _, k := range kinds {
 		for _, v := range bad {
@@ -204,7 +204,7 @@ func TestFitNeverReturnsNaN(t *testing.T) {
 		{"tiny x spacing", []float64{1, 1 + 1e-12, 2}, []float64{1, 100, 2}},
 		{"huge values", []float64{1, 2, 3}, []float64{1e300, 2e300, 1.5e300}},
 	}
-	for _, k := range []Kind{NaturalCubic, PCHIP, Linear} {
+	for _, k := range []Kind{NaturalCubic, Linear} {
 		for _, tc := range cases {
 			in, err := Fit(k, tc.xs, tc.ys)
 			if err != nil {
@@ -223,7 +223,6 @@ func TestFitNeverReturnsNaN(t *testing.T) {
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		NaturalCubic: "natural-cubic",
-		PCHIP:        "pchip",
 		Linear:       "linear",
 		Kind(42):     "Kind(42)",
 	}
@@ -235,7 +234,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestConstantSinglePoint(t *testing.T) {
-	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+	for _, kind := range []Kind{NaturalCubic, Linear} {
 		in, err := Fit(kind, []float64{4}, []float64{7})
 		if err != nil {
 			t.Fatal(err)
@@ -249,7 +248,7 @@ func TestConstantSinglePoint(t *testing.T) {
 }
 
 func TestTwoPointsLinear(t *testing.T) {
-	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+	for _, kind := range []Kind{NaturalCubic, Linear} {
 		in, err := Fit(kind, []float64{0, 10}, []float64{0, 100})
 		if err != nil {
 			t.Fatal(err)
@@ -263,7 +262,7 @@ func TestTwoPointsLinear(t *testing.T) {
 func TestInterpolatesKnots(t *testing.T) {
 	xs := []float64{1, 2, 4, 8, 16, 32}
 	ys := []float64{9, 7.5, 6, 4.2, 3.9, 3.85}
-	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+	for _, kind := range []Kind{NaturalCubic, Linear} {
 		in, err := Fit(kind, xs, ys)
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +278,7 @@ func TestInterpolatesKnots(t *testing.T) {
 func TestClampedExtrapolation(t *testing.T) {
 	xs := []float64{2, 4, 8, 16}
 	ys := []float64{10, 6, 4, 3}
-	for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+	for _, kind := range []Kind{NaturalCubic, Linear} {
 		in, err := Fit(kind, xs, ys)
 		if err != nil {
 			t.Fatal(err)
@@ -359,41 +358,6 @@ func TestNaturalCubicSmoothCurve(t *testing.T) {
 	}
 }
 
-func TestPCHIPMonotonePreservation(t *testing.T) {
-	// Monotone decreasing data (a typical CPI-vs-ways curve) must yield
-	// a monotone decreasing interpolant — no overshoot between knots.
-	xs := []float64{1, 2, 4, 8, 16, 32, 64}
-	ys := []float64{12, 9, 6.5, 5, 4.4, 4.1, 4.05}
-	in, err := Fit(PCHIP, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := in.Eval(1)
-	for x := 1.0; x <= 64; x += 0.25 {
-		cur := in.Eval(x)
-		if cur > prev+1e-9 {
-			t.Fatalf("PCHIP not monotone at x=%v: %v > %v", x, cur, prev)
-		}
-		prev = cur
-	}
-}
-
-func TestPCHIPNoOvershootOnStep(t *testing.T) {
-	// Step-like data: values must stay inside [min(y), max(y)].
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := []float64{0, 0, 10, 10, 10}
-	in, err := Fit(PCHIP, xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for x := 0.0; x <= 4; x += 0.05 {
-		v := in.Eval(x)
-		if v < -1e-9 || v > 10+1e-9 {
-			t.Fatalf("PCHIP overshoot at x=%v: %v", x, v)
-		}
-	}
-}
-
 func TestLinearExactBetweenKnots(t *testing.T) {
 	in, err := Fit(Linear, []float64{0, 2, 6}, []float64{0, 4, 0})
 	if err != nil {
@@ -421,7 +385,7 @@ func TestQuickKnotInterpolation(t *testing.T) {
 			xs[i] = x
 			ys[i] = r.Float64()*20 - 10
 		}
-		for _, kind := range []Kind{NaturalCubic, PCHIP, Linear} {
+		for _, kind := range []Kind{NaturalCubic, Linear} {
 			in, err := Fit(kind, xs, ys)
 			if err != nil {
 				return false
@@ -435,39 +399,6 @@ func TestQuickKnotInterpolation(t *testing.T) {
 				return false
 			}
 			if !almostEq(in.Eval(xs[n-1]+100), ys[n-1], 1e-12) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: PCHIP output is bounded by the data range for any input.
-func TestQuickPCHIPBounded(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%10) + 3
-		r := xrand.New(seed)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		x := 0.0
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := 0; i < n; i++ {
-			x += 0.5 + r.Float64()*2
-			xs[i] = x
-			ys[i] = r.Float64() * 100
-			lo = math.Min(lo, ys[i])
-			hi = math.Max(hi, ys[i])
-		}
-		in, err := Fit(PCHIP, xs, ys)
-		if err != nil {
-			return false
-		}
-		for xq := xs[0]; xq <= xs[n-1]; xq += (xs[n-1] - xs[0]) / 200 {
-			v := in.Eval(xq)
-			if v < lo-1e-6 || v > hi+1e-6 {
 				return false
 			}
 		}
