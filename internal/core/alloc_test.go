@@ -45,14 +45,13 @@ func TestModelEngineDecideAllocs(t *testing.T) {
 }
 
 // TestResilientEngineDecideAllocs bounds the hardened engine on the
-// same path: the fit audit reuses pooled scratch, leaving the sample
-// validation vector and the returned assignment.
+// same path: on top of the model engine it adds only the sample
+// validation vector.
 func TestResilientEngineDecideAllocs(t *testing.T) {
 	e := NewResilientEngine()
 	var mon sim.Monitors = fakeMon{ways: 32, threads: 4}
 	cur := cache.EqualSplit(32, 4)
-	// Each thread's CPI falls with its ways, so the search moves ways
-	// and the models collect the three points the fit audit needs.
+	// Each thread's CPI falls with its ways, so the search moves ways.
 	base := []float64{1, 3, 0.5, 2}
 	interval := func(i int, ways []int) sim.IntervalStats {
 		cpis := make([]float64, len(base))
@@ -65,15 +64,6 @@ func TestResilientEngineDecideAllocs(t *testing.T) {
 		if got := e.Decide(interval(i, cur), mon, cur); got != nil {
 			cur = got
 		}
-	}
-	audited := 0
-	for _, m := range e.Model.Models() {
-		if m.Len() >= 3 {
-			audited++
-		}
-	}
-	if audited == 0 {
-		t.Fatal("no model has the three points the fit audit needs")
 	}
 	i := 12
 	allocs := testing.AllocsPerRun(50, func() {

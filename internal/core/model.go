@@ -357,20 +357,18 @@ func (e *ModelEngine) partition(iv sim.IntervalStats, mon sim.Monitors, current 
 	//     ("this thread got faster when its allocation shrank") offers
 	//     the search a free lunch and it drains that thread dry.
 	//
-	// Movement per decision is capped at an eighth of the ways (at least
-	// two), which also bounds the iterations on flat models. Models
-	// fitted from a handful of noisy interval samples extrapolate
-	// poorly far from their data; the cap turns a potentially
-	// catastrophic mispredicted jump into a bounded step that the next
-	// interval's fresh observation corrects.
-	maxMove := max(totalWays/8, 2)
 	// donated[d] counts ways taken from thread d this decision; capping
 	// it at perDonorCap bounds how wrong a single mispredicted donor can
 	// go before the next interval's observation corrects its model.
+	// Models fitted from a handful of noisy interval samples extrapolate
+	// poorly far from their data; the cap turns a potentially
+	// catastrophic mispredicted jump into a bounded step. Every accepted
+	// move spends one donation, so the loop ends, and at least one
+	// thread gains, so a decision moves at most perDonorCap*(n-1) ways.
 	donated := sc.donated
 	moved := 0
 	sc.prev = sortedDesc(sc.prev, cpi)
-	for iter := 0; iter < maxMove; iter++ {
+	for {
 		maxT := argMaxF(cpi)
 		// Donor choice: the paper takes from the lowest-CPI thread, but
 		// the cheapest-*looking* thread is not always the cheapest
@@ -448,7 +446,7 @@ func sortedDesc(dst, xs []float64) []float64 {
 	return dst
 }
 
-// engineScratch is the working storage of one partition or fit audit:
+// engineScratch is the working storage of one partition:
 // a fit per thread and the search's per-thread vectors. It comes from
 // scratchPool and goes back when the call returns, so no session or
 // engine holds decision-path memory between decisions.

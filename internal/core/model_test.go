@@ -322,7 +322,7 @@ func TestModelEnginePerDonorCapBoundsSingleDecision(t *testing.T) {
 
 // Property: regardless of CPI sequences, the engine's assignments are
 // always valid, never starve a thread below minWays, and never move
-// more than the move cap, W/8 = 4 at 32 ways, per decision.
+// more than perDonorCap*(n-1) = 6 ways at 4 threads per decision.
 func TestQuickModelEngineBoundedMovement(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
@@ -352,7 +352,7 @@ func TestQuickModelEngineBoundedMovement(t *testing.T) {
 			}
 			// Bootstrap intervals may jump arbitrarily; model phase is
 			// capped.
-			if i >= bootstrapIntervals && moved > 32/8 {
+			if i >= bootstrapIntervals && moved > perDonorCap*(4-1) {
 				return false
 			}
 			cur = got

@@ -5,7 +5,6 @@ import (
 
 	"intracache/internal/cache"
 	"intracache/internal/sim"
-	"intracache/internal/spline"
 )
 
 // Health is the runtime system's degradation level: which rung of the
@@ -74,11 +73,7 @@ const (
 //     hysteresis: sustained bad intervals demote one rung at a time,
 //     and promotion back up requires a fully clean window, so the
 //     controller neither flaps between rungs nor trusts a single good
-//     reading after a storm;
-//   - at the model rung, the fitted splines themselves are audited:
-//     non-finite or wildly non-monotone fits (CPI rising steeply with
-//     more ways) count as bad intervals, catching the case where inputs
-//     looked plausible but the learned model is nonsense.
+//     reading after a storm.
 //
 // Under clean telemetry no sample is ever flagged and the engine is a
 // transparent pass-through to the stock ModelEngine, so healthy-path
@@ -150,9 +145,6 @@ func (e *ResilientEngine) Decide(iv sim.IntervalStats, mon sim.Monitors, current
 	e.ensure(len(iv.Threads))
 
 	suspect, bad := e.assess(iv)
-	if !bad && e.health == HealthModel && e.suspectFits() {
-		bad = true
-	}
 	e.record(bad)
 	e.maybeTransition()
 
@@ -268,69 +260,4 @@ func (e *ResilientEngine) maybeTransition() {
 		e.promotions++
 		e.sinceChange = 0
 	}
-}
-
-// suspectFits audits the fitted models: a rung-down signal fires when
-// at least half of the fitted threads have an unreliable model
-// (non-finite output, or a rising run covering most of the curve's
-// range — CPI must not grow substantially with more cache).
-func (e *ResilientEngine) suspectFits() bool {
-	models := e.Model.Models()
-	if models == nil {
-		return false
-	}
-	sc := getScratch(1)
-	defer scratchPool.Put(sc)
-	assessed, suspects := 0, 0
-	for _, m := range models {
-		if m.Len() < 3 {
-			continue
-		}
-		assessed++
-		if suspectFit(m, spline.NaturalCubic, &sc.fits[0]) {
-			suspects++
-		}
-	}
-	return assessed > 0 && suspects*2 >= assessed
-}
-
-// suspectFit evaluates one model's interpolant, fitted into sc, at
-// every integer way in its observed range and reports whether the fit
-// is unusable.
-func suspectFit(m *CPIModel, kind spline.Kind, sc *fitScratch) bool {
-	fit, err := sc.fit(m, kind)
-	if err != nil {
-		return false
-	}
-	lo, hi := m.pts[0].ways, m.pts[len(m.pts)-1].ways
-	y := fit.Eval(float64(lo))
-	if math.IsNaN(y) || math.IsInf(y, 0) {
-		return true
-	}
-	ymin, ymax := y, y
-	runMin, rise := y, 0.0
-	for w := lo + 1; w <= hi; w++ {
-		y = fit.Eval(float64(w))
-		if math.IsNaN(y) || math.IsInf(y, 0) {
-			return true
-		}
-		if y < ymin {
-			ymin = y
-		}
-		if y > ymax {
-			ymax = y
-		}
-		if y < runMin {
-			runMin = y
-		}
-		if r := y - runMin; r > rise {
-			rise = r
-		}
-	}
-	span := ymax - ymin
-	// A flat or near-flat curve cannot be "wildly" anything.
-	if span <= 1e-9 || ymax < ymin*1.05 {
-		return false
-	}
-	return rise > 0.6*span
 }

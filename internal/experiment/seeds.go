@@ -22,7 +22,7 @@ type SeededComparison struct {
 	// PerSeed holds the improvement percent of each replicate.
 	PerSeed []float64
 	// Mean and CI95 summarise them: Mean ± CI95 is the 95% confidence
-	// interval (normal approximation).
+	// interval of the mean (Student t, n−1 degrees of freedom).
 	Mean float64
 	CI95 float64
 }
@@ -70,11 +70,28 @@ func CompareSeeds(cfg Config, prof workload.Profile, baseline, candidate core.Po
 	}
 	out.Mean = stats.Mean(out.PerSeed)
 	if n := len(out.PerSeed); n > 1 {
-		// Sample standard deviation; 1.96 z for the 95% interval.
+		// Sample standard deviation; with a handful of seeds the t
+		// quantile, not the normal 1.96, gives the 95% interval.
 		sd := stats.StdDev(out.PerSeed) * math.Sqrt(float64(n)/float64(n-1))
-		out.CI95 = 1.96 * sd / math.Sqrt(float64(n))
+		out.CI95 = t975(n-1) * sd / math.Sqrt(float64(n))
 	}
 	return out, nil
+}
+
+// t975Table holds the two-sided 95% Student t quantiles t(0.975, df)
+// for df = 1..30.
+var t975Table = [...]float64{
+	12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+	2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+	2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+}
+
+// t975 returns t(0.975, df), and the normal 1.96 beyond the table.
+func t975(df int) float64 {
+	if df <= len(t975Table) {
+		return t975Table[df-1]
+	}
+	return 1.96
 }
 
 // CompareAllSeeds runs CompareSeeds for every benchmark.

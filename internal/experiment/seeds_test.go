@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 
 	"intracache/internal/core"
@@ -45,6 +46,15 @@ func TestCompareSeeds(t *testing.T) {
 	}
 	if sc.CI95 < 0 {
 		t.Errorf("negative CI: %v", sc.CI95)
+	}
+	// Three replicates: the 95% interval uses Student t with 2 degrees
+	// of freedom, 4.303, not the normal 1.96.
+	var ss float64
+	for _, x := range sc.PerSeed {
+		ss += (x - sc.Mean) * (x - sc.Mean)
+	}
+	if want := 4.303 * math.Sqrt(ss/2) / math.Sqrt(3); math.Abs(sc.CI95-want) > 1e-9*max(1, want) {
+		t.Errorf("CI95 = %v, want t(0.975, 2)·s/√3 = %v", sc.CI95, want)
 	}
 	if sc.Min() > sc.Mean || sc.Max() < sc.Mean {
 		t.Errorf("min %.2f / mean %.2f / max %.2f inconsistent", sc.Min(), sc.Mean, sc.Max())
