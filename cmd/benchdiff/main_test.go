@@ -49,6 +49,15 @@ func TestParseBenchKeepsFastestDuplicate(t *testing.T) {
 	}
 }
 
+// runs turns one result per benchmark into a single-run sample set.
+func runs(m map[string]benchResult) map[string][]benchResult {
+	out := make(map[string][]benchResult, len(m))
+	for k, v := range m {
+		out[k] = []benchResult{v}
+	}
+	return out
+}
+
 // TestGateFailsOnInjectedSlowdown is the gate's own regression test: a
 // uniform 2x slowdown must trip a 10% threshold, and the unchanged run
 // must pass it.
@@ -62,7 +71,7 @@ func TestGateFailsOnInjectedSlowdown(t *testing.T) {
 	for k, v := range base {
 		slow[k] = benchResult{NsPerOp: 2 * v.NsPerOp}
 	}
-	rep, err := compare(base, slow, 0.10)
+	rep, err := compare(runs(base), runs(slow), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +85,7 @@ func TestGateFailsOnInjectedSlowdown(t *testing.T) {
 		t.Errorf("report does not say FAIL:\n%s", rep.String())
 	}
 
-	rep, err = compare(base, base, 0.10)
+	rep, err = compare(runs(base), runs(base), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +106,7 @@ func TestGateToleratesNoiseBelowThreshold(t *testing.T) {
 		"BenchmarkA": {NsPerOp: 1150},
 		"BenchmarkB": {NsPerOp: 900},
 	}
-	rep, err := compare(base, cur, 0.10)
+	rep, err := compare(runs(base), runs(cur), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestGateToleratesNoiseBelowThreshold(t *testing.T) {
 func TestCompareReportsMissingBenchmarks(t *testing.T) {
 	base := map[string]benchResult{"BenchmarkA": {NsPerOp: 1}, "BenchmarkGone": {NsPerOp: 1}}
 	cur := map[string]benchResult{"BenchmarkA": {NsPerOp: 1}, "BenchmarkNew": {NsPerOp: 1}}
-	rep, err := compare(base, cur, 0.10)
+	rep, err := compare(runs(base), runs(cur), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +128,7 @@ func TestCompareReportsMissingBenchmarks(t *testing.T) {
 	if len(rep.OnlyCur) != 1 || rep.OnlyCur[0] != "BenchmarkNew" {
 		t.Errorf("OnlyCur = %v", rep.OnlyCur)
 	}
-	if _, err := compare(base, map[string]benchResult{"BenchmarkZ": {NsPerOp: 1}}, 0.1); err == nil {
+	if _, err := compare(runs(base), runs(map[string]benchResult{"BenchmarkZ": {NsPerOp: 1}}), 0.1); err == nil {
 		t.Error("disjoint benchmark sets did not error")
 	}
 }
@@ -130,7 +139,7 @@ func TestCompareReportsMissingBenchmarks(t *testing.T) {
 func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	base := map[string]benchResult{"BenchmarkA": {NsPerOp: 1}, "BenchmarkGone": {NsPerOp: 1}}
 	cur := map[string]benchResult{"BenchmarkA": {NsPerOp: 1}}
-	rep, err := compare(base, cur, 0.10)
+	rep, err := compare(runs(base), runs(cur), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +155,9 @@ func TestGateFailsOnMissingBenchmark(t *testing.T) {
 	}
 
 	// The complete run still passes at parity.
-	rep, err = compare(base, map[string]benchResult{
+	rep, err = compare(runs(base), runs(map[string]benchResult{
 		"BenchmarkA": {NsPerOp: 1}, "BenchmarkGone": {NsPerOp: 1},
-	}, 0.10)
+	}), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +178,7 @@ func TestCompareNotesProcsMismatch(t *testing.T) {
 		"BenchmarkA": {NsPerOp: 1000, Procs: 4},
 		"BenchmarkB": {NsPerOp: 1000, Procs: 8},
 	}
-	rep, err := compare(base, cur, 0.10)
+	rep, err := compare(runs(base), runs(cur), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +211,97 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost results: %d vs %d", len(b.Results), len(results))
 	}
 	for k, v := range results {
-		if b.Results[k] != v {
-			t.Errorf("%s = %+v, want %+v", k, b.Results[k], v)
+		if want := (benchResult{AllocsPerOp: v.AllocsPerOp}); b.Results[k] != want {
+			t.Errorf("%s = %+v, want %+v (allocation counts only)", k, b.Results[k], want)
 		}
+	}
+}
+
+// TestComparePairsCancelHostDrift: the host slows down threefold over
+// five interleaved pairs. Against the parent's first run the change
+// looks 2-3x slower, but each pair shares the host's speed, so the
+// median pair ratio is exact: an unchanged benchmark passes and a 20%
+// slowdown fails.
+func TestComparePairsCancelHostDrift(t *testing.T) {
+	drift := []float64{1, 1.5, 2, 2.5, 3}
+	series := func(ns, factor float64) []benchResult {
+		out := make([]benchResult, len(drift))
+		for i, d := range drift {
+			out[i] = benchResult{NsPerOp: ns * d * factor}
+		}
+		return out
+	}
+	parent := map[string][]benchResult{"BenchmarkA": series(1000, 1), "BenchmarkB": series(50, 1)}
+	same := map[string][]benchResult{"BenchmarkA": series(1000, 1), "BenchmarkB": series(50, 1)}
+	rep, err := compare(parent, same, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed || math.Abs(rep.Geomean-1) > 1e-12 {
+		t.Errorf("unchanged code under drift: geomean %v failed=%v", rep.Geomean, rep.Failed)
+	}
+	slower := map[string][]benchResult{"BenchmarkA": series(1000, 1.2), "BenchmarkB": series(50, 1.2)}
+	rep, err = compare(parent, slower, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Failed || math.Abs(rep.Geomean-1.2) > 1e-12 {
+		t.Errorf("20%% slowdown under drift: geomean %v failed=%v", rep.Geomean, rep.Failed)
+	}
+	if rep.Rows[0].Pairs != len(drift) {
+		t.Errorf("compared %d pairs, want %d", rep.Rows[0].Pairs, len(drift))
+	}
+}
+
+// TestComparePairMedianDampsOutlier: one pair hit by a noisy neighbour
+// does not move the verdict.
+func TestComparePairMedianDampsOutlier(t *testing.T) {
+	parent := map[string][]benchResult{"BenchmarkA": {{NsPerOp: 100}, {NsPerOp: 100}, {NsPerOp: 100}}}
+	change := map[string][]benchResult{"BenchmarkA": {{NsPerOp: 100}, {NsPerOp: 300}, {NsPerOp: 101}}}
+	rep, err := compare(parent, change, 0.10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Failed || rep.Rows[0].Ratio != 1.01 {
+		t.Errorf("median ratio %v failed=%v, want 1.01 and a pass", rep.Rows[0].Ratio, rep.Failed)
+	}
+}
+
+// TestAllocGate: the fewest allocations over the change's runs are held
+// to the committed baseline within the run-to-run slack; an excess, or
+// a baseline benchmark the change did not run, fails the report, and a
+// benchmark without a baseline entry is only noted.
+func TestAllocGate(t *testing.T) {
+	base := map[string]benchResult{"BenchmarkA": {AllocsPerOp: 1000}, "BenchmarkB": {AllocsPerOp: 10}}
+	cur := map[string][]benchResult{
+		"BenchmarkA": {{NsPerOp: 1, AllocsPerOp: 1300}, {NsPerOp: 1, AllocsPerOp: 1020}, {NsPerOp: 1, AllocsPerOp: 1100}},
+		"BenchmarkB": {{NsPerOp: 1, AllocsPerOp: 12}},
+		"BenchmarkC": {{NsPerOp: 1, AllocsPerOp: 5}},
+	}
+	rep := &report{}
+	rep.checkAllocs(base, cur)
+	if rep.Failed {
+		t.Errorf("allocations within the slack failed: %+v", rep.AllocFails)
+	}
+	if len(rep.NoAllocBase) != 1 || rep.NoAllocBase[0] != "BenchmarkC" {
+		t.Errorf("NoAllocBase = %v", rep.NoAllocBase)
+	}
+
+	cur["BenchmarkA"] = []benchResult{{NsPerOp: 1, AllocsPerOp: 1200}, {NsPerOp: 1, AllocsPerOp: 1300}}
+	rep = &report{}
+	rep.checkAllocs(base, cur)
+	if !rep.Failed || len(rep.AllocFails) != 1 || rep.AllocFails[0].Name != "BenchmarkA" {
+		t.Errorf("20%% more allocations passed: %+v", rep.AllocFails)
+	}
+	if !strings.Contains(rep.String(), "FAIL: BenchmarkA allocates 1200/op, baseline 1000") {
+		t.Errorf("report does not name the allocation excess:\n%s", rep.String())
+	}
+
+	delete(cur, "BenchmarkB")
+	cur["BenchmarkA"] = []benchResult{{NsPerOp: 1, AllocsPerOp: 1000}}
+	rep = &report{}
+	rep.checkAllocs(base, cur)
+	if !rep.Failed || len(rep.AllocMissing) != 1 || rep.AllocMissing[0] != "BenchmarkB" {
+		t.Errorf("baseline benchmark missing from the run passed: %+v", rep.AllocMissing)
 	}
 }

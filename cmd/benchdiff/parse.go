@@ -8,21 +8,21 @@ import (
 	"strings"
 )
 
-// parseBench extracts benchmark results from `go test -bench` output.
-// A result line looks like
+// parseSamples extracts every benchmark result from `go test -bench`
+// output, in the order the runs appear. A result line looks like
 //
 //	BenchmarkFig19VsPrivate-4   1   2694531000 ns/op   54.72 missRed%   128 B/op   3 allocs/op
 //
 // i.e. name, iteration count, then (value, unit) pairs. The -N
-// GOMAXPROCS suffix is stripped from the key so baselines stay
+// GOMAXPROCS suffix is stripped from the key so results stay
 // comparable across machines, but N is kept as the result's Procs:
 // parallel benchmarks scale with the core count, so a comparison
-// against a baseline recorded at a different GOMAXPROCS is noted in
-// the report. Custom b.ReportMetric units are ignored. Duplicate
-// names (e.g. -count > 1) keep the fastest run, the usual benchstat
-// convention for reducing noise.
-func parseBench(r io.Reader) (map[string]benchResult, error) {
-	out := make(map[string]benchResult)
+// across different GOMAXPROCS is noted in the report. Custom
+// b.ReportMetric units are ignored. The k-th sample of a name in one
+// output pairs with the k-th sample of that name in another, which is
+// how interleaved parent and change runs are compared.
+func parseSamples(r io.Reader) (map[string][]benchResult, error) {
+	out := make(map[string][]benchResult)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -55,9 +55,32 @@ func parseBench(r io.Reader) (map[string]benchResult, error) {
 		if !sawNs {
 			continue // e.g. a -benchtime=1x line cut short; nothing to gate on
 		}
-		if prev, ok := out[name]; !ok || res.NsPerOp < prev.NsPerOp {
-			out[name] = res
-		}
+		out[name] = append(out[name], res)
 	}
 	return out, sc.Err()
+}
+
+// parseBench is parseSamples reduced to one result per benchmark: the
+// fastest time (the usual benchstat convention for reducing noise) and
+// the fewest allocations over its runs. The allocation count is what
+// -update records: the parallel drivers' counts vary by a few percent
+// between runs with goroutine scheduling, and the minimum is the
+// stable end of that spread.
+func parseBench(r io.Reader) (map[string]benchResult, error) {
+	all, err := parseSamples(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]benchResult, len(all))
+	for name, runs := range all {
+		best := runs[0]
+		for _, res := range runs[1:] {
+			if res.NsPerOp < best.NsPerOp {
+				best.NsPerOp, best.Procs = res.NsPerOp, res.Procs
+			}
+			best.AllocsPerOp = min(best.AllocsPerOp, res.AllocsPerOp)
+		}
+		out[name] = best
+	}
+	return out, nil
 }

@@ -281,7 +281,7 @@ type Cache struct {
 	idxShift   uint
 	idxOK      bool
 
-	// Wide caches also thread every set's valid lines onto an exact LRU
+	// Every cache also threads each set's valid lines onto an exact LRU
 	// recency list (intrusive doubly-linked, way indices): traversing
 	// from lruTail yields the set's lines in strictly ascending
 	// (lastUse, way) order — the same order the victim scans' strict-<
@@ -292,7 +292,9 @@ type Cache struct {
 	// fills a new minimum), so ties only arise from restored snapshots;
 	// lruRebuild orders those by (lastUse, way) explicitly. Like the
 	// hash index, the list changes no observable behaviour and is
-	// derived state, rebuilt (never serialized) on Restore.
+	// derived state, rebuilt (never serialized) on Restore. lruOn is
+	// false only in tests, which turn it off to run the Ways-wide scans
+	// the lists replace as their reference.
 	lruOn   bool
 	lruPrev []int16 // per line: way one step MRU-ward, -1 at head
 	lruNext []int16 // per line: way one step LRU-ward, -1 at tail
@@ -323,6 +325,13 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 	}
 	numSets := cfg.Sets()
 	lines := numSets * cfg.Ways
+	// The per-line and per-set int16 arrays share one allocation.
+	i16 := make([]int16, 4*lines+3*numSets)
+	carve := func(n int) []int16 {
+		out := i16[:n:n]
+		i16 = i16[n:]
+		return out
+	}
 	c := &Cache{
 		cfg:      cfg,
 		mode:     mode,
@@ -336,9 +345,23 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 		tagv:     make([]uint64, lines),
 		tags:     make([]uint64, lines),
 		lastUse:  make([]uint64, lines),
-		owner:    make([]int16, lines),
-		lastAcc:  make([]int16, lines),
+		owner:    carve(lines),
+		lastAcc:  carve(lines),
 		dirty:    make([]bool, lines),
+		lruOn:    true,
+		lruPrev:  carve(lines),
+		lruNext:  carve(lines),
+		lruHead:  carve(numSets),
+		lruTail:  carve(numSets),
+		lruLen:   carve(numSets),
+	}
+	for i := range c.lruPrev {
+		c.lruPrev[i] = -1
+		c.lruNext[i] = -1
+	}
+	for s := range c.lruHead {
+		c.lruHead[s] = -1
+		c.lruTail[s] = -1
 	}
 	c.mayAlias = c.lineBits+c.setBits == 0
 	switch mode {
@@ -391,21 +414,6 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 		c.idxTabMask = uint64(tabLen - 1)
 		c.idxShift = uint(64 - bits.TrailingZeros(uint(tabLen)))
 		c.idxOK = true
-
-		c.lruOn = true
-		c.lruPrev = make([]int16, lines)
-		c.lruNext = make([]int16, lines)
-		c.lruHead = make([]int16, numSets)
-		c.lruTail = make([]int16, numSets)
-		c.lruLen = make([]int16, numSets)
-		for i := range c.lruPrev {
-			c.lruPrev[i] = -1
-			c.lruNext[i] = -1
-		}
-		for s := range c.lruHead {
-			c.lruHead[s] = -1
-			c.lruTail[s] = -1
-		}
 	}
 	if mode == SharedTADIP {
 		c.EnableTADIPInsertion()
@@ -414,7 +422,8 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 }
 
 // idxMinWays is the associativity at which the resident-line hash index
-// is worth its footprint; below it the per-set tag scan is cheaper.
+// is worth its footprint; below it the per-set tag scan is cheaper. The
+// recency lists are kept at every associativity.
 const idxMinWays = 16
 
 // Default quantum counts for the set-index and clustered modes when
@@ -975,7 +984,9 @@ func (c *Cache) victimTargets(set int) []int {
 }
 
 // pickVictim selects the way to replace in the given set on behalf of
-// `thread`, implementing the Section V policy. All candidate scans keep
+// `thread`, implementing the Section V policy. Every mode but
+// PartitionedMask walks the recency list; the scans below are the
+// reference the list walk is tested against. All candidate scans keep
 // the first index on lastUse ties, matching a per-predicate LRU pass.
 func (c *Cache) pickVictim(set, base, thread int) int {
 	if c.lruOn && c.mode != PartitionedMask {

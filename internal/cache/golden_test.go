@@ -7,6 +7,7 @@ package cache
 // implementation shows up as a divergence.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -110,9 +111,9 @@ func (r *refCache) pickVictim(set []refLine, thread int) int {
 
 func (r *refCache) setTargets(t []int) { copy(r.targets, t) }
 
-// goldenConfigs covers both probe regimes: the narrow scan paths and
-// the wide configurations that additionally use the resident-line hash
-// index and per-set recency lists (Ways >= idxMinWays).
+// goldenConfigs covers both probe regimes: narrow caches probe by tag
+// scan, wide ones (Ways >= idxMinWays) through the resident-line hash
+// index. Both pick victims from the per-set recency lists.
 var goldenConfigs = []Config{
 	{SizeBytes: 4096, Ways: 8, LineBytes: 64, NumThreads: 4},
 	{SizeBytes: 1 << 16, Ways: 64, LineBytes: 64, NumThreads: 4},
@@ -183,92 +184,113 @@ func TestGoldenPartitioned(t *testing.T) {
 	}
 }
 
-// TestAcceleratedPathEquivalence pins the wide-cache lookup
-// accelerators (hash index + recency lists) to the plain scan paths
-// they replace: identical random traffic — accesses, writes,
-// invalidations, retargets, and a snapshot/restore round trip — must
-// produce identical AccessResults and byte-identical State in every
-// mode, including the TADIP insertion machinery the golden model does
-// not cover.
+// TestAcceleratedPathEquivalence pins the lookup accelerators (the
+// recency lists at every associativity, the hash index on wide caches)
+// to the plain scan paths they replace: identical random traffic —
+// accesses, writes, invalidations, retargets, and a snapshot/restore
+// round trip — must produce identical AccessResults and byte-identical
+// State in every mode, including the TADIP insertion machinery the
+// golden model does not cover. The 4-way geometry is the simulator's
+// private L1; the 8-way one is the widest below idxMinWays.
 func TestAcceleratedPathEquivalence(t *testing.T) {
-	cfg := Config{SizeBytes: 1 << 16, Ways: 64, LineBytes: 64, NumThreads: 4}
+	cfgs := []Config{
+		{SizeBytes: 4096, Ways: 4, LineBytes: 64, NumThreads: 4},
+		{SizeBytes: 4096, Ways: 8, LineBytes: 64, NumThreads: 4},
+		{SizeBytes: 1 << 16, Ways: 64, LineBytes: 64, NumThreads: 4},
+	}
 	for _, mode := range []Mode{SharedLRU, Partitioned, PartitionedMask, SharedTADIP} {
 		t.Run(mode.String(), func(t *testing.T) {
-			fast, err := New(cfg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			slow, err := New(cfg, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Force the control cache onto the scan paths. idxSlot is
-			// nil'd (not just idxOK) so Restore rebuilds cannot
-			// re-enable the index.
-			slow.idxSlot = nil
-			slow.idxOK = false
-			slow.lruOn = false
-
-			r := xrand.New(7 + uint64(mode))
-			randAddr := func() uint64 { return uint64(r.Intn(1<<13)) * 64 }
-			for i := 0; i < 60_000; i++ {
-				switch op := r.Intn(1000); {
-				case op < 10:
-					addr := randAddr()
-					f1, d1 := fast.Invalidate(addr)
-					f2, d2 := slow.Invalidate(addr)
-					if f1 != f2 || d1 != d2 {
-						t.Fatalf("op %d: Invalidate(%#x) = %v,%v vs %v,%v", i, addr, f1, d1, f2, d2)
-					}
-				case op < 13 && (mode == Partitioned || mode == PartitionedMask):
-					a := r.Intn(cfg.Ways + 1)
-					b := r.Intn(cfg.Ways + 1 - a)
-					c2 := r.Intn(cfg.Ways + 1 - a - b)
-					tg := []int{a, b, c2, cfg.Ways - a - b - c2}
-					if err := fast.SetTargets(tg); err != nil {
-						t.Fatal(err)
-					}
-					if err := slow.SetTargets(tg); err != nil {
-						t.Fatal(err)
-					}
-				default:
-					thread := r.Intn(cfg.NumThreads)
-					addr := randAddr()
-					write := r.Bool(0.3)
-					got := fast.Access(thread, addr, write)
-					want := slow.Access(thread, addr, write)
-					if got != want {
-						t.Fatalf("op %d (thread %d, addr %#x, write %v): %+v vs %+v",
-							i, thread, addr, write, got, want)
-					}
-				}
-			}
-			fs, ss := fast.State(), slow.State()
-			if !reflect.DeepEqual(fs, ss) {
-				t.Fatal("states diverged between accelerated and scan paths")
-			}
-			if err := fast.checkInvariants(); err != nil {
-				t.Error(err)
-			}
-			// Restore round trip (the accelerated cache rebuilds its
-			// derived structures), then more traffic to prove the rebuilt
-			// structures still track the scan paths.
-			if err := fast.Restore(ss); err != nil {
-				t.Fatal(err)
-			}
-			if err := fast.checkInvariants(); err != nil {
-				t.Error(err)
-			}
-			for i := 0; i < 5_000; i++ {
-				thread := r.Intn(cfg.NumThreads)
-				addr := randAddr()
-				got := fast.Access(thread, addr, false)
-				want := slow.Access(thread, addr, false)
-				if got != want {
-					t.Fatalf("post-restore op %d: %+v vs %+v", i, got, want)
-				}
+			for _, cfg := range cfgs {
+				t.Run(fmt.Sprintf("%d-way", cfg.Ways), func(t *testing.T) {
+					testAcceleratedPath(t, cfg, mode)
+				})
 			}
 		})
+	}
+}
+
+// testAcceleratedPath runs one geometry and mode of
+// TestAcceleratedPathEquivalence.
+func testAcceleratedPath(t *testing.T, cfg Config, mode Mode) {
+	fast, err := New(cfg, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := New(cfg, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Force the control cache onto the scan paths. idxSlot is
+	// nil'd (not just idxOK) so Restore rebuilds cannot
+	// re-enable the index.
+	slow.idxSlot = nil
+	slow.idxOK = false
+	slow.lruOn = false
+
+	r := xrand.New(7 + uint64(mode))
+	// Eight lines of address space per cache line: hits and misses both.
+	span := 8 * cfg.SizeBytes / cfg.LineBytes
+	randAddr := func() uint64 { return uint64(r.Intn(span)) * 64 }
+	for i := 0; i < 60_000; i++ {
+		switch op := r.Intn(1000); {
+		case op < 10:
+			addr := randAddr()
+			f1, d1 := fast.Invalidate(addr)
+			f2, d2 := slow.Invalidate(addr)
+			if f1 != f2 || d1 != d2 {
+				t.Fatalf("op %d: Invalidate(%#x) = %v,%v vs %v,%v", i, addr, f1, d1, f2, d2)
+			}
+		case op < 13 && (mode == Partitioned || mode == PartitionedMask):
+			a := r.Intn(cfg.Ways + 1)
+			b := r.Intn(cfg.Ways + 1 - a)
+			c2 := r.Intn(cfg.Ways + 1 - a - b)
+			tg := []int{a, b, c2, cfg.Ways - a - b - c2}
+			if err := fast.SetTargets(tg); err != nil {
+				t.Fatal(err)
+			}
+			if err := slow.SetTargets(tg); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			thread := r.Intn(cfg.NumThreads)
+			addr := randAddr()
+			write := r.Bool(0.3)
+			got := fast.Access(thread, addr, write)
+			want := slow.Access(thread, addr, write)
+			if got != want {
+				t.Fatalf("op %d (thread %d, addr %#x, write %v): %+v vs %+v",
+					i, thread, addr, write, got, want)
+			}
+		}
+	}
+	fs, ss := fast.State(), slow.State()
+	if !reflect.DeepEqual(fs, ss) {
+		t.Fatal("states diverged between accelerated and scan paths")
+	}
+	if err := fast.checkInvariants(); err != nil {
+		t.Error(err)
+	}
+	// Restore into a fresh cache (which must rebuild its derived
+	// structures from the snapshot alone), then more traffic to prove
+	// the rebuilt structures still track the scan paths.
+	fast, err = New(cfg, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fast.Restore(ss); err != nil {
+		t.Fatal(err)
+	}
+	if err := fast.checkInvariants(); err != nil {
+		t.Error(err)
+	}
+	for i := 0; i < 5_000; i++ {
+		thread := r.Intn(cfg.NumThreads)
+		addr := randAddr()
+		got := fast.Access(thread, addr, false)
+		want := slow.Access(thread, addr, false)
+		if got != want {
+			t.Fatalf("post-restore op %d: %+v vs %+v", i, got, want)
+		}
 	}
 }
 

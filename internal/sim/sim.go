@@ -541,9 +541,10 @@ func (s *Simulator) noteTargets() {
 }
 
 // advance executes the next stretch of the simulation: one instruction
-// under the reference stepper, or one run-ahead batch under the default
-// scheduler. Either way it returns false when every thread is blocked
-// at the barrier (the caller then releases it), and it returns to the
+// under the reference stepper; under the default scheduler, run-ahead
+// batches until an execution interval ends or every thread waits at the
+// barrier. Either way it returns false when every thread is blocked at
+// the barrier (the caller then releases it), and it returns to the
 // caller immediately after completing an execution interval so hooks,
 // cancellation, and checkpoints observe every boundary.
 func (s *Simulator) advance() bool {
@@ -634,11 +635,23 @@ func (s *Simulator) memAccess(sel int, th *threadState, in trace.Instr) uint64 {
 // execution interval. Scheduling cost is thereby amortized to one
 // sift-down per batch instead of an O(NumThreads) scan per instruction,
 // and stretches of non-memory instructions inside a batch are retired
-// through trace.RunSource.NextRun with a single run-length add.
+// through trace.RunSource.NextRun with a single run-length add. Batches
+// follow each other in place until an interval completes (true) or
+// every thread waits at the barrier (false), so the run loop is
+// entered once per interval or section, not once per batch.
 func (s *Simulator) stepBatch() bool {
-	if len(s.heap) == 0 {
-		return false
+	for len(s.heap) > 0 {
+		if s.runBatch() {
+			return true
+		}
 	}
+	return false
+}
+
+// runBatch runs one batch of the ready queue's root and reports
+// whether it completed an execution interval. The heap must be
+// non-empty.
+func (s *Simulator) runBatch() bool {
 	selKey := s.heap[0] & s.idxMask
 	sel := int32(selKey)
 	th := &s.threads[sel]
@@ -726,8 +739,9 @@ func (s *Simulator) stepBatch() bool {
 			s.popHeapRoot()
 			if s.intervalAccum >= s.p.IntervalInstructions {
 				s.endInterval()
+				return true
 			}
-			return true
+			return false
 		}
 		if s.intervalAccum >= s.p.IntervalInstructions {
 			s.heap[0] = th.cycles<<s.idxBits | selKey
@@ -741,7 +755,7 @@ func (s *Simulator) stepBatch() bool {
 			if key := th.cycles<<s.idxBits | selKey; key >= ruKey {
 				s.heap[0] = key
 				s.siftDown(0)
-				return true
+				return false
 			}
 		}
 	}

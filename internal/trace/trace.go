@@ -400,8 +400,9 @@ func (g *ThreadGen) NextRun(max uint64) (nonMem uint64, in Instr) {
 // runSpan is NextRun's body for a run that never crosses a chunk
 // boundary. The Bernoulli compare uses the precomputed integer
 // threshold (see memThresh), which decides Float64() < MemRatio without
-// the float conversion; the degenerate ratios take the same draw-free
-// paths as Rand.Bool.
+// the float conversion, and runs in xrand.Rand.BelowRun on a register
+// copy of the generator state; the degenerate ratios take the same
+// draw-free paths as Rand.Bool.
 func (g *ThreadGen) runSpan(max uint64) (nonMem uint64, in Instr) {
 	p := g.spec.MemRatio
 	if p <= 0 {
@@ -412,16 +413,13 @@ func (g *ThreadGen) runSpan(max uint64) (nonMem uint64, in Instr) {
 		g.instructions++
 		return 0, g.memInstr()
 	}
-	rng, thresh := g.rng, g.memThresh
-	for nonMem < max {
-		if rng.Uint64()>>11 < thresh {
-			g.instructions += nonMem + 1
-			return nonMem, g.memInstr()
-		}
-		nonMem++
-	}
+	nonMem, hit := g.rng.BelowRun(g.memThresh, max)
 	g.instructions += nonMem
-	return nonMem, Instr{}
+	if !hit {
+		return nonMem, Instr{}
+	}
+	g.instructions++
+	return nonMem, g.memInstr()
 }
 
 // memInstr draws one memory access from the mixture.

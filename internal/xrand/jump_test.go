@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"math/bits"
 	"testing"
 )
 
@@ -57,7 +58,7 @@ func stepState(s bitVec) bitVec {
 	s[1] ^= s[2]
 	s[0] ^= s[3]
 	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s[3] = bits.RotateLeft64(s[3], 45)
 	return s
 }
 

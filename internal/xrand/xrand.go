@@ -13,6 +13,7 @@ package xrand
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -69,8 +70,6 @@ func (r *Rand) Restore(s [4]uint64) error {
 	return nil
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // jumpPoly is the xoshiro256 jump polynomial: the GF(2) coefficients of
 // T^(2^128) expressed in powers of the state-transition matrix T (the
 // linear update Uint64 applies). XOR-accumulating the state at each set
@@ -108,15 +107,43 @@ func (r *Rand) Jump() {
 
 // Uint64 returns the next 64 uniformly-distributed random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
+	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
 	t := r.s[1] << 17
 	r.s[2] ^= r.s[0]
 	r.s[3] ^= r.s[1]
 	r.s[1] ^= r.s[2]
 	r.s[0] ^= r.s[3]
 	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	r.s[3] = bits.RotateLeft64(r.s[3], 45)
 	return result
+}
+
+// BelowRun draws up to max values and stops at the first whose top 53
+// bits are below thresh. It returns how many draws missed before that
+// one and whether one hit; the generator is left exactly where the
+// equivalent loop of Uint64 calls would leave it (n+1 draws on a hit,
+// max on none). The loop keeps the state in registers, which is what
+// makes it cheaper than calling Uint64 per draw: it is the
+// per-instruction Bernoulli of the trace generators. thresh 0 never
+// hits; thresh 2^53 hits on the first draw.
+func (r *Rand) BelowRun(thresh, max uint64) (n uint64, hit bool) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for ; n < max; n++ {
+		result := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		if result>>11 < thresh {
+			hit = true
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return n, hit
 }
 
 // Uint64n returns a uniform value in [0, n). n must be > 0.
@@ -126,29 +153,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	}
 	// Lemire's nearly-divisionless bounded generation with rejection to
 	// remove modulo bias.
-	hi, lo := mul64(r.Uint64(), n)
+	hi, lo := bits.Mul64(r.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
 		for lo < thresh {
-			hi, lo = mul64(r.Uint64(), n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return hi, lo
 }
 
 // Intn returns a uniform value in [0, n). n must be > 0.
@@ -188,14 +200,21 @@ type Zipf struct {
 	// exact power-of-two multiply), so the lookup runs entirely on
 	// integer compares without changing a single sampled rank.
 	cdfInt []uint64
-	// guide[k] is the first index i with cdf[i] >= k/len(guide): a
-	// guide table that turns the inverse-CDF lookup into an O(1)
-	// expected scan of ~2 entries instead of a cache-missing binary
-	// search. The lookup result is exactly the binary search's ("first
-	// cdf entry >= u"), so sampled streams are unchanged.
+	// guide has zipfGuideScale entries per rank, one per bucket of
+	// draws: bucket k holds the draws b with floor(b*len(guide)/2^53)
+	// == k, all of them >= cut(k) = floor(k*2^53/len(guide)). Its entry
+	// is the first index i with cdfInt[i] >= cut(k), a lower bound on
+	// the answer for every draw in the bucket, stored as is when
+	// cdfInt[i] >= cut(k+1), so that every draw in the bucket maps to i,
+	// and complemented (^i, negative) when a cdf step falls inside the
+	// bucket. The lookup loads the entry and, for the few buckets that
+	// hold a step (at most one in zipfGuideScale), walks forward from it.
 	guide []int32
 	r     *Rand
 }
+
+// zipfGuideScale is the guide table's resolution in entries per rank.
+const zipfGuideScale = 8
 
 // zipfKey identifies a (n, alpha) table pair for the sampler cache.
 type zipfKey struct {
@@ -219,8 +238,8 @@ type zipfTables struct {
 // instead of once per interval per thread.
 //
 // Lifetime: the map is unbounded and process-lived — every distinct
-// (n, alpha) pair ever sampled stays resident (~20 bytes per rank, so
-// ~10 KiB per 512-bucket table). The figure suite cycles through a few
+// (n, alpha) pair ever sampled stays resident (~48 bytes per rank, so
+// ~24 KiB per 512-bucket table). The figure suite cycles through a few
 // dozen pairs and the map stays small, but a long-running process
 // sweeping many distinct working-set geometries accumulates one table
 // per pair; call PurgeZipfCache between sweeps to release them.
@@ -251,7 +270,8 @@ func NewZipf(r *Rand, n int, alpha float64) *Zipf {
 		tab := t.(*zipfTables)
 		return &Zipf{cdf: tab.cdf, cdfInt: tab.cdfInt, guide: tab.guide, r: r}
 	}
-	tab := &zipfTables{cdf: make([]float64, n), cdfInt: make([]uint64, n), guide: make([]int32, n)}
+	tab := &zipfTables{cdf: make([]float64, n), cdfInt: make([]uint64, n),
+		guide: make([]int32, zipfGuideScale*n)}
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		sum += 1 / math.Pow(float64(i+1), alpha)
@@ -265,12 +285,27 @@ func NewZipf(r *Rand, n int, alpha float64) *Zipf {
 	for i, v := range tab.cdf {
 		tab.cdfInt[i] = uint64(v * (1 << 53))
 	}
+	// cdfInt[n-1] is 2^53, at or above every cut, so the walks stay in
+	// range.
+	g := uint64(len(tab.guide))
+	cut := func(k uint64) uint64 { // floor(k*2^53/g); k <= g keeps hi < g
+		hi, lo := bits.Mul64(k, 1<<53)
+		q, _ := bits.Div64(hi, lo, g)
+		return q
+	}
 	idx := int32(0)
+	next := cut(0)
 	for k := range tab.guide {
-		for tab.cdf[idx] < float64(k)/float64(n) {
+		lo := next
+		next = cut(uint64(k) + 1)
+		for tab.cdfInt[idx] < lo {
 			idx++
 		}
-		tab.guide[k] = idx
+		if tab.cdfInt[idx] >= next {
+			tab.guide[k] = idx
+		} else {
+			tab.guide[k] = ^idx
+		}
 	}
 	if prev, loaded := zipfCache.LoadOrStore(key, tab); loaded {
 		tab = prev.(*zipfTables) // another goroutine won the race; share its tables
@@ -281,21 +316,26 @@ func NewZipf(r *Rand, n int, alpha float64) *Zipf {
 // N returns the number of ranks the sampler draws from.
 func (z *Zipf) N() int { return len(z.cdf) }
 
-// Next returns the next sampled rank in [0, N()): the first index whose
-// cdf entry is >= the uniform draw b/2^53 — evaluated in the integer
-// domain via cdfInt (see its comment for the exact equivalence). The
-// guide table gives a starting point near the answer, and the two
-// correction loops converge to the unique fixpoint from any start, so
-// the result equals a full binary search for every draw. b*n cannot
-// reach n*2^53, so the bucket index stays in range without clamping.
+// Next returns the next sampled rank in [0, N()).
 func (z *Zipf) Next() int {
-	b := z.r.Uint64() >> 11 // the same 53-bit draw Float64 scales
-	hi, lo := mul64(b, uint64(len(z.guide)))
-	k := int(hi<<11 | lo>>53) // floor(b*n / 2^53)
-	i := int(z.guide[k])
-	for i > 0 && z.cdfInt[i-1] >= b {
-		i--
+	return z.rank(z.r.Uint64() >> 11) // the same 53-bit draw Float64 scales
+}
+
+// rank maps a 53-bit draw b to the first index whose cdf entry is >=
+// b/2^53 — evaluated in the integer domain via cdfInt (see its comment
+// for the exact equivalence). The draw's bucket
+// k = floor(b*len(guide)/2^53) satisfies floor(k*2^53/len(guide)) <= b,
+// so guide[k] never overshoots the answer and a forward walk from it
+// ends exactly there; a non-negative entry is the answer itself (see
+// guide). b*len(guide) cannot reach len(guide)*2^53, so k stays in
+// range without clamping.
+func (z *Zipf) rank(b uint64) int {
+	hi, lo := bits.Mul64(b, uint64(len(z.guide)))
+	g := z.guide[hi<<11|lo>>53]
+	if g >= 0 {
+		return int(g)
 	}
+	i := int(^g)
 	for z.cdfInt[i] < b {
 		i++
 	}

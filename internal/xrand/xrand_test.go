@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -250,20 +251,92 @@ func TestQuickStreamEquality(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		a, b, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
+// TestZipfNextMatchesLinearSearch holds the guide-table lookup to its
+// definition: every draw maps to the smallest i with cdfInt[i] >= b.
+// Random draws cover the typical case; the draws at, just below and
+// just above every cdf step and every guide cut cover the boundaries
+// where an off-by-one in the guide would show.
+func TestZipfNextMatchesLinearSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 500, 512, 1024} {
+		for _, alpha := range []float64{0, 0.55, 1, 1.6} {
+			r := New(uint64(n)*31 + uint64(alpha*100))
+			z := NewZipf(r, n, alpha)
+			linear := func(b uint64) int {
+				for i, c := range z.cdfInt {
+					if c >= b {
+						return i
+					}
+				}
+				t.Fatalf("n=%d alpha=%v: draw %d above cdfInt[n-1]", n, alpha, b)
+				return -1
+			}
+			check := func(b uint64) {
+				if b >= 1<<53 {
+					return
+				}
+				if got, want := z.rank(b), linear(b); got != want {
+					t.Fatalf("n=%d alpha=%v draw %d: rank %d, linear search %d", n, alpha, b, got, want)
+				}
+			}
+			for _, c := range z.cdfInt {
+				check(c - 1)
+				check(c)
+				check(c + 1)
+			}
+			g := uint64(len(z.guide))
+			for k := uint64(0); k < g; k++ {
+				hi, lo := bits.Mul64(k, 1<<53)
+				cut, _ := bits.Div64(hi, lo, g)
+				check(cut - 1)
+				check(cut)
+				check(cut + 1)
+			}
+			check(0)
+			check(1<<53 - 1)
+			for i := 0; i < 20_000; i++ {
+				shadow := *r
+				b := shadow.Uint64() >> 11
+				if got, want := z.Next(), linear(b); got != want {
+					t.Fatalf("n=%d alpha=%v draw %d: Next %d, linear search %d", n, alpha, b, got, want)
+				}
+				if r.State() != shadow.State() {
+					t.Fatalf("n=%d alpha=%v: Next consumed other than one draw", n, alpha)
+				}
+			}
+		}
 	}
-	for _, c := range cases {
-		hi, lo := mul64(c.a, c.b)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.a, c.b, hi, lo, c.hi, c.lo)
+}
+
+// TestBelowRunMatchesUint64Loop pins BelowRun to the loop it replaces:
+// the same miss count, hit flag and final generator state as calling
+// Uint64 until a draw's top 53 bits fall below thresh or max draws are
+// spent, including the degenerate max 0, thresh 0 and thresh 2^53.
+func TestBelowRunMatchesUint64Loop(t *testing.T) {
+	loop := func(r *Rand, thresh, max uint64) (uint64, bool) {
+		for n := uint64(0); n < max; n++ {
+			if r.Uint64()>>11 < thresh {
+				return n, true
+			}
+		}
+		return max, false
+	}
+	threshes := []uint64{0, 1, 1 << 40, 1 << 50, 1 << 52, 3 << 51, 1<<53 - 1, 1 << 53}
+	maxes := []uint64{0, 1, 2, 3, 17, 100, 4096}
+	r := New(2024)
+	for _, thresh := range threshes {
+		for _, max := range maxes {
+			for rep := 0; rep < 50; rep++ {
+				want := *r
+				wn, whit := loop(&want, thresh, max)
+				gn, ghit := r.BelowRun(thresh, max)
+				if gn != wn || ghit != whit {
+					t.Fatalf("thresh %d max %d: BelowRun = (%d, %v), loop = (%d, %v)", thresh, max, gn, ghit, wn, whit)
+				}
+				if r.State() != want.State() {
+					t.Fatalf("thresh %d max %d: state diverged from the Uint64 loop", thresh, max)
+				}
+				r.Uint64() // vary the start state between repetitions
+			}
 		}
 	}
 }
@@ -272,6 +345,13 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
+	}
+}
+
+func BenchmarkBelowRun(b *testing.B) {
+	r := New(1)
+	for i := 0; i < b.N; i++ {
+		r.BelowRun(1<<50, 64)
 	}
 }
 
