@@ -323,29 +323,6 @@ func BenchmarkSweepSharedTraces(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessSets and BenchmarkAccessClusterWays put the two
-// non-way partitioning geometries' access hot paths in the bench gate:
-// each iteration is one full model-based cg run on that geometry (the
-// ways path is already exercised by every figure benchmark). The
-// reported CPI doubles as a determinism canary — the gate diffs times,
-// but a CPI shift here means the geometry's behaviour moved.
-func benchMechanismAccess(b *testing.B, m Mechanism) {
-	cfg := benchCfg()
-	cfg.Mechanism = m
-	var cpi float64
-	for i := 0; i < b.N; i++ {
-		run, err := Simulate(cfg, "cg", PolicyModelBased, BySections)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cpi = run.Result.AppCPI()
-	}
-	b.ReportMetric(cpi, "appCPI")
-}
-
-func BenchmarkAccessSets(b *testing.B)        { benchMechanismAccess(b, MechSets) }
-func BenchmarkAccessClusterWays(b *testing.B) { benchMechanismAccess(b, MechCluster) }
-
 // --- Ablation benchmarks (DESIGN.md §5) ---
 
 // BenchmarkAblationIntervalLength varies the execution-interval length.

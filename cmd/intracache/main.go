@@ -34,9 +34,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "workload random seed")
 	l2kb := flag.Int("l2kb", 0, "L2 size in KiB (0 = default 256)")
 	l2ways := flag.Int("l2ways", 0, "L2 associativity (0 = default 64)")
-	mechName := flag.String("mechanism", "ways", "L2 partitioning mechanism: ways, sets, cluster")
-	setGroups := flag.Int("set-groups", 0, "sets mechanism: number of set groups (0 = cache default)")
-	clusters := flag.Int("clusters", 0, "cluster mechanism: number of set clusters (0 = cache default)")
 	intervalInstr := flag.Uint64("interval-instr", 0, "aggregate instructions per execution interval (0 = default)")
 	showTrace := flag.Bool("trace", true, "print the per-interval trace")
 	asJSON := flag.Bool("json", false, "emit the full result as JSON and exit")
@@ -68,11 +65,6 @@ func main() {
 			names = append(names, p.String())
 		}
 		fmt.Println("policies:  ", strings.Join(names, ", "))
-		mechs := make([]string, 0, 3)
-		for _, m := range intracache.Mechanisms() {
-			mechs = append(mechs, m.String())
-		}
-		fmt.Println("mechanisms:", strings.Join(mechs, ", "))
 		return
 	}
 
@@ -91,13 +83,6 @@ func main() {
 	if *l2ways > 0 {
 		cfg.L2Ways = *l2ways
 	}
-	mech, err := intracache.ParseMechanism(*mechName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Mechanism = mech
-	cfg.SetGroups = *setGroups
-	cfg.Clusters = *clusters
 	if *intervalInstr > 0 {
 		cfg.IntervalInstructions = *intervalInstr
 	}
@@ -164,13 +149,9 @@ func main() {
 	}
 
 	if *showTrace {
-		unit := "ways"
-		if cfg.Mechanism != intracache.MechWays {
-			unit = "quanta" // set groups or per-cluster way quanta
-		}
 		t := report.NewTable(
 			fmt.Sprintf("%s under %s — per-interval trace", *bench, pol),
-			traceHeaders(cfg.NumThreads, unit)...)
+			traceHeaders(cfg.NumThreads)...)
 		for _, iv := range run.Result.Intervals {
 			cells := []interface{}{iv.Index}
 			for _, ts := range iv.Threads {
@@ -186,9 +167,6 @@ func main() {
 	res := run.Result
 	fmt.Printf("benchmark:          %s\n", run.Benchmark)
 	fmt.Printf("policy:             %s\n", run.Policy)
-	if cfg.Mechanism != intracache.MechWays {
-		fmt.Printf("mechanism:          %s\n", cfg.Mechanism)
-	}
 	fmt.Printf("threads:            %d\n", cfg.NumThreads)
 	fmt.Printf("wall cycles:        %d\n", res.WallCycles)
 	fmt.Printf("instructions:       %d\n", res.TotalInstr)
@@ -219,10 +197,10 @@ func main() {
 	}
 }
 
-func traceHeaders(n int, unit string) []string {
+func traceHeaders(n int) []string {
 	out := []string{"interval"}
 	for i := 0; i < n; i++ {
-		out = append(out, fmt.Sprintf("t%d %s/CPI", i+1, unit))
+		out = append(out, fmt.Sprintf("t%d ways/CPI", i+1))
 	}
 	return append(out, "overall CPI")
 }

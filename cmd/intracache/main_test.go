@@ -52,6 +52,10 @@ func TestCommandLine(t *testing.T) {
 		// -resume alone used to start a fresh run silently.
 		{args: run + " -resume", code: 2, stderr: "-resume needs -checkpoint"},
 		{args: run + " -bogus", code: 2, stderr: "flag provided but not defined: -bogus"},
+		// The set-index and clustered partition geometries are gone.
+		{args: run + " -mechanism ways", code: 2, stderr: "flag provided but not defined: -mechanism"},
+		{args: run + " -set-groups 4", code: 2, stderr: "flag provided but not defined: -set-groups"},
+		{args: run + " -clusters 8", code: 2, stderr: "flag provided but not defined: -clusters"},
 	} {
 		code, _, stderr := runIntracache(t, tc.args)
 		if code != tc.code || !strings.Contains(stderr, tc.stderr) {

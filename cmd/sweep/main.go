@@ -9,12 +9,7 @@
 //	sweep -kind interval -bench swim        # execution-interval sweep
 //	sweep -kind threads  -bench mgrid       # core-count sweep
 //	sweep -kind robust                      # policies × fault levels
-//	sweep -kind mechanism                   # partitioning mechanisms × policies
 //	sweep -kind cache -json                 # machine-readable output
-//
-// Cell sweeps accept -mechanism ways|sets|cluster (plus -set-groups /
-// -clusters geometry knobs) to run the candidate on a different
-// partitioning geometry; -kind mechanism sweeps all three at once.
 //
 // Long sweeps are crash-safe: with -resume DIR each finished cell is
 // journaled to DIR and a rerun (after a crash, a kill, or ctrl-C) skips
@@ -40,8 +35,6 @@ import (
 	"syscall"
 	"time"
 
-	"intracache/internal/cache"
-	"intracache/internal/checkpoint"
 	"intracache/internal/core"
 	"intracache/internal/experiment"
 	"intracache/internal/fault"
@@ -58,13 +51,10 @@ const (
 )
 
 func main() {
-	kind := flag.String("kind", "cache", "sweep kind: cache, interval, threads, robust, mechanism")
-	bench := flag.String("bench", "cg", "benchmark to sweep (kind=robust, mechanism: all nine unless set)")
+	kind := flag.String("kind", "cache", "sweep kind: cache, interval, threads, robust")
+	bench := flag.String("bench", "cg", "benchmark to sweep (kind=robust: all nine unless set)")
 	baseName := flag.String("baseline", "shared", "baseline policy")
-	candName := flag.String("candidate", "model-based", "candidate policy (kind=robust, mechanism: the full policy set unless set)")
-	mechName := flag.String("mechanism", "ways", "partitioning mechanism for the candidate: ways, sets, cluster (ignored by kind=mechanism, which sweeps all)")
-	setGroups := flag.Int("set-groups", 0, "sets mechanism: number of set groups (0 = cache default)")
-	clusters := flag.Int("clusters", 0, "cluster mechanism: number of set clusters (0 = cache default)")
+	candName := flag.String("candidate", "model-based", "candidate policy (kind=robust: the full policy set unless set)")
 	sections := flag.Int("sections", 40, "fixed work per run (parallel sections)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	asJSON := flag.Bool("json", false, "emit JSON instead of a table")
@@ -112,13 +102,6 @@ func main() {
 		cfg.Fault = &plan
 	}
 	cfg.ShareTraces = *shareTraces
-	mech, err := cache.ParseMechanism(*mechName)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Mechanism = mech
-	cfg.SetGroups = *setGroups
-	cfg.Clusters = *clusters
 
 	// A first ctrl-C / SIGTERM cancels the sweep: no new cells start,
 	// in-flight cells stop at their next interval boundary, and finished
@@ -142,10 +125,9 @@ func main() {
 		journalPath = filepath.Join(*resume, *kind+".journal")
 	}
 
-	// -bench and -candidate narrow the robust and mechanism matrices
-	// only when given explicitly; their cell-sweep defaults would
-	// otherwise shrink the default all-benchmarks × policy-ladder grid
-	// to one row.
+	// -bench and -candidate narrow the robust matrix only when given
+	// explicitly; their cell-sweep defaults would otherwise shrink the
+	// default all-benchmarks × policy-ladder grid to one row.
 	var benchSet []string
 	if explicit["bench"] {
 		benchSet = []string{*bench}
@@ -163,26 +145,10 @@ func main() {
 	switch *kind {
 	case "robust":
 		// Not a cell list: runRobust runs its two stages below.
-	case "mechanism":
-		fp, cells, err = experiment.MechanismSweepCells(experiment.MechanismSweepSpec{
-			Cfg:        cfg,
-			Benchmarks: benchSet,
-			Policies:   policies,
-			Baseline:   baseline,
-		})
-		if err != nil {
-			fatal(err)
-		}
 	default:
 		points, err := sweepPoints(*kind, cfg)
 		if err != nil {
 			fatal(err)
-		}
-		if journalPath != "" {
-			if err := checkJournalMechanism(journalPath, points, *bench, baseline,
-				candidate, cfg.Mechanism); err != nil {
-				fatal(err)
-			}
 		}
 		fp = experiment.SweepFingerprint(points, *bench, baseline, candidate, 0)
 		cells = experiment.PointCells(points, *bench, baseline, candidate)
@@ -209,13 +175,9 @@ func main() {
 	for i, r := range results {
 		errs[i] = r.Err
 	}
-	if *kind == "mechanism" {
-		printMechanism(experiment.MechanismResults(cells, results), *asJSON, *outPath)
-	} else {
-		title := fmt.Sprintf("%s sweep on %q: %s vs %s", *kind, *bench, *candName, *baseName)
-		printPoints(title, results, *asJSON, *outPath)
-		printTraceCacheSummary(experiment.TraceCacheStats())
-	}
+	title := fmt.Sprintf("%s sweep on %q: %s vs %s", *kind, *bench, *candName, *baseName)
+	printPoints(title, results, *asJSON, *outPath)
+	printTraceCacheSummary(experiment.TraceCacheStats())
 	exitOnFailedCells(errs, stopProfile)
 }
 
@@ -292,9 +254,22 @@ func printJSON(v any) {
 }
 
 // exitOnFailedCells ends a sweep whose results are already printed:
-// when some cells failed it summarises them by taxonomy kind on stderr
-// and exits exitPartial.
+// when some cells failed it prints failedCells' summary on stderr and
+// exits with its code.
 func exitOnFailedCells(errs []error, stopProfile func()) {
+	summary, code := failedCells(errs)
+	if code == exitOK {
+		return
+	}
+	fmt.Fprintln(os.Stderr, summary)
+	stopProfile()
+	os.Exit(code)
+}
+
+// failedCells summarises the failed cells among errs by taxonomy kind
+// and returns the code the sweep exits with: exitOK (and no summary)
+// when every cell succeeded, exitPartial otherwise.
+func failedCells(errs []error) (string, int) {
 	failed, kinds := 0, map[string]int{}
 	for _, err := range errs {
 		if err != nil {
@@ -303,12 +278,10 @@ func exitOnFailedCells(errs []error, stopProfile func()) {
 		}
 	}
 	if failed == 0 {
-		return
+		return "", exitOK
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d/%d cells failed (%s); partial results above\n",
-		failed, len(errs), kindCounts(kinds))
-	stopProfile()
-	os.Exit(exitPartial)
+	return fmt.Sprintf("sweep: %d/%d cells failed (%s); partial results above",
+		failed, len(errs), kindCounts(kinds)), exitPartial
 }
 
 // kindCounts formats a kind->count map in the taxonomy's canonical
@@ -403,84 +376,6 @@ func runRobust(ctx context.Context, cfg experiment.Config, opts experiment.Sweep
 		}
 	}
 	exitOnFailedCells(errs, stopProfile)
-}
-
-// printMechanism writes a mechanism sweep's cells: to -out as JSON,
-// and to stdout as JSON or as the comparison matrix plus a
-// per-benchmark winner table. Failed cells are also named on stderr.
-func printMechanism(cells []experiment.MechanismCell, asJSON bool, outPath string) {
-	if outPath != "" {
-		if err := report.SaveJSON(outPath, cells); err != nil {
-			fatal(err)
-		}
-	}
-	for _, c := range cells {
-		if c.Err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %s/%s/%s: %v\n", c.Benchmark, c.Policy, c.Mechanism, c.Err)
-		}
-	}
-	if asJSON {
-		printJSON(cells)
-		return
-	}
-	rows, cols, vals := experiment.MechanismMatrix(cells)
-	fmt.Print(report.ComparisonMatrix(
-		"mechanisms: mean improvement over shared baseline (%), policies x mechanisms",
-		rows, cols, vals))
-	// Winner table under the strongest policy in the matrix.
-	winner := core.PolicyModelBased
-	present := map[core.Policy]bool{}
-	for _, c := range cells {
-		present[c.Policy] = true
-	}
-	if !present[winner] && len(cells) > 0 {
-		winner = cells[0].Policy
-	}
-	if best := experiment.MechanismBestFor(cells, winner); len(best) > 0 {
-		fmt.Println()
-		printed := map[string]bool{}
-		for _, c := range cells {
-			if m, ok := best[c.Benchmark]; ok && !printed[c.Benchmark] {
-				printed[c.Benchmark] = true
-				fmt.Printf("best mechanism for %-8s %s (%s)\n", c.Benchmark+":", m, winner)
-			}
-		}
-	}
-}
-
-// checkJournalMechanism turns the journal's generic fingerprint-
-// mismatch error into a specific one when the mismatch is exactly the
-// -mechanism flag: it re-fingerprints the sweep under each other
-// mechanism and, on a match, says which geometry the journal was
-// written under. Any other difference falls through to OpenJournal's
-// generic refusal.
-func checkJournalMechanism(path string, points []experiment.SweepPoint, bench string,
-	baseline, candidate core.Policy, mech cache.Mechanism) error {
-	have, err := checkpoint.JournalFingerprint(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	if experiment.SweepFingerprint(points, bench, baseline, candidate, 0) == have {
-		return nil
-	}
-	for _, m := range cache.Mechanisms() {
-		if m == mech {
-			continue
-		}
-		alt := make([]experiment.SweepPoint, len(points))
-		for i, p := range points {
-			alt[i] = p
-			alt[i].Cfg = p.Cfg.WithMechanism(m)
-		}
-		if experiment.SweepFingerprint(alt, bench, baseline, candidate, 0) == have {
-			return fmt.Errorf("journal %s was written with -mechanism %s, not %s; rerun with -mechanism %s or point -resume at a fresh directory",
-				path, m, mech, m)
-		}
-	}
-	return nil
 }
 
 func fatal(err error) {

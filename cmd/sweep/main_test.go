@@ -2,14 +2,16 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
+
+	"intracache/internal/experiment"
 )
 
 // TestMain doubles as the sweep command: with SWEEP_TEST_ARGS set, the
@@ -87,11 +89,16 @@ func TestCommandLine(t *testing.T) {
 		// sweep of zero-cycle successes, and nothing is journaled.
 		{args: "-kind interval -sections 0 -resume DIR", code: exitHard, noJournal: true,
 			stderr: []string{"Sections 0: need a positive run length"}},
-		// Four set groups hold the 2- and 4-thread cells but cannot
-		// hold 8 or 16 threads: a deterministic partial failure.
-		{args: "-kind threads -mechanism sets -set-groups 4 -sections 1", code: exitPartial,
-			stdout: []string{"4 set groups cannot hold 8 threads", "4 set groups cannot hold 16 threads"},
-			stderr: []string{"2/4 cells failed"}},
+		// The set-index and clustered partition geometries are gone,
+		// with their flags and their sweep kind.
+		{args: "-mechanism ways", code: 2,
+			stderr: []string{"flag provided but not defined: -mechanism"}},
+		{args: "-set-groups 4", code: 2,
+			stderr: []string{"flag provided but not defined: -set-groups"}},
+		{args: "-clusters 8", code: 2,
+			stderr: []string{"flag provided but not defined: -clusters"}},
+		{args: "-kind mechanism", code: exitHard,
+			stderr: []string{`unknown sweep kind "mechanism"`}},
 		// An explicit -bench and -candidate narrow the robustness
 		// matrix to one benchmark and one policy (static-equal is
 		// policy 2): four fault levels, no other benchmark or policy.
@@ -161,61 +168,26 @@ func TestResumeSkipsJournaledCells(t *testing.T) {
 	}
 }
 
-// TestMechanismResume: a narrowed mechanism sweep journals its whole
-// matrix to one journal, mechanism.journal, and a rerun against the
-// same -resume directory reads every cell back from it. Both runs print
-// the same cells; only the resume markers (Attempts, Resumed) differ.
-func TestMechanismResume(t *testing.T) {
-	dir := t.TempDir()
-	args := "-kind mechanism -bench cg -candidate static-equal -sections 1 -json -resume " + dir
-	code, first, stderr := runSweep(t, args)
-	if code != exitOK {
-		t.Fatalf("first run: exit code %d\nstderr: %s", code, stderr)
+// TestFailedCells: a sweep with some failed cells exits exitPartial
+// with a per-kind summary in the taxonomy's canonical order; a clean
+// sweep exits exitOK. No command line fails only some cells
+// deterministically, so the error list is built by hand.
+func TestFailedCells(t *testing.T) {
+	summary, code := failedCells([]error{nil, nil})
+	if code != exitOK || summary != "" {
+		t.Errorf("clean sweep: code %d, summary %q", code, summary)
 	}
-	code, second, stderr := runSweep(t, args)
-	if code != exitOK {
-		t.Fatalf("resumed run: exit code %d\nstderr: %s", code, stderr)
+	summary, code = failedCells([]error{
+		errors.New("simulation blew up"),
+		nil,
+		fmt.Errorf("%w after 1s: %w", experiment.ErrCellDeadline, context.DeadlineExceeded),
+		context.Canceled,
+		errors.New("again"),
+	})
+	want := "sweep: 4/5 cells failed (1 deadline, 1 cancelled, 2 failed); partial results above"
+	if code != exitPartial || summary != want {
+		t.Errorf("partial sweep: code %d, summary %q; want %d, %q", code, summary, exitPartial, want)
 	}
-	firstCells, secondCells := decodeCells(t, first), decodeCells(t, second)
-	if len(secondCells) != 3 {
-		t.Fatalf("resumed run printed %d cells, want 3 (one per mechanism)", len(secondCells))
-	}
-	for i, c := range secondCells {
-		if c["Resumed"] != true {
-			t.Errorf("cell %d recomputed instead of resuming", i)
-		}
-		if firstCells[i]["Resumed"] != false {
-			t.Errorf("cell %d resumed on the first run", i)
-		}
-		for _, marker := range []string{"Attempts", "Resumed"} {
-			delete(c, marker)
-			delete(firstCells[i], marker)
-		}
-	}
-	if !reflect.DeepEqual(firstCells, secondCells) {
-		t.Errorf("resumed run printed different cells:\n%s\nvs\n%s", second, first)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "mechanism.journal" {
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		t.Errorf("-resume directory holds %v, want only mechanism.journal", names)
-	}
-}
-
-// decodeCells parses a sweep's -json output into one map per cell.
-func decodeCells(t *testing.T, out string) []map[string]any {
-	t.Helper()
-	var cells []map[string]any
-	if err := json.Unmarshal([]byte(out), &cells); err != nil {
-		t.Fatalf("bad -json output: %v\n%s", err, out)
-	}
-	return cells
 }
 
 // tableRows returns the result rows of a sweep table: the lines after

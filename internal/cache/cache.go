@@ -47,25 +47,6 @@ const (
 	// thread's dead lines from flushing everyone else). Per-thread
 	// set-dueling chooses the better insertion policy online.
 	SharedTADIP
-	// PartitionedSets partitions by set index instead of by way: each
-	// thread owns a contiguous aligned range of Config.SetGroups
-	// power-of-two set groups, selected by fixed index bits, and its
-	// accesses are steered into that range only. Within a set,
-	// replacement is plain LRU — isolation comes entirely from the
-	// index mapping, so threads can never evict each other, at the cost
-	// of power-of-two capacity granularity and no constructive sharing
-	// (each thread caches its own replica of shared data, as on a
-	// private cache). Repartitioning remaps future accesses; stale
-	// lines age out of their old sets with no flush.
-	PartitionedSets
-	// PartitionedCluster is clustered way-partitioning: sets are
-	// grouped into Config.Clusters contiguous clusters, and the
-	// eviction-control scheme of Partitioned runs with an independent
-	// way target per (cluster, thread). A thread's capacity quantum is
-	// one way in one cluster — 1/Clusters of a full way — so the
-	// allocator can hand out finer-than-way capacity. Hits are still
-	// allowed anywhere, preserving constructive sharing.
-	PartitionedCluster
 )
 
 // String returns the mode name.
@@ -79,10 +60,6 @@ func (m Mode) String() string {
 		return "partitioned-mask"
 	case SharedTADIP:
 		return "shared-tadip"
-	case PartitionedSets:
-		return "partitioned-sets"
-	case PartitionedCluster:
-		return "partitioned-cluster"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
@@ -95,17 +72,22 @@ type Config struct {
 	LineBytes  int // line size in bytes
 	NumThreads int // number of threads that may access the cache
 
-	// SetGroups is the number of aligned power-of-two set groups the
-	// PartitionedSets mode divides capacity into (its quantum count).
-	// Zero means "mechanism default" (min(sets, 64)); other modes
-	// ignore it.
+	// SetGroups and Clusters configured the set-index and clustered
+	// partition geometries, which were removed: every partitioned cache
+	// allocates plain ways. The fields stay only so that callers built
+	// against them still compile; Validate refuses any value but zero.
 	SetGroups int
-	// Clusters is the number of contiguous set clusters the
-	// PartitionedCluster mode assigns per-cluster way targets over.
-	// Zero means "mechanism default" (min(sets, 8)); other modes
-	// ignore it.
-	Clusters int
+	Clusters  int
 }
+
+// Mechanism once named a partition geometry. Ways are the only one
+// left; the type remains for callers that still set the field, and
+// sim.Params.Validate refuses any value but MechWays.
+type Mechanism int
+
+// MechWays is the paper's Section V scheme: per-thread way targets
+// enforced through replacement, uniformly across all sets.
+const MechWays Mechanism = 0
 
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
@@ -130,11 +112,9 @@ func (c Config) Validate() error {
 	if bits.OnesCount(uint(sets)) != 1 {
 		return fmt.Errorf("cache: set count %d must be a power of two", sets)
 	}
-	if c.SetGroups != 0 && (bits.OnesCount(uint(c.SetGroups)) != 1 || c.SetGroups > sets) {
-		return fmt.Errorf("cache: SetGroups %d must be a power of two no larger than %d sets", c.SetGroups, sets)
-	}
-	if c.Clusters != 0 && (bits.OnesCount(uint(c.Clusters)) != 1 || c.Clusters > sets) {
-		return fmt.Errorf("cache: Clusters %d must be a power of two no larger than %d sets", c.Clusters, sets)
+	if c.SetGroups != 0 || c.Clusters != 0 {
+		return fmt.Errorf("cache: SetGroups %d, Clusters %d: the set-index and clustered geometries were removed; both must be 0",
+			c.SetGroups, c.Clusters)
 	}
 	return nil
 }
@@ -224,27 +204,13 @@ type Cache struct {
 	cfg      Config
 	mode     Mode
 	ownCount []int16 // numSets * numThreads, lines owned per thread per set
-	// target holds the per-thread capacity-quantum targets: ways for
-	// the way-granular modes, set-group counts for PartitionedSets,
-	// cluster-way totals for PartitionedCluster. It is the only
-	// serialized partitioning state; the placements below derive from
-	// it (see layoutRebuild).
-	target []int
-	// PartitionedSets placement: setStart[t] is thread t's first set
-	// group (target[t] groups, aligned), spgBits is log2 of the sets
-	// per group. PartitionedCluster placement: clusterTarget is the
-	// cluster-major per-(cluster, thread) way-target matrix and
-	// set>>clShift is a set's cluster.
-	setStart      []int
-	spgBits       uint
-	clusterTarget []int
-	clShift       uint
-	numSets       int
-	setMask       uint64
-	lineBits      uint
-	setBits       uint
-	clock         uint64
-	stats         Stats
+	target   []int   // per-thread way targets, shared by all sets
+	numSets  int
+	setMask  uint64
+	lineBits uint
+	setBits  uint
+	clock    uint64
+	stats    Stats
 
 	// Per-line attributes, numSets * ways entries each, set-major.
 	// tagv is the probe word: (tag<<1)|1 when the line is valid, 0 when
@@ -319,7 +285,7 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 		return nil, err
 	}
 	switch mode {
-	case SharedLRU, Partitioned, PartitionedMask, SharedTADIP, PartitionedSets, PartitionedCluster:
+	case SharedLRU, Partitioned, PartitionedMask, SharedTADIP:
 	default:
 		return nil, fmt.Errorf("cache: unknown mode %v", mode)
 	}
@@ -364,44 +330,7 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 		c.lruTail[s] = -1
 	}
 	c.mayAlias = c.lineBits+c.setBits == 0
-	switch mode {
-	case PartitionedSets:
-		if c.cfg.SetGroups == 0 {
-			c.cfg.SetGroups = numSets
-			if c.cfg.SetGroups > defaultSetGroups {
-				c.cfg.SetGroups = defaultSetGroups
-			}
-		}
-		if c.cfg.SetGroups < cfg.NumThreads {
-			return nil, fmt.Errorf("cache: %d set groups cannot hold %d threads (each needs at least one)",
-				c.cfg.SetGroups, cfg.NumThreads)
-		}
-		c.spgBits = uint(bits.TrailingZeros(uint(numSets / c.cfg.SetGroups)))
-		// The tag is the full line address in this mode (the set is no
-		// longer a pure function of the address), so tagv's dropped top
-		// bit matters whenever line addresses span all 64 bits.
-		c.mayAlias = c.lineBits == 0
-		c.target = QuantizePow2(EqualSplit(c.cfg.SetGroups, cfg.NumThreads), c.cfg.SetGroups)
-	case PartitionedCluster:
-		if c.cfg.Clusters == 0 {
-			c.cfg.Clusters = numSets
-			if c.cfg.Clusters > defaultClusters {
-				c.cfg.Clusters = defaultClusters
-			}
-		}
-		c.clShift = c.setBits - uint(bits.TrailingZeros(uint(c.cfg.Clusters)))
-		c.target = EqualSplit(cfg.Ways*c.cfg.Clusters, cfg.NumThreads)
-	}
-	if err := c.layoutRebuild(); err != nil {
-		return nil, err
-	}
-	useIdx := cfg.Ways >= idxMinWays
-	if mode == PartitionedSets && c.lineBits < c.setBits {
-		// The index key (tag<<setBits | set) would drop high
-		// line-address bits in this geometry; keep the tag-scan paths.
-		useIdx = false
-	}
-	if useIdx {
+	if cfg.Ways >= idxMinWays {
 		tabLen := 1
 		for tabLen < 2*lines {
 			tabLen <<= 1
@@ -425,16 +354,6 @@ func New(cfg Config, mode Mode) (*Cache, error) {
 // is worth its footprint; below it the per-set tag scan is cheaper. The
 // recency lists are kept at every associativity.
 const idxMinWays = 16
-
-// Default quantum counts for the set-index and clustered modes when
-// Config leaves them zero, capped by the set count. 64 groups gives
-// set-index partitioning the same nominal quantum count as the
-// headline 64-way L2; 8 clusters makes one cluster-way an eighth of a
-// way.
-const (
-	defaultSetGroups = 64
-	defaultClusters  = 8
-)
 
 // idxHash is Fibonacci hashing into the resident-line table: the high
 // bits of the golden-ratio product are well mixed even for the
@@ -670,22 +589,29 @@ func (c *Cache) Targets() []int {
 	return out
 }
 
-// SetTargets installs new per-thread capacity targets, in the cache's
-// quantum unit (see Quanta): ways for the way-granular modes,
-// set-group counts for PartitionedSets, cluster-way totals for
-// PartitionedCluster. The targets must be non-negative and sum to
-// Quanta. PartitionedSets quantizes the request to an aligned
-// power-of-two layout (Targets reports what was installed); the other
-// modes install it verbatim. Every repartition takes effect gradually
-// through subsequent replacements — or, for PartitionedSets, through
-// remapped future accesses — as in the paper's Section V. Calling
-// SetTargets on an unpartitioned cache is an error.
+// SetTargets installs new per-thread way targets. The targets must be
+// non-negative and sum to the associativity. The repartition takes
+// effect gradually through subsequent replacements, as in the paper's
+// Section V. Calling SetTargets on an unpartitioned cache is an error.
 func (c *Cache) SetTargets(targets []int) error {
 	switch c.mode {
-	case Partitioned, PartitionedMask, PartitionedSets, PartitionedCluster:
+	case Partitioned, PartitionedMask:
 	default:
 		return fmt.Errorf("cache: SetTargets on %v cache", c.mode)
 	}
+	if err := c.checkTargets(targets); err != nil {
+		return err
+	}
+	copy(c.target, targets)
+	return nil
+}
+
+// checkTargets reports whether targets is a valid way-target vector:
+// one non-negative entry per thread, summing to the associativity.
+// SetTargets and Restore both check targets with it: PartitionedMask
+// turns the running sum of targets into way indices, so a negative
+// target would send its victim scan outside the set.
+func (c *Cache) checkTargets(targets []int) error {
 	if len(targets) != c.cfg.NumThreads {
 		return fmt.Errorf("cache: %d targets for %d threads", len(targets), c.cfg.NumThreads)
 	}
@@ -696,18 +622,10 @@ func (c *Cache) SetTargets(targets []int) error {
 		}
 		sum += t
 	}
-	if q := c.Quanta(); sum != q {
-		if q == c.cfg.Ways {
-			return fmt.Errorf("cache: targets sum to %d, want %d ways", sum, q)
-		}
-		return fmt.Errorf("cache: targets sum to %d, want %d %s quanta", sum, q, c.Mechanism())
+	if sum != c.cfg.Ways {
+		return fmt.Errorf("cache: targets sum to %d, want %d ways", sum, c.cfg.Ways)
 	}
-	if c.mode == PartitionedSets {
-		copy(c.target, QuantizePow2(targets, c.cfg.SetGroups))
-	} else {
-		copy(c.target, targets)
-	}
-	return c.layoutRebuild()
+	return nil
 }
 
 // Stats returns a copy of the cumulative counters.
@@ -739,19 +657,8 @@ func (c *Cache) Access(thread int, addr uint64, write bool) AccessResult {
 	}
 	c.clock++
 	la := addr >> c.lineBits
-	var set int
-	var tag uint64
-	if c.mode == PartitionedSets {
-		// The set is chosen inside the thread's own group range and the
-		// tag widens to the full line address (the set no longer
-		// determines the address bits it replaced). Threads therefore
-		// probe — and can hit — only their own partition.
-		set = c.setsIndex(thread, la)
-		tag = la
-	} else {
-		set = int(la & c.setMask)
-		tag = la >> c.setBits
-	}
+	set := int(la & c.setMask)
+	tag := la >> c.setBits
 	base := set * c.cfg.Ways
 	ts := &c.stats.Threads[thread]
 	ts.Accesses++
@@ -760,13 +667,11 @@ func (c *Cache) Access(thread int, addr uint64, write bool) AccessResult {
 	// the packed tag words (see the tagv comment). Both resolve to the
 	// same line — residency is unique outside crafted snapshots, and
 	// those disable the index (see idxRebuild). The index key is the
-	// (tag, set) pair; for every mode except PartitionedSets it
-	// collapses to the plain line address.
-	key := tag<<c.setBits | uint64(set)
+	// line address.
 	want := tag<<1 | 1
 	hit := -1
 	if c.idxOK {
-		hit = int(c.idxLookup(key))
+		hit = int(c.idxLookup(la))
 	} else {
 		for i, tv := range c.tagv[base : base+c.cfg.Ways] {
 			if tv != want {
@@ -819,7 +724,7 @@ func (c *Cache) Access(thread int, addr uint64, write bool) AccessResult {
 		}
 	}
 	if c.idxOK {
-		c.idxInsert(key, int32(j))
+		c.idxInsert(la, int32(j))
 	}
 	c.tagv[j] = want
 	c.tags[j] = tag
@@ -869,47 +774,21 @@ func (c *Cache) Access(thread int, addr uint64, write bool) AccessResult {
 	return res
 }
 
-// setsIndex maps a line address into the set it occupies inside
-// thread's partition (PartitionedSets only): the owned group is chosen
-// by the address bits just above the within-group set bits, folded
-// into the thread's power-of-two group count, and the within-group
-// bits pass through — the fixed-index-bits scheme of set partitioning.
-func (c *Cache) setsIndex(thread int, la uint64) int {
-	grp := c.setStart[thread] + int((la>>c.spgBits)&uint64(c.target[thread]-1))
-	return grp<<c.spgBits | int(la&(1<<c.spgBits-1))
-}
-
 // Invalidate removes addr's line from the cache if resident, returning
 // whether it was found (and whether it was dirty). Statistics are not
-// affected. Under PartitionedSets every thread's partition is probed —
-// each thread may hold its own replica — though replicas stranded by a
-// repartition are not reachable and simply age out.
+// affected.
 func (c *Cache) Invalidate(addr uint64) (found, dirty bool) {
 	la := addr >> c.lineBits
-	if c.mode == PartitionedSets {
-		for t := 0; t < c.cfg.NumThreads; t++ {
-			f, d := c.invalidateIn(c.setsIndex(t, la), la)
-			found = found || f
-			dirty = dirty || d
-		}
-		return found, dirty
-	}
-	return c.invalidateIn(int(la&c.setMask), la>>c.setBits)
-}
-
-// invalidateIn removes the line with the given tag from one set, if
-// resident.
-func (c *Cache) invalidateIn(set int, tag uint64) (found, dirty bool) {
+	set, tag := int(la&c.setMask), la>>c.setBits
 	base := set * c.cfg.Ways
 	if c.idxOK {
-		key := tag<<c.setBits | uint64(set)
-		j := c.idxLookup(key)
+		j := c.idxLookup(la)
 		if j < 0 {
 			return false, false
 		}
 		dirty = c.dirty[j]
 		c.ownCount[set*c.cfg.NumThreads+int(c.owner[j])]--
-		c.idxDelete(key)
+		c.idxDelete(la)
 		if c.lruOn {
 			c.lruUnlink(set, int(j)-base)
 			c.lruLen[set]--
@@ -943,44 +822,20 @@ func (c *Cache) clearLine(j int) {
 }
 
 // Contains reports whether addr is resident, without touching LRU state
-// or statistics. Used by tests and by the UMON sampling logic. Under
-// PartitionedSets it reports residency of any thread's replica.
+// or statistics. Used by tests and by the UMON sampling logic.
 func (c *Cache) Contains(addr uint64) bool {
 	la := addr >> c.lineBits
-	if c.mode == PartitionedSets {
-		for t := 0; t < c.cfg.NumThreads; t++ {
-			if c.containsIn(c.setsIndex(t, la), la) {
-				return true
-			}
-		}
-		return false
-	}
-	return c.containsIn(int(la&c.setMask), la>>c.setBits)
-}
-
-// containsIn reports whether one set holds a line with the given tag.
-func (c *Cache) containsIn(set int, tag uint64) bool {
 	if c.idxOK {
-		return c.idxLookup(tag<<c.setBits|uint64(set)) >= 0
+		return c.idxLookup(la) >= 0
 	}
-	base := set * c.cfg.Ways
+	tag := la >> c.setBits
+	base := int(la&c.setMask) * c.cfg.Ways
 	for j := base; j < base+c.cfg.Ways; j++ {
 		if c.tagv[j] != 0 && c.tags[j] == tag {
 			return true
 		}
 	}
 	return false
-}
-
-// victimTargets returns the way-target vector governing replacement in
-// one set: the global per-thread targets, or — under PartitionedCluster
-// — the set's cluster column of the derived way-target matrix.
-func (c *Cache) victimTargets(set int) []int {
-	if c.mode == PartitionedCluster {
-		cl := set >> c.clShift
-		return c.clusterTarget[cl*c.cfg.NumThreads : (cl+1)*c.cfg.NumThreads]
-	}
-	return c.target
 }
 
 // pickVictim selects the way to replace in the given set on behalf of
@@ -1001,9 +856,7 @@ func (c *Cache) pickVictim(set, base, thread int) int {
 	// still win there, via their zero lastUse). Candidate tracking uses
 	// strict < on ascending indices, so the first index wins lastUse
 	// ties exactly as a per-predicate LRU scan would.
-	if c.mode == SharedLRU || c.mode == SharedTADIP || c.mode == PartitionedSets {
-		// PartitionedSets isolates through the index mapping alone, so
-		// within a set replacement is plain LRU like the shared modes.
+	if c.mode == SharedLRU || c.mode == SharedTADIP {
 		all := 0
 		for i, w := range tv {
 			if w == 0 {
@@ -1040,7 +893,7 @@ func (c *Cache) pickVictim(set, base, thread int) int {
 	}
 	owners := c.owner[base : base+c.cfg.Ways]
 	ownBase := set * c.cfg.NumThreads
-	tgt := c.victimTargets(set)
+	tgt := c.target
 	if int(c.ownCount[ownBase+thread]) < tgt[thread] {
 		// Under target: take a way from another thread. Prefer the LRU
 		// line among threads currently over their own target; fall back
@@ -1122,12 +975,12 @@ func (c *Cache) pickVictimList(set, base, thread int) int {
 		}
 	}
 	tail := int(c.lruTail[set])
-	if c.mode == SharedLRU || c.mode == SharedTADIP || c.mode == PartitionedSets {
+	if c.mode == SharedLRU || c.mode == SharedTADIP {
 		return tail
 	}
 	owners := c.owner[base : base+ways]
 	ownBase := set * c.cfg.NumThreads
-	tgt := c.victimTargets(set)
+	tgt := c.target
 	if int(c.ownCount[ownBase+thread]) < tgt[thread] {
 		// Under target: the first over-target line wins outright; else
 		// the first line of any other thread; else (the thread owns the
@@ -1270,33 +1123,6 @@ func (c *Cache) Occupancy() []int {
 
 // checkInvariants verifies internal consistency; used by tests.
 func (c *Cache) checkInvariants() error {
-	switch c.mode {
-	case PartitionedSets:
-		starts := AlignedStarts(c.target)
-		for t, s := range starts {
-			if c.setStart[t] != s {
-				return fmt.Errorf("thread %d: set-group start %d, layout says %d", t, c.setStart[t], s)
-			}
-		}
-	case PartitionedCluster:
-		nt := c.cfg.NumThreads
-		perThread := make([]int, nt)
-		for cl := 0; cl < c.cfg.Clusters; cl++ {
-			sum := 0
-			for t := 0; t < nt; t++ {
-				sum += c.clusterTarget[cl*nt+t]
-				perThread[t] += c.clusterTarget[cl*nt+t]
-			}
-			if sum != c.cfg.Ways {
-				return fmt.Errorf("cluster %d: way targets sum to %d, want %d", cl, sum, c.cfg.Ways)
-			}
-		}
-		for t := 0; t < nt; t++ {
-			if perThread[t] != c.target[t] {
-				return fmt.Errorf("thread %d: cluster targets sum to %d, target is %d", t, perThread[t], c.target[t])
-			}
-		}
-	}
 	counts := make([]int16, c.numSets*c.cfg.NumThreads)
 	for s := 0; s < c.numSets; s++ {
 		for w := 0; w < c.cfg.Ways; w++ {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +42,9 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 1024, Ways: 5, LineBytes: 64, NumThreads: 4},    // lines not divisible by ways
 		{SizeBytes: 1024, Ways: 4, LineBytes: 64, NumThreads: 0},    // no threads
 		{SizeBytes: 64 * 12, Ways: 4, LineBytes: 64, NumThreads: 4}, // 3 sets, not power of two
+		// The set-index and clustered geometries are gone.
+		{SizeBytes: 1024, Ways: 4, LineBytes: 64, NumThreads: 4, SetGroups: 4},
+		{SizeBytes: 1024, Ways: 4, LineBytes: 64, NumThreads: 4, Clusters: 2},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -238,6 +242,116 @@ func TestSetTargetsValidation(t *testing.T) {
 	shared := mustNew(t, smallConfig(), SharedLRU)
 	if err := shared.SetTargets([]int{1, 1, 1, 1}); err == nil {
 		t.Error("SetTargets on shared cache accepted")
+	}
+}
+
+// TestMechanismRestoreRoundTrip proves the crash-safety contract for
+// the partitioned modes: State captures everything, Restore rebuilds
+// the derived index and recency lists, and a restored cache is
+// bit-identical in behavior to the original from that point on.
+func TestMechanismRestoreRoundTrip(t *testing.T) {
+	cfg := Config{SizeBytes: 1 << 16, Ways: 64, LineBytes: 64, NumThreads: 4}
+	for _, mode := range []Mode{Partitioned, PartitionedMask} {
+		t.Run(mode.String(), func(t *testing.T) {
+			orig := mustNew(t, cfg, mode)
+			r := xrand.New(31 + uint64(mode))
+			for i := 0; i < 30_000; i++ {
+				if i%5000 == 4999 {
+					if err := orig.SetTargets(randComposition(r, cfg.Ways, cfg.NumThreads)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				orig.Access(r.Intn(cfg.NumThreads), uint64(r.Intn(1<<13))*64, r.Bool(0.2))
+			}
+			resumed := mustNew(t, cfg, mode)
+			if err := resumed.Restore(orig.State()); err != nil {
+				t.Fatal(err)
+			}
+			if err := resumed.checkInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10_000; i++ {
+				thread := r.Intn(cfg.NumThreads)
+				addr := uint64(r.Intn(1<<13)) * 64
+				write := r.Bool(0.2)
+				got := resumed.Access(thread, addr, write)
+				want := orig.Access(thread, addr, write)
+				if got != want {
+					t.Fatalf("post-restore access %d diverged: %+v vs %+v", i, got, want)
+				}
+			}
+			if !reflect.DeepEqual(orig.State(), resumed.State()) {
+				t.Fatal("states diverged after restore")
+			}
+		})
+	}
+}
+
+// TestMechanismRestoreRejectsBadTargets: a snapshot whose way-target
+// vector SetTargets would refuse must be refused by Restore too. A
+// negative target used to restore silently and then index the way
+// arrays out of range on the thread's next miss.
+func TestMechanismRestoreRejectsBadTargets(t *testing.T) {
+	cfg := Config{SizeBytes: 4096, Ways: 8, LineBytes: 64, NumThreads: 2}
+	for _, mode := range []Mode{SharedLRU, Partitioned, PartitionedMask, SharedTADIP} {
+		for _, bad := range [][]int{
+			{-3, 11}, // sums to Ways, but negative
+			{11, -3},
+			{3, 4},    // sums short of Ways
+			{5, 5},    // sums past Ways
+			{8},       // too few threads
+			{4, 4, 0}, // too many threads
+		} {
+			c := mustNew(t, cfg, mode)
+			st := c.State()
+			st.Target = bad
+			if err := c.Restore(st); err == nil {
+				t.Errorf("%v: Restore accepted targets %v", mode, bad)
+			}
+		}
+		c := mustNew(t, cfg, mode)
+		st := c.State()
+		st.Target = []int{0, 8}
+		if err := c.Restore(st); err != nil {
+			t.Errorf("%v: Restore refused valid targets %v: %v", mode, st.Target, err)
+		}
+	}
+}
+
+// TestMechanismCapacityConserved: installed targets always sum to the
+// associativity and the occupancy never exceeds the physical line
+// count, through arbitrary repartition sequences.
+func TestMechanismCapacityConserved(t *testing.T) {
+	cfg := Config{SizeBytes: 1 << 16, Ways: 64, LineBytes: 64, NumThreads: 4}
+	lines := cfg.Sets() * cfg.Ways
+	for _, mode := range []Mode{Partitioned, PartitionedMask} {
+		c := mustNew(t, cfg, mode)
+		r := xrand.New(uint64(17 + mode))
+		for round := 0; round < 50; round++ {
+			if err := c.SetTargets(randComposition(r, cfg.Ways, cfg.NumThreads)); err != nil {
+				t.Fatal(err)
+			}
+			sum := 0
+			for _, q := range c.Targets() {
+				sum += q
+			}
+			if sum != cfg.Ways {
+				t.Fatalf("%v: installed targets sum to %d, want %d", mode, sum, cfg.Ways)
+			}
+			for i := 0; i < 2_000; i++ {
+				c.Access(r.Intn(cfg.NumThreads), uint64(r.Intn(1<<13))*64, false)
+			}
+			occ := 0
+			for _, o := range c.Occupancy() {
+				occ += o
+			}
+			if occ > lines {
+				t.Fatalf("%v: occupancy %d exceeds %d lines", mode, occ, lines)
+			}
+			if err := c.checkInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"hash/crc64"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -328,5 +329,73 @@ func TestQuickGoldenEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// randComposition returns a uniform-ish non-negative vector of length n
+// summing to total.
+func randComposition(r *xrand.Rand, total, n int) []int {
+	out := make([]int, n)
+	left := total
+	for i := 0; i < n-1; i++ {
+		out[i] = r.Intn(left + 1)
+		left -= out[i]
+	}
+	out[n-1] = left
+	return out
+}
+
+// mechanismGoldenHash drives a fixed mixed-op sequence through a cache
+// and hashes the complete final State.
+func mechanismGoldenHash(t *testing.T, cfg Config, mode Mode) uint64 {
+	t.Helper()
+	c, err := New(cfg, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(0xC0FFEE ^ uint64(mode))
+	for i := 0; i < 30_000; i++ {
+		switch op := r.Intn(1000); {
+		case op < 8:
+			c.Invalidate(uint64(r.Intn(1<<13)) * 64)
+		case op < 12 && (mode == Partitioned || mode == PartitionedMask):
+			if err := c.SetTargets(randComposition(r, cfg.Ways, cfg.NumThreads)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			c.Access(r.Intn(cfg.NumThreads), uint64(r.Intn(1<<13))*64, r.Bool(0.3))
+		}
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return crc64.Checksum([]byte(fmt.Sprintf("%+v", c.State())), crc64.MakeTable(crc64.ECMA))
+}
+
+// TestMechanismGoldenWaysPinned pins every cache mode byte-identical
+// to its behavior when the constants below were produced by this
+// sequence, so any drift in set indexing, victim selection, stats, or
+// State layout fails loudly. Do not update these constants to make the
+// test pass — a change here is a semantics change for every journaled
+// result in existence.
+func TestMechanismGoldenWaysPinned(t *testing.T) {
+	type pin struct {
+		cfg  Config
+		mode Mode
+		want uint64
+	}
+	pins := []pin{
+		{goldenConfigs[0], SharedLRU, 0x6d71f66bbcb867a1},
+		{goldenConfigs[0], Partitioned, 0x7afbb248a075f090},
+		{goldenConfigs[1], SharedLRU, 0xff607a43638fc3be},
+		{goldenConfigs[1], Partitioned, 0xa0d6759cab868545},
+		{goldenConfigs[1], PartitionedMask, 0xfe6f666ae8ca487a},
+		{goldenConfigs[1], SharedTADIP, 0xa729faf73de464db},
+	}
+	for _, p := range pins {
+		got := mechanismGoldenHash(t, p.cfg, p.mode)
+		if got != p.want {
+			t.Errorf("%d-way %v state hash %#x, pinned %#x", p.cfg.Ways, p.mode, got, p.want)
+		}
 	}
 }

@@ -68,10 +68,11 @@ func (c *Cache) Restore(st State) error {
 		return fmt.Errorf("cache: restore has %d lines, want %d", len(st.Lines), len(c.tagv))
 	case len(st.OwnCount) != len(c.ownCount):
 		return fmt.Errorf("cache: restore has %d ownership counters, want %d", len(st.OwnCount), len(c.ownCount))
-	case len(st.Target) != len(c.target):
-		return fmt.Errorf("cache: restore has %d targets, want %d", len(st.Target), len(c.target))
 	case len(st.Stats.Threads) != len(c.stats.Threads):
 		return fmt.Errorf("cache: restore has %d thread stats, want %d", len(st.Stats.Threads), len(c.stats.Threads))
+	}
+	if err := c.checkTargets(st.Target); err != nil {
+		return fmt.Errorf("cache: restore: %w", err)
 	}
 	for i, ln := range st.Lines {
 		if ln.Valid && (ln.Owner < 0 || int(ln.Owner) >= c.cfg.NumThreads) {
@@ -101,16 +102,10 @@ func (c *Cache) Restore(st State) error {
 		c.psel = append([]int(nil), st.Psel...)
 		c.bipCount = append([]uint32(nil), st.BipCount...)
 	}
-	// The mechanism placements (set-group starts, per-cluster way
-	// targets), resident-line index, and recency lists are derived
-	// state, deliberately absent from State; rebuild them for the
-	// restored contents (before the invariant check, which
-	// cross-validates them against the line arrays). layoutRebuild also
-	// validates the restored target vector against the mode's
-	// feasibility rules.
-	if err := c.layoutRebuild(); err != nil {
-		return fmt.Errorf("cache: restored state is inconsistent: %w", err)
-	}
+	// The resident-line index and recency lists are derived state,
+	// deliberately absent from State; rebuild them for the restored
+	// contents (before the invariant check, which cross-validates them
+	// against the line arrays).
 	c.idxRebuild()
 	c.lruRebuild()
 	if err := c.checkInvariants(); err != nil {

@@ -16,9 +16,9 @@ import (
 // written under one sweep setup cannot silently steer a different one.
 //
 // Crash tolerance: appends are flushed and fsynced per entry, and a
-// torn final line (the process died mid-append) is ignored on reload.
-// A corrupt line anywhere *before* the end is a hard error — that is
-// bit rot, not a crash artifact.
+// torn final line (the process died mid-append) is dropped on reload
+// and cut from the file. A corrupt line anywhere *before* the end is a
+// hard error — that is bit rot, not a crash artifact.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -37,90 +37,87 @@ type journalEntry struct {
 // returning the surviving entries keyed by cell key. Later entries for
 // a key supersede earlier ones (a retried cell appends again). The
 // fingerprint must match the header of an existing journal.
+//
+// A torn tail is cut off the file (and the cut fsynced) before the
+// journal is reopened for append: bytes appended after the debris would
+// fuse with it into one corrupt line that is no longer last, and the
+// next open would refuse the whole journal.
 func OpenJournal(path, fingerprint string) (*Journal, map[string]json.RawMessage, error) {
-	entries, err := replayJournal(path, fingerprint)
-	switch {
-	case os.IsNotExist(err):
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: creating journal: %w", err)
+	entries, keep, size, err := replayJournal(path, fingerprint)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("checkpoint: opening journal: %w", err)
+	}
+	if keep < size {
+		if err := f.Truncate(keep); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("checkpoint: cutting torn journal tail: %w", err)
 		}
+	}
+	if keep == 0 {
 		if _, err := fmt.Fprintf(f, "%s %s\n", journalHeader, fingerprint); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("checkpoint: writing journal header: %w", err)
 		}
+	}
+	if keep < size || keep == 0 {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("checkpoint: syncing journal: %w", err)
 		}
-		return &Journal{f: f, path: path, keys: make(map[string]bool)}, map[string]json.RawMessage{}, nil
-	case err != nil:
-		return nil, nil, err
 	}
 	keys := make(map[string]bool, len(entries))
 	for k := range entries {
 		keys[k] = true
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: reopening journal: %w", err)
-	}
 	return &Journal{f: f, path: path, keys: keys}, entries, nil
 }
 
-// JournalFingerprint reads the fingerprint in the journal header at
-// path without replaying entries. Callers that can *name* alternative
-// configurations (the sweep CLI probing which -mechanism a journal was
-// written under) use it to turn the generic mismatch error into a
-// specific one. A missing file satisfies os.IsNotExist.
-func JournalFingerprint(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return "", err
-		}
-		return "", fmt.Errorf("checkpoint: reading journal: %w", err)
-	}
-	line, _, _ := strings.Cut(string(data), "\n")
-	if !strings.HasPrefix(line, journalHeader+" ") {
-		return "", fmt.Errorf("checkpoint: %s is not a journal (bad header)", path)
-	}
-	return strings.TrimPrefix(line, journalHeader+" "), nil
-}
-
 // replayJournal is OpenJournal's read path: header check, fingerprint
-// check, per-line CRC validation, torn-final-line tolerance.
-func replayJournal(path, fingerprint string) (map[string]json.RawMessage, error) {
+// check, per-line CRC validation, torn-final-line tolerance. It returns
+// the entries, the length of the file prefix that holds them (the
+// header and every complete entry, each ending in a newline; 0 when
+// even the header's newline is missing) and the file's size. A final
+// line without its newline is a torn append even when its checksum
+// holds, so an entry counts only once its newline is on disk.
+func replayJournal(path, fingerprint string) (map[string]json.RawMessage, int64, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, err
+			return map[string]json.RawMessage{}, 0, 0, err
 		}
-		return nil, fmt.Errorf("checkpoint: reading journal: %w", err)
+		return nil, 0, 0, fmt.Errorf("checkpoint: reading journal: %w", err)
 	}
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], journalHeader+" ") {
-		return nil, fmt.Errorf("checkpoint: %s is not a journal (bad header)", path)
+	size := int64(len(data))
+	header, rest, terminated := strings.Cut(string(data), "\n")
+	if !strings.HasPrefix(header, journalHeader+" ") {
+		return nil, 0, 0, fmt.Errorf("checkpoint: %s is not a journal (bad header)", path)
 	}
-	if got := strings.TrimPrefix(lines[0], journalHeader+" "); got != fingerprint {
-		return nil, fmt.Errorf("checkpoint: journal was written under a different configuration (fingerprint %q, want %q)", got, fingerprint)
+	if got := strings.TrimPrefix(header, journalHeader+" "); got != fingerprint {
+		return nil, 0, 0, fmt.Errorf("checkpoint: journal was written under a different configuration (fingerprint %q, want %q)", got, fingerprint)
 	}
 	entries := make(map[string]json.RawMessage)
-	for i := 1; i < len(lines); i++ {
-		line := lines[i]
-		if line == "" && i == len(lines)-1 {
-			break // trailing newline
+	if !terminated {
+		return entries, 0, size, nil
+	}
+	keep := int64(len(header) + 1)
+	for n := 2; rest != ""; n++ {
+		line, tail, ok := strings.Cut(rest, "\n")
+		if !ok {
+			break // torn final append from a crash; drop it
 		}
 		entry, err := parseJournalLine(line)
 		if err != nil {
-			if i == len(lines)-1 {
-				break // torn final append from a crash; drop it
-			}
-			return nil, fmt.Errorf("checkpoint: journal line %d: %w", i+1, err)
+			return nil, 0, 0, fmt.Errorf("checkpoint: journal line %d: %w", n, err)
 		}
 		entries[entry.K] = entry.V
+		keep += int64(len(line) + 1)
+		rest = tail
 	}
-	return entries, nil
+	return entries, keep, size, nil
 }
 
 func parseJournalLine(line string) (journalEntry, error) {

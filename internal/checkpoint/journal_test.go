@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,11 +100,73 @@ func TestJournalTornFinalLineDropped(t *testing.T) {
 	if len(entries) != 1 || entries["a"] == nil {
 		t.Fatalf("torn journal reloaded as %v, want just entry a", entries)
 	}
-	// The journal must stay appendable after a torn line: a new entry
-	// supersedes the debris (the reload drops the torn tail either way).
+	// The journal must stay appendable after a torn line, and what is
+	// appended must survive the next reopen: the torn tail is cut, not
+	// left to fuse with the new entry into a corrupt mid-file line.
 	if err := jr2.Append("b", 2); err != nil {
 		t.Fatalf("Append after torn line: %v", err)
 	}
+	jr2.Close()
+	jr3, entries, err := OpenJournal(path, testFP)
+	if err != nil {
+		t.Fatalf("OpenJournal after appending past a torn line: %v", err)
+	}
+	defer jr3.Close()
+	if len(entries) != 2 || string(entries["a"]) != "1" || string(entries["b"]) != "2" {
+		t.Fatalf("journal reloaded as %v, want entries a and b", entries)
+	}
+}
+
+// FuzzOpenJournal: a journal with a valid header and arbitrary bytes
+// after it is either refused, or it resumes — one Append, Close and
+// reopen returns every entry the first open returned plus the new one.
+func FuzzOpenJournal(f *testing.F) {
+	line := func(body string) string {
+		return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body)
+	}
+	a, b := line(`{"k":"a","v":1}`), line(`{"k":"b","v":[2]}`)
+	for _, seed := range []string{
+		"",
+		a,
+		a + b,
+		a + `deadbeef {"k":"b","v":`,
+		a + strings.TrimSuffix(b, "\n"),
+		a + "\n",
+		"garbage\n" + a,
+		a + line(`{"k":"","v":1}`),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "cells.journal")
+		if err := os.WriteFile(path, append([]byte(journalHeader+" "+testFP+"\n"), tail...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jr, first, err := OpenJournal(path, testFP)
+		if err != nil {
+			return // refused
+		}
+		const key = "fuzz-new-cell"
+		if err := jr.Append(key, 42); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if err := jr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		jr2, second, err := OpenJournal(path, testFP)
+		if err != nil {
+			t.Fatalf("reopen after one append: %v", err)
+		}
+		defer jr2.Close()
+		if string(second[key]) != "42" {
+			t.Fatalf("new entry reloaded as %q", second[key])
+		}
+		for k, v := range first {
+			if k != key && string(second[k]) != string(v) {
+				t.Fatalf("entry %q reloaded as %q, first open returned %q", k, second[k], v)
+			}
+		}
+	})
 }
 
 func TestJournalMidFileCorruptionIsFatal(t *testing.T) {

@@ -49,13 +49,10 @@ type Config struct {
 	UMONStride int
 	Seed       uint64
 
-	// Mechanism selects the L2 partitioning geometry for partitioned
-	// policies: way targets (cache.MechWays, the default and the
-	// paper's Section V scheme), aligned set-index ranges
-	// (cache.MechSets), or per-cluster way targets (cache.MechCluster).
-	// SetGroups and Clusters override the geometry knobs (0 = the cache
-	// package defaults). Policies without a partitioned L2 (shared,
-	// private, tadip) ignore all three.
+	// Mechanism, SetGroups and Clusters configured the set-index and
+	// clustered partition geometries, which were removed. They remain
+	// only so that callers built against them still compile; Validate
+	// refuses any value but zero, and Fingerprint ignores them.
 	Mechanism cache.Mechanism
 	SetGroups int
 	Clusters  int

@@ -36,6 +36,18 @@ func TestConfigValidateErrors(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("bad L2 geometry accepted")
 	}
+	// The removed partition geometries are refused, not ignored.
+	for name, f := range map[string]func(*Config){
+		"mechanism":  func(c *Config) { c.Mechanism = 1 },
+		"set groups": func(c *Config) { c.SetGroups = 4 },
+		"clusters":   func(c *Config) { c.Clusters = 4 },
+	} {
+		c = DefaultConfig()
+		f(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestWithThreads(t *testing.T) {

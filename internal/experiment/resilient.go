@@ -10,7 +10,6 @@ import (
 	"io/fs"
 	"time"
 
-	"intracache/internal/cache"
 	"intracache/internal/checkpoint"
 	"intracache/internal/core"
 	"intracache/internal/fault"
@@ -36,19 +35,11 @@ func (c Config) Fingerprint() string {
 	if c.Fault != nil && !c.Fault.IsZero() {
 		faultDesc = fmt.Sprintf("%+v", *c.Fault)
 	}
-	// Like the shard-count stamp in SweepFingerprint, the mechanism is
-	// stamped only when it departs from the way-partitioning default,
-	// so every journal and checkpoint written before mechanisms existed
-	// stays resumable.
-	mech := ""
-	if c.Mechanism != cache.MechWays || c.SetGroups != 0 || c.Clusters != 0 {
-		mech = fmt.Sprintf(" mech=%s/%d/%d", c.Mechanism, c.SetGroups, c.Clusters)
-	}
-	return fmt.Sprintf("cfg1{t=%d l1=%dKB/%dw l2=%dKB/%dw line=%d lat=%d/%d/%d sect=%d iv=%d run=%d/%d umon=%d seed=%d fault=%s%s}",
+	return fmt.Sprintf("cfg1{t=%d l1=%dKB/%dw l2=%dKB/%dw line=%d lat=%d/%d/%d sect=%d iv=%d run=%d/%d umon=%d seed=%d fault=%s}",
 		c.NumThreads, c.L1KB, c.L1Ways, c.L2KB, c.L2Ways, c.LineBytes,
 		c.BaseCycles, c.L2HitCycles, c.MemCycles,
 		c.SectionInstructions, c.IntervalInstructions,
-		c.Intervals, c.Sections, c.UMONStride, c.Seed, faultDesc, mech)
+		c.Intervals, c.Sections, c.UMONStride, c.Seed, faultDesc)
 }
 
 // hashFingerprint folds the parts into a short hex token for journal
@@ -296,9 +287,9 @@ func runSweepCell(ctx context.Context, key string, cfg Config, benchmark string,
 
 // SweepCell is one baseline-vs-candidate comparison of a cell sweep:
 // the journal key its record is stored under, a display label, and
-// everything runSweepCell needs to compute it. Point sweeps and the
-// mechanism sweep both lay themselves out as flat cell lists, which
-// RunSweepCells runs.
+// everything runSweepCell needs to compute it. Point sweeps lay
+// themselves out as flat cell lists (PointCells), which RunSweepCells
+// runs.
 type SweepCell struct {
 	Key       string
 	Label     string

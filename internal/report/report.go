@@ -228,42 +228,6 @@ func Matrix(title string, rowLabels, colLabels []string, values [][]float64) str
 	return b.String()
 }
 
-// ComparisonMatrix renders a rows × columns grid like Matrix and
-// appends a per-row verdict column: the winning column's label and its
-// margin over the runner-up. It is the rendering for head-to-head
-// comparisons — e.g. policies × partitioning mechanisms, where each row
-// answers "which geometry should this policy run on, and by how much?".
-// Rows with fewer than two columns get no verdict.
-func ComparisonMatrix(title string, rowLabels, colLabels []string, values [][]float64) string {
-	headers := append([]string{""}, colLabels...)
-	headers = append(headers, "best (margin)")
-	t := NewTable(title, headers...)
-	for i, l := range rowLabels {
-		if i >= len(values) {
-			t.AddRow(l)
-			continue
-		}
-		row := make([]interface{}, 0, len(values[i])+2)
-		row = append(row, l)
-		best, second := -1, -1
-		for j, v := range values[i] {
-			row = append(row, v)
-			if best < 0 || v > values[i][best] {
-				best, second = j, best
-			} else if second < 0 || v > values[i][second] {
-				second = j
-			}
-		}
-		verdict := ""
-		if best >= 0 && second >= 0 && best < len(colLabels) {
-			verdict = fmt.Sprintf("%s (+%.2f)", colLabels[best], values[i][best]-values[i][second])
-		}
-		row = append(row, verdict)
-		t.AddRow(row...)
-	}
-	return t.String()
-}
-
 // Sparkline renders a series as a one-line unicode sparkline, useful
 // for the per-interval figures (Figs. 6/7).
 func Sparkline(values []float64) string {

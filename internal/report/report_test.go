@@ -198,23 +198,3 @@ func TestSeriesEmptyRow(t *testing.T) {
 		t.Errorf("label missing:\n%s", out)
 	}
 }
-
-func TestComparisonMatrix(t *testing.T) {
-	out := ComparisonMatrix("mechanisms", []string{"model-based", "static-equal"},
-		[]string{"ways", "sets", "cluster"},
-		[][]float64{{8.5, 3.25, 6.0}, {2.0, 4.5, 4.5}})
-	for _, want := range []string{"mechanisms", "best (margin)", "ways (+2.50)", "3.25"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// Ties go to the first column in order; the margin is then zero.
-	if !strings.Contains(out, "sets (+0.00)") {
-		t.Errorf("tie not broken toward the earlier column:\n%s", out)
-	}
-	// Ragged input: one-column rows get no verdict, missing rows render.
-	ragged := ComparisonMatrix("", []string{"a", "b"}, []string{"x"}, [][]float64{{1}})
-	if strings.Contains(ragged, "(+") {
-		t.Errorf("single-column row got a verdict:\n%s", ragged)
-	}
-}

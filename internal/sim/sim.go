@@ -114,15 +114,10 @@ type Params struct {
 	// ablation.
 	MaskPartitioning bool
 
-	// Mechanism selects the partitioning geometry of the L2Partitioned
-	// organization: way targets (cache.MechWays, the default), aligned
-	// set-group ranges (cache.MechSets), or per-cluster way targets
-	// (cache.MechCluster). Geometry knobs ride in L2.SetGroups and
-	// L2.Clusters. The allocator then runs over the mechanism's
-	// capacity quanta — Ways() reports the quantum count, and UMON
-	// curves are resampled onto it. Ignored by every other
-	// organization; incompatible with MaskPartitioning, which is itself
-	// a (way-granular) mechanism ablation.
+	// Mechanism once selected the partitioning geometry of the
+	// L2Partitioned organization. Way targets (cache.MechWays) are the
+	// only geometry left; the field remains for callers that still set
+	// it, and Validate refuses any other value.
 	Mechanism cache.Mechanism
 }
 
@@ -146,13 +141,8 @@ func (p Params) Validate() error {
 				p.L2.Ways, p.NumThreads)
 		}
 	}
-	switch p.Mechanism {
-	case cache.MechWays, cache.MechSets, cache.MechCluster:
-	default:
-		return fmt.Errorf("sim: unknown partitioning mechanism %d", int(p.Mechanism))
-	}
-	if p.Mechanism != cache.MechWays && p.MaskPartitioning {
-		return fmt.Errorf("sim: MaskPartitioning is a way-granular ablation, incompatible with -mechanism %s", p.Mechanism)
+	if p.Mechanism != cache.MechWays {
+		return fmt.Errorf("sim: partitioning mechanism %d was removed; only ways (0) remains", int(p.Mechanism))
 	}
 	if p.BaseCycles == 0 {
 		return fmt.Errorf("sim: BaseCycles must be positive")
@@ -380,16 +370,9 @@ func New(p Params, gens []trace.Source, ctl Controller, phase PhaseFunc) (*Simul
 		}
 		s.l2 = l2
 	case L2Partitioned:
-		var mode cache.Mode
-		switch {
-		case p.Mechanism == cache.MechSets:
-			mode = cache.PartitionedSets
-		case p.Mechanism == cache.MechCluster:
-			mode = cache.PartitionedCluster
-		case p.MaskPartitioning:
+		mode := cache.Partitioned
+		if p.MaskPartitioning {
 			mode = cache.PartitionedMask
-		default:
-			mode = cache.Partitioned
 		}
 		l2, err := cache.New(p.L2, mode)
 		if err != nil {
@@ -455,30 +438,16 @@ func (s *Simulator) SetReferenceStepper(on bool) {
 // Params returns the simulator's parameters.
 func (s *Simulator) Params() Params { return s.p }
 
-// MissCurve implements Monitors. The UMON samples way-granular stack
-// distances; when the L2's mechanism allocates a different number of
-// capacity quanta (set groups, cluster-ways), the curve is resampled
-// onto the quantum domain so allocators stay geometry-agnostic.
+// MissCurve implements Monitors.
 func (s *Simulator) MissCurve(thread int) []uint64 {
 	if s.mon == nil {
 		return nil
 	}
-	curve := s.mon.MissCurve(thread)
-	if q := s.Ways(); q != s.p.L2.Ways {
-		curve = umon.CurveToQuanta(curve, q)
-	}
-	return curve
+	return s.mon.MissCurve(thread)
 }
 
-// Ways implements Monitors. For the partitioned organization this is
-// the L2 mechanism's capacity-quantum count — equal to the physical
-// way count only under way partitioning.
-func (s *Simulator) Ways() int {
-	if s.p.L2Org == L2Partitioned && s.l2 != nil {
-		return s.l2.Quanta()
-	}
-	return s.p.L2.Ways
-}
+// Ways implements Monitors.
+func (s *Simulator) Ways() int { return s.p.L2.Ways }
 
 // NumThreads implements Monitors.
 func (s *Simulator) NumThreads() int { return s.p.NumThreads }
@@ -845,10 +814,7 @@ func (s *Simulator) endInterval() {
 			if err := s.l2.SetTargets(targets); err != nil {
 				panic(fmt.Sprintf("sim: controller targets rejected: %v", err))
 			}
-			// Record the *installed* targets: mechanisms with coarser
-			// feasible allocations (set-index partitioning rounds to
-			// powers of two) may quantize the request.
-			copy(s.curTargets, s.l2.Targets())
+			copy(s.curTargets, targets)
 		}
 	}
 	if s.mon != nil {

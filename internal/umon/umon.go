@@ -185,32 +185,3 @@ func (m *Monitor) Reset() {
 		m.hist[i] = 0
 	}
 }
-
-// CurveToQuanta resamples a miss-vs-ways utility curve (length W+1,
-// non-increasing) onto a capacity-quantum domain of Q+1 points, where
-// holding q quanta corresponds to q*W/Q ways' worth of capacity. This
-// is the single conversion layer that lets the way-granular UMON feed
-// allocators running over other partitioning geometries: set groups
-// (each group is W/Q of the cache per-way equivalent) and cluster-ways
-// (each a 1/clusters fraction of a way). Fractional positions
-// interpolate linearly between adjacent way counts in integer
-// arithmetic, preserving monotonicity; Q == W returns a copy
-// unchanged.
-func CurveToQuanta(curve []uint64, quanta int) []uint64 {
-	w := len(curve) - 1
-	if w < 1 || quanta < 1 {
-		panic(fmt.Sprintf("umon: cannot resample a %d-point curve onto %d quanta", len(curve), quanta))
-	}
-	out := make([]uint64, quanta+1)
-	for q := 0; q <= quanta; q++ {
-		x := q * w
-		wi, frac := x/quanta, x%quanta
-		v := curve[wi]
-		if frac != 0 {
-			drop := curve[wi] - curve[wi+1]
-			v -= drop * uint64(frac) / uint64(quanta)
-		}
-		out[q] = v
-	}
-	return out
-}

@@ -32,7 +32,6 @@ package intracache
 import (
 	"context"
 
-	"intracache/internal/cache"
 	"intracache/internal/core"
 	"intracache/internal/experiment"
 	"intracache/internal/fault"
@@ -71,31 +70,6 @@ func Policies() []Policy { return core.AllPolicies() }
 // ParsePolicy resolves a short policy name ("model-based", "shared",
 // ...) to a Policy.
 func ParsePolicy(name string) (Policy, error) { return core.ParsePolicy(name) }
-
-// Mechanism selects the L2's partition-enforcement geometry. The paper
-// builds on way partitioning; the alternatives trade allocation
-// granularity for cheaper hardware. Set Config.Mechanism to run any
-// partition-capable policy on a different geometry.
-type Mechanism = cache.Mechanism
-
-const (
-	// MechWays is eviction-controlled way partitioning (the paper's
-	// mechanism; the default).
-	MechWays = cache.MechWays
-	// MechSets gives each thread a contiguous power-of-two-aligned range
-	// of set groups — partitioning by set index, no per-way control.
-	MechSets = cache.MechSets
-	// MechCluster partitions ways independently within each cluster of
-	// sets, approximating per-set way control at lower cost.
-	MechCluster = cache.MechCluster
-)
-
-// Mechanisms returns every partitioning mechanism in presentation order.
-func Mechanisms() []Mechanism { return cache.Mechanisms() }
-
-// ParseMechanism resolves a mechanism name ("ways", "sets", "cluster")
-// to a Mechanism.
-func ParseMechanism(name string) (Mechanism, error) { return cache.ParseMechanism(name) }
 
 // Config holds a complete experiment configuration: machine geometry,
 // timing, workload run lengths and the random seed.
