@@ -12,10 +12,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
+	"intracache/internal/fault"
 	"intracache/internal/service"
+	"intracache/internal/service/loadgen"
 	"intracache/internal/sim"
 )
 
@@ -218,4 +221,53 @@ func BenchmarkServiceTickSharded(b *testing.B) {
 		b.StartTimer()
 		sh.Tick(0)
 	}
+}
+
+// benchCheckpointFleet builds the session table partitiond restores in
+// the perfbench partitiond workload: 1024 loadgen apps, 5% of them
+// faulted, after 8 ingest-and-tick steps.
+func benchCheckpointFleet(b *testing.B) *service.Service {
+	gen, err := loadgen.New(loadgen.Config{Apps: 1024, Seed: 1, FaultFraction: 0.05,
+		Fault: fault.Plan{CPINoise: 0.5, DropRate: 0.2}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := service.New(service.Options{})
+	for s := 0; s < 8; s++ {
+		for _, bt := range gen.Step() {
+			if rep := svc.Ingest(bt); rep.Rejected != "" {
+				b.Fatalf("warm-up batch for %s rejected: %+v", bt.App, rep)
+			}
+		}
+		svc.Tick(0)
+	}
+	return svc
+}
+
+// BenchmarkServiceCheckpoint measures partitiond's checkpoint of that
+// fleet: save is capture, encode, seal and the atomic write; load is
+// read, unseal, decode and Restore into an empty service — the
+// daemon's downtime on restart.
+func BenchmarkServiceCheckpoint(b *testing.B) {
+	svc := benchCheckpointFleet(b)
+	path := filepath.Join(b.TempDir(), "fleet.ckpt")
+	if err := svc.SaveCheckpoint(path); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := svc.SaveCheckpoint(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := service.New(service.Options{}).LoadCheckpoint(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -11,6 +11,14 @@
 // checkpointed at any execution-interval boundary and resumed from that
 // file produces a bit-identical sim.Result to the same run executed
 // straight through.
+//
+// Simulator snapshots are gob payloads: a resume reads one once, at
+// the start of a run that then simulates for seconds to hours, and gob
+// needs no code per field. The envelope itself is codec-agnostic
+// (SaveSealed, LoadSealed). The partitiond service seals its own
+// binary encoding of its session table instead of gob, because its
+// restore is the daemon's downtime: no application gets a decision
+// until it finishes (internal/service, codec.go).
 package checkpoint
 
 import (
@@ -34,13 +42,13 @@ import (
 //	offset 4  version byte
 //	offset 5  payload length, 8 bytes little-endian
 //	offset 13 CRC64-ECMA of the payload, 8 bytes little-endian
-//	offset 21 payload: gob-encoded Snapshot
+//	offset 21 payload: gob-encoded Snapshot, or the owner's own payload
 //
 // The checksum covers only the payload; the header fields are validated
-// structurally. Gob is used for the payload because restore needs exact
-// value round-trips (float64s bit-for-bit), not a stable wire format:
-// a checkpoint is only ever read back by the same binary family that
-// wrote it.
+// structurally. Gob is used for the Snapshot payload because restore
+// needs exact value round-trips (float64s bit-for-bit), not a stable
+// wire format: a checkpoint is only ever read back by the same binary
+// family that wrote it.
 const (
 	magic     = "ICKP"
 	version   = 1
@@ -164,29 +172,46 @@ func Load(path string) (*Snapshot, error) {
 	return Decode(data)
 }
 
-// SaveGob gob-encodes an arbitrary value, seals it in the CRC64
-// envelope, and writes it atomically. It is the generic sibling of
-// Save for owners whose state is not a simulator Snapshot — the
-// partitiond service checkpoints its session table through it.
+// SaveSealed seals payload in the CRC64 envelope and writes it
+// atomically. It is the generic sibling of Save for owners whose state
+// is not a simulator Snapshot and that bring their own payload codec —
+// the partitiond service checkpoints its session table through it.
+func SaveSealed(path string, payload []byte) error {
+	return atomicfile.WriteFile(path, Seal(payload), 0o644)
+}
+
+// LoadSealed reads a SaveSealed file and returns its payload once the
+// envelope has been validated.
+func LoadSealed(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	return Unseal(data)
+}
+
+// SaveGob gob-encodes an arbitrary value and writes it with SaveSealed.
 func SaveGob(path string, v interface{}) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(v); err != nil {
 		return fmt.Errorf("checkpoint: encoding: %w", err)
 	}
-	return atomicfile.WriteFile(path, Seal(payload.Bytes()), 0o644)
+	return SaveSealed(path, payload.Bytes())
 }
 
 // LoadGob reads a SaveGob file, validates the envelope, and decodes
 // the payload into v (which must be a pointer).
 func LoadGob(path string, v interface{}) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	payload, err := Unseal(data)
+	payload, err := LoadSealed(path)
 	if err != nil {
 		return err
 	}
+	return DecodeGob(payload, v)
+}
+
+// DecodeGob decodes an unsealed SaveGob payload into v (which must be
+// a pointer).
+func DecodeGob(payload []byte, v interface{}) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
 		return fmt.Errorf("checkpoint: decoding payload: %w", err)
 	}

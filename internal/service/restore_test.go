@@ -85,3 +85,22 @@ func TestRestoreRefusesInconsistentEngineState(t *testing.T) {
 		t.Fatalf("tick after restore: %+v", ds)
 	}
 }
+
+// A negative rotation index restored cleanly, and the next tick
+// indexed the session order at a negative position and panicked.
+func TestRestoreRefusesNegativeRotation(t *testing.T) {
+	svc := New(Options{})
+	svc.Ingest(mkBatch("a", 2, 8, 2, 0))
+	svc.Tick(0)
+	st, err := svc.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.RR = -1
+	fresh := New(Options{})
+	if err := fresh.Restore(st); err == nil {
+		fresh.Ingest(mkBatch("a", 2, 8, 2, 900))
+		fresh.Tick(0)
+		t.Fatal("restore accepted a negative rotation index")
+	}
+}

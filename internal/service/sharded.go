@@ -282,9 +282,9 @@ func shardPath(path string, gen uint64, i int) string {
 // generation deleted. A crash anywhere mid-save therefore leaves the
 // previous manifest and its complete shard set intact — at worst plus
 // some unreferenced new-generation files the next save will reuse or
-// the operator can delete. A single-shard service writes the plain
-// pre-shard format instead — -shards 1 stays file-compatible with
-// PR 7 daemons in both directions.
+// the operator can delete. A single-shard service writes a plain
+// Service checkpoint instead, so -shards 1 reads every plain
+// checkpoint, including those written before sharding existed.
 func (sh *Sharded) SaveCheckpoint(path string) error {
 	n := len(sh.shards)
 	if n == 1 {
@@ -340,36 +340,39 @@ func (sh *Sharded) SaveCheckpoint(path string) error {
 }
 
 // LoadCheckpoint restores a SaveCheckpoint manifest into an empty
-// sharded service, loading shards concurrently. A manifest written at a
-// different shard count is refused, naming both counts. A pre-shard
-// (plain Service) checkpoint is accepted when running with exactly one
-// shard, so PR 7 daemon checkpoints restore under -shards 1; at any
-// other count it is refused with the same guidance. After restore,
-// every session's ownership is re-verified against ShardIndex, so a
-// hand-mixed set of shard files cannot smuggle a session into a shard
-// that would never route its ingest, and every shard's tick counter is
-// cross-checked against shard 0's, so a torn set — files individually
-// valid but cut at different ticks — is refused, not served.
+// sharded service, loading shards concurrently. The file at path is
+// read and unsealed once, whichever kind it turns out to be. A manifest
+// written at a different shard count is refused, naming both counts. A
+// plain Service checkpoint (either encoding) is accepted when running
+// with exactly one shard, so pre-shard daemon checkpoints restore under
+// -shards 1; at any other count it is refused with the same guidance.
+// After restore, every session's ownership is re-verified against
+// ShardIndex, so a hand-mixed set of shard files cannot smuggle a
+// session into a shard that would never route its ingest, and every
+// shard's tick counter is cross-checked against shard 0's, so a torn
+// set — files individually valid but cut at different ticks — is
+// refused, not served.
 func (sh *Sharded) LoadCheckpoint(path string) error {
 	n := len(sh.shards)
+	payload, err := checkpoint.LoadSealed(path)
+	if err != nil {
+		return err
+	}
 	var m shardManifest
-	merr := checkpoint.LoadGob(path, &m)
-	if merr != nil || m.Magic != shardManifestMagic {
-		// Not a manifest (gob refuses a State decoded as a manifest: no
-		// fields match). The only other thing it can legitimately be is
-		// a pre-shard plain-Service checkpoint, which maps onto exactly
-		// one shard.
-		if n == 1 {
-			return sh.shards[0].LoadCheckpoint(path)
-		}
-		var st State
-		if err := checkpoint.LoadGob(path, &st); err == nil {
+	manifest := !isBinaryState(payload) && checkpoint.DecodeGob(payload, &m) == nil && m.Magic == shardManifestMagic
+	if !manifest {
+		// The only other thing it can legitimately be is a plain-Service
+		// checkpoint (gob refuses a State decoded as a manifest: no
+		// fields match), which maps onto exactly one shard.
+		st, err := decodeCheckpoint(payload)
+		switch {
+		case err != nil:
+			return err
+		case n == 1:
+			return sh.shards[0].Restore(st)
+		default:
 			return fmt.Errorf("service: %s is an unsharded checkpoint (%d sessions); restart with -shards 1 or re-checkpoint sharded", path, len(st.Sessions))
 		}
-		if merr != nil {
-			return merr
-		}
-		return fmt.Errorf("service: %s is not a shard manifest", path)
 	}
 	if m.Version != shardManifestVersion {
 		return fmt.Errorf("service: shard manifest version %d, this binary speaks %d", m.Version, shardManifestVersion)

@@ -106,6 +106,10 @@ func (s *Service) Restore(st State) error {
 	if len(st.Order) != len(st.Sessions) {
 		return fmt.Errorf("service: state order has %d entries, sessions %d", len(st.Order), len(st.Sessions))
 	}
+	if st.RR < 0 {
+		// Tick indexes the order with RR modulo its length.
+		return fmt.Errorf("service: state rotation index %d is negative", st.RR)
+	}
 	sessions := make(map[string]*session, len(st.Sessions))
 	for i, ss := range st.Sessions {
 		if ss.App == "" || ss.App != st.Order[i] {
@@ -174,20 +178,26 @@ func (s *Service) Restore(st State) error {
 }
 
 // SaveCheckpoint captures the service and writes it atomically inside
-// the standard CRC64 checkpoint envelope.
+// the standard CRC64 checkpoint envelope, in the binary encoding of
+// codec.go.
 func (s *Service) SaveCheckpoint(path string) error {
 	st, err := s.State()
 	if err != nil {
 		return err
 	}
-	return checkpoint.SaveGob(path, &st)
+	return checkpoint.SaveSealed(path, encodeState(nil, &st))
 }
 
-// LoadCheckpoint reads a SaveCheckpoint file and restores it into s
-// (which must be empty).
+// LoadCheckpoint reads a SaveCheckpoint file, in the binary encoding or
+// in the gob encoding of files written before it, and restores it into
+// s (which must be empty).
 func (s *Service) LoadCheckpoint(path string) error {
-	var st State
-	if err := checkpoint.LoadGob(path, &st); err != nil {
+	payload, err := checkpoint.LoadSealed(path)
+	if err != nil {
+		return err
+	}
+	st, err := decodeCheckpoint(payload)
+	if err != nil {
 		return err
 	}
 	return s.Restore(st)
