@@ -71,7 +71,8 @@ func postBatch(t *testing.T, base string, b service.Batch) service.IngestReply {
 // TestServeDrainAndRestart runs the daemon loop in-process: ingest a
 // batch over HTTP, SIGTERM it, and check the drain contract — exit 0,
 // queued samples flushed through a final decision, checkpoint written
-// — then restart from the checkpoint and confirm the session survived.
+// — then restart from the checkpoint and confirm the session survived
+// and the restarted daemon serves.
 func TestServeDrainAndRestart(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "pd.ckpt")
 	run := func(ingest bool) int {
@@ -101,6 +102,19 @@ func TestServeDrainAndRestart(t *testing.T) {
 					t.Fatal("restored daemon never answered /alloc")
 				}
 				time.Sleep(10 * time.Millisecond)
+			}
+			// The drain belonged to the stopped daemon: the restarted
+			// one is ready and takes batches.
+			resp, err := http.Get(base + "/readyz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("restored daemon: /readyz -> %d", resp.StatusCode)
+			}
+			if rep := postBatch(t, base, smokeBatch("web-01", 2)); rep.Accepted != 4 {
+				t.Fatalf("restored daemon: ingest: %+v", rep)
 			}
 		}
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

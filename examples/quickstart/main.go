@@ -25,15 +25,20 @@ func main() {
 	fmt.Printf("  application CPI: %.3f\n", res.AppCPI())
 	fmt.Printf("  final partition: %v ways\n", res.FinalTargets)
 
-	// The runtime system logged one decision per execution interval.
+	// The interval history records the partition each execution
+	// interval ran under and the per-thread CPIs the runtime system saw.
 	fmt.Println("\ninterval  ways            thread CPIs")
-	for _, d := range run.RTS.Decisions() {
-		if d.Interval > 6 {
+	for _, iv := range res.Intervals {
+		if iv.Index > 6 {
 			break
 		}
-		fmt.Printf("%8d  %-16s", d.Interval, fmt.Sprint(d.Targets))
-		for _, c := range d.CPIs {
-			fmt.Printf("  %5.2f", c)
+		ways := make([]int, len(iv.Threads))
+		for t, ts := range iv.Threads {
+			ways[t] = ts.WaysAssigned
+		}
+		fmt.Printf("%8d  %-16s", iv.Index, fmt.Sprint(ways))
+		for _, ts := range iv.Threads {
+			fmt.Printf("  %5.2f", ts.CPI())
 		}
 		fmt.Println()
 	}

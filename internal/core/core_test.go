@@ -413,51 +413,16 @@ func TestNewEngine(t *testing.T) {
 	}
 }
 
-func TestRuntimeSystemLogsDecisions(t *testing.T) {
+func TestRuntimeSystemNilEngine(t *testing.T) {
+	if _, err := NewRuntimeSystem(nil); err == nil {
+		t.Error("nil engine accepted")
+	}
 	rts, err := NewRuntimeSystem(NewCPIProportionalEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := fakeMon{ways: 64, threads: 4}
-	cur := []int{16, 16, 16, 16}
-	got := rts.OnInterval(ivWith(0, []float64{2, 2, 8, 4}, cur), mon)
-	if got == nil {
-		t.Fatal("no targets returned")
-	}
-	log := rts.Decisions()
-	if len(log) != 1 {
-		t.Fatalf("log length %d", len(log))
-	}
-	if log[0].Interval != 0 || log[0].CPIs[2] != 8 || log[0].Targets == nil {
-		t.Errorf("decision = %+v", log[0])
-	}
 	if rts.Engine().Name() != "cpi-proportional" {
 		t.Error("engine accessor wrong")
-	}
-}
-
-func TestRuntimeSystemMaxLog(t *testing.T) {
-	rts, err := NewRuntimeSystem(EqualEngine{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts.MaxLog = 3
-	mon := fakeMon{ways: 16, threads: 4}
-	for i := 0; i < 10; i++ {
-		rts.OnInterval(ivWith(i, []float64{1, 2, 3, 4}, []int{4, 4, 4, 4}), mon)
-	}
-	log := rts.Decisions()
-	if len(log) != 3 {
-		t.Fatalf("log length %d, want 3", len(log))
-	}
-	if log[2].Interval != 9 {
-		t.Errorf("log keeps oldest entries: %+v", log)
-	}
-}
-
-func TestRuntimeSystemNilEngine(t *testing.T) {
-	if _, err := NewRuntimeSystem(nil); err == nil {
-		t.Error("nil engine accepted")
 	}
 }
 

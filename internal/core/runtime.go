@@ -7,27 +7,13 @@ import (
 	"intracache/internal/sim"
 )
 
-// Decision records one partitioning step taken by the runtime system:
-// which interval it ended, what the engine assigned for the next
-// interval, and the per-thread CPIs that drove the choice. The Fig. 18
-// snapshot table is rendered directly from this log.
-type Decision struct {
-	Interval int
-	CPIs     []float64
-	Targets  []int // nil means "kept the previous assignment"
-}
-
 // RuntimeSystem is the paper's runtime system (Fig. 17): it implements
 // sim.Controller, feeding each interval's monitor readings to a
 // partition engine and handing the engine's assignment back to the
-// simulator (the configuration unit). It also keeps a decision log for
-// the evaluation harness.
+// simulator (the configuration unit). The per-interval history lives
+// in sim.Result.Intervals, not here.
 type RuntimeSystem struct {
 	engine Engine
-	log    []Decision
-	// MaxLog bounds the decision log (0 = unbounded); long paper-scale
-	// runs keep the most recent entries.
-	MaxLog int
 	// invalidAssignments counts engine outputs that failed validation
 	// and were replaced with the equal split.
 	invalidAssignments int
@@ -43,9 +29,6 @@ func NewRuntimeSystem(engine Engine) (*RuntimeSystem, error) {
 
 // Engine returns the wrapped partition engine.
 func (r *RuntimeSystem) Engine() Engine { return r.engine }
-
-// Decisions returns the decision log.
-func (r *RuntimeSystem) Decisions() []Decision { return r.log }
 
 // InvalidAssignments returns how many engine outputs failed validation
 // and were replaced with the equal split.
@@ -72,18 +55,6 @@ func (r *RuntimeSystem) OnInterval(iv sim.IntervalStats, mon sim.Monitors) []int
 			r.invalidAssignments++
 			targets = cache.EqualSplit(mon.Ways(), mon.NumThreads())
 		}
-	}
-	cpis := make([]float64, len(iv.Threads))
-	for t, ts := range iv.Threads {
-		cpis[t] = ts.CPI()
-	}
-	d := Decision{Interval: iv.Index, CPIs: cpis}
-	if targets != nil {
-		d.Targets = append([]int(nil), targets...)
-	}
-	r.log = append(r.log, d)
-	if r.MaxLog > 0 && len(r.log) > r.MaxLog {
-		r.log = r.log[len(r.log)-r.MaxLog:]
 	}
 	return targets
 }

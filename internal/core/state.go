@@ -228,11 +228,10 @@ func RestoreEngine(e Engine, st EngineSnapshot) error {
 }
 
 // RuntimeSystemState is the serializable mutable state of a
-// RuntimeSystem: its decision log, validation counter, and the wrapped
-// engine's snapshot.
+// RuntimeSystem: the wrapped engine's snapshot and the validation
+// counter.
 type RuntimeSystemState struct {
 	Engine             EngineSnapshot
-	Log                []Decision
 	InvalidAssignments int
 }
 
@@ -242,31 +241,13 @@ func (r *RuntimeSystem) State() (RuntimeSystemState, error) {
 	if err != nil {
 		return RuntimeSystemState{}, err
 	}
-	st := RuntimeSystemState{Engine: eng, InvalidAssignments: r.invalidAssignments}
-	for _, d := range r.log {
-		cp := Decision{Interval: d.Interval}
-		cp.CPIs = append([]float64(nil), d.CPIs...)
-		if d.Targets != nil {
-			cp.Targets = append([]int(nil), d.Targets...)
-		}
-		st.Log = append(st.Log, cp)
-	}
-	return st, nil
+	return RuntimeSystemState{Engine: eng, InvalidAssignments: r.invalidAssignments}, nil
 }
 
 // Restore overlays a snapshot onto the runtime system.
 func (r *RuntimeSystem) Restore(st RuntimeSystemState) error {
 	if err := RestoreEngine(r.engine, st.Engine); err != nil {
 		return err
-	}
-	r.log = nil
-	for _, d := range st.Log {
-		cp := Decision{Interval: d.Interval}
-		cp.CPIs = append([]float64(nil), d.CPIs...)
-		if d.Targets != nil {
-			cp.Targets = append([]int(nil), d.Targets...)
-		}
-		r.log = append(r.log, cp)
 	}
 	r.invalidAssignments = st.InvalidAssignments
 	return nil

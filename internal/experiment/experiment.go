@@ -165,8 +165,8 @@ type Run struct {
 	Benchmark string
 	Policy    core.Policy
 	Result    sim.Result
-	// RTS is the runtime system used, for introspection (decision log,
-	// CPI models); nil for non-dynamic policies.
+	// RTS is the runtime system used, for introspection (engine, CPI
+	// models); nil for non-dynamic policies.
 	RTS *core.RuntimeSystem
 	// FaultStats counts the telemetry faults injected during the run;
 	// nil when the run had no fault injector attached.

@@ -99,8 +99,8 @@ func TestRunOneDynamicHasRTS(t *testing.T) {
 	if r.RTS == nil {
 		t.Fatal("model-based run lacks runtime system")
 	}
-	if len(r.RTS.Decisions()) != cfg.Intervals {
-		t.Errorf("decisions = %d, want %d", len(r.RTS.Decisions()), cfg.Intervals)
+	if len(r.Result.Intervals) != cfg.Intervals {
+		t.Errorf("intervals = %d, want %d", len(r.Result.Intervals), cfg.Intervals)
 	}
 	if r.Result.FinalTargets == nil {
 		t.Error("no final targets recorded")

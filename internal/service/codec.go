@@ -19,7 +19,7 @@ import (
 // of it, so the session table gets a codec that decodes in one pass
 // without reflection.
 //
-// Layout, version 1: the magic "PDST", a version byte, then State's
+// Layout, version 2: the magic "PDST", a version byte, then State's
 // fields in declaration order, recursively, with
 //
 //	uint64, uint    unsigned varint
@@ -40,6 +40,13 @@ import (
 // allocates, and refuses unknown versions, unknown flag bits, bools
 // other than 0 and 1, unsorted map keys and trailing bytes.
 //
+// Version 1 had two more fields, neither of which steers a decision: a
+// Draining bool after RR, and each session's runtime decision log
+// between its engine state and InvalidAssignments (a count, then per
+// entry an int interval, a []float64 of CPIs and an []int of targets).
+// The decoder still reads version 1 and skips both, with the checks it
+// makes on every other field.
+//
 // Payloads without the magic are the gob encoding every checkpoint had
 // before this one; decodeCheckpoint still reads them. A gob stream
 // cannot start with the magic: its first message defines a type, so
@@ -47,7 +54,7 @@ import (
 // odd byte or a 0xF8–0xFF length prefix, never "D".
 const (
 	stateMagic   = "PDST"
-	stateVersion = 1
+	stateVersion = 2
 )
 
 // EngineSnapshot flag bits.
@@ -59,10 +66,11 @@ const (
 
 // Shortest encodings, which bound how many elements the bytes left can
 // hold: a sim.ThreadIntervalStats is eight varints, a SessionState
-// fifteen one-byte fields (its engine flags included).
+// fourteen one-byte fields (its engine flags included; a version 1
+// session has one more, its log count).
 const (
 	threadStatsMinLen = 8
-	sessionMinLen     = 15
+	sessionMinLen     = 14
 )
 
 // encodeState appends the binary encoding of st to b.
@@ -72,7 +80,6 @@ func encodeState(b []byte, st *State) []byte {
 	e.b = append(e.b, stateVersion)
 	e.uint(st.Tick)
 	e.int(st.RR)
-	e.bool(st.Draining)
 	e.uint(uint64(len(st.Order)))
 	for _, app := range st.Order {
 		e.str(app)
@@ -95,18 +102,20 @@ func decodeState(p []byte) (State, error) {
 		return State{}, fmt.Errorf("service: checkpoint payload does not start with %q", stateMagic)
 	}
 	p = p[len(stateMagic):]
-	if len(p) == 0 || p[0] != stateVersion {
+	if len(p) == 0 || p[0] < 1 || p[0] > stateVersion {
 		v := -1
 		if len(p) > 0 {
 			v = int(p[0])
 		}
-		return State{}, fmt.Errorf("service: checkpoint encoding version %d, this binary reads %d", v, stateVersion)
+		return State{}, fmt.Errorf("service: checkpoint encoding version %d, this binary reads 1 to %d", v, stateVersion)
 	}
-	d := decoder{b: p[1:]}
+	d := decoder{b: p[1:], version: p[0]}
 	var st State
 	st.Tick = d.uint()
 	st.RR = d.int()
-	st.Draining = d.bool()
+	if d.version == 1 {
+		d.bool() // Draining
+	}
 	if n := d.count(1); n > 0 {
 		st.Order = make([]string, n)
 		for i := range st.Order {
@@ -267,16 +276,6 @@ func (e *encoder) runtime(r *core.RuntimeSystemState) {
 	if r.Engine.Resilient != nil {
 		e.resilient(r.Engine.Resilient)
 	}
-	e.uint(uint64(len(r.Log)))
-	for i := range r.Log {
-		d := &r.Log[i]
-		e.int(d.Interval)
-		e.uint(uint64(len(d.CPIs)))
-		for _, c := range d.CPIs {
-			e.f64(c)
-		}
-		e.ints(d.Targets)
-	}
 	e.int(r.InvalidAssignments)
 }
 
@@ -342,15 +341,14 @@ func (e *encoder) resilient(r *core.ResilientEngineState) {
 // Decoded slices are carved from shared chunks, one per element type,
 // so a session costs a few allocations rather than one per slice.
 type decoder struct {
-	b   []byte
-	err error
+	b       []byte
+	err     error
+	version byte
 
-	ints      []int
-	floats    []float64
-	bools     []bool
-	threads   []sim.ThreadIntervalStats
-	decisions []core.Decision
-	models    []core.CPIModelState
+	ints    []int
+	bools   []bool
+	threads []sim.ThreadIntervalStats
+	models  []core.CPIModelState
 }
 
 // chunkLen is the element count of one carve chunk.
@@ -585,22 +583,23 @@ func (d *decoder) runtime(r *core.RuntimeSystemState) {
 		r.Engine.Resilient = new(core.ResilientEngineState)
 		d.resilient(r.Engine.Resilient)
 	}
-	// A decision is at least its interval and two counts.
-	if n := d.count(3); n > 0 {
-		r.Log = carve(&d.decisions, n)
-		for i := range r.Log {
-			dec := &r.Log[i]
-			dec.Interval = d.int()
-			if n := d.count(8); n > 0 {
-				dec.CPIs = carve(&d.floats, n)
-				for j := range dec.CPIs {
-					dec.CPIs[j] = d.f64()
-				}
-			}
-			dec.Targets = d.intSlice()
-		}
+	if d.version == 1 {
+		d.skipLog()
 	}
 	r.InvalidAssignments = d.int()
+}
+
+// skipLog reads past a version 1 decision log.
+func (d *decoder) skipLog() {
+	// A decision is at least its interval and two counts.
+	for n := d.count(3); n > 0; n-- {
+		d.int()
+		cpis := d.count(8)
+		d.b = d.b[8*cpis:]
+		for m := d.count(1); m > 0; m-- {
+			d.int()
+		}
+	}
 }
 
 func (d *decoder) modelEngine(m *core.ModelEngineState) {

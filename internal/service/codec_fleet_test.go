@@ -98,7 +98,7 @@ func TestCheckpointFormatsDecideIdentically(t *testing.T) {
 // checkpoint. LoadCheckpoint must refuse them or leave a service that
 // ingests, ticks and saves without panicking, and whose save loads.
 // The seeds are a small fleet's checkpoint in both encodings and the
-// two committed fixtures.
+// three committed fixtures.
 func FuzzLoadServiceCheckpoint(f *testing.F) {
 	_, svc := warmFleet(f, loadgen.Config{Apps: 6, Seed: 3, FaultFraction: 0.5,
 		Fault: fault.Plan{CPINoise: 0.5, DropRate: 0.2}}, 6)
@@ -115,7 +115,7 @@ func FuzzLoadServiceCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(old.Bytes())
-	for _, p := range []string{path, filepath.Join("testdata", "phase-detector-fields.ckpt"), filepath.Join("testdata", "state-v1.ckpt")} {
+	for _, p := range []string{path, filepath.Join("testdata", "phase-detector-fields.ckpt"), filepath.Join("testdata", "state-v1.ckpt"), filepath.Join("testdata", "state-v2.ckpt")} {
 		payload, err := checkpoint.LoadSealed(p)
 		if err != nil {
 			f.Fatal(err)

@@ -120,15 +120,10 @@ func TestStateCodecMatchesGob(t *testing.T) {
 		{"stateless engine", func(st *State) {
 			st.Sessions[0].Runtime.Engine = core.EngineSnapshot{Stateless: true}
 		}},
-		{"kept decisions", func(st *State) {
-			st.Sessions[0].Runtime.Log[1].Targets = nil
-			st.Sessions[1].Runtime.Log[0].Targets = nil
-		}},
 		{"empty non-nil slices and maps", func(st *State) {
 			st.Order = []string{}
 			ss := &st.Sessions[0]
 			ss.Queue, ss.Current = []Sample{}, []int{}
-			ss.Runtime.Log[0].CPIs, ss.Runtime.Log[0].Targets = []float64{}, []int{}
 			r := ss.Runtime.Engine.Resilient
 			r.Ring, r.HaveGood = []bool{}, []bool{}
 			r.Model.Models[0].Points, r.Model.Models[0].Stamps = map[int]float64{}, map[int]int{}
@@ -160,15 +155,12 @@ func TestStateCodecBitExactFloats(t *testing.T) {
 		math.Float64bits(math.MaxFloat64),
 		math.Float64bits(1.0 / 3),
 	}
-	cpis := make([]float64, len(bits))
 	points := map[int]float64{}
 	for i, b := range bits {
-		cpis[i] = math.Float64frombits(b)
-		points[i-3] = cpis[i]
+		points[i-3] = math.Float64frombits(b)
 	}
 	st := State{Order: []string{"a"}, Sessions: []SessionState{{App: "a", Runtime: core.RuntimeSystemState{
 		Engine: core.EngineSnapshot{Model: &core.ModelEngineState{Models: []core.CPIModelState{{Points: points}}}},
-		Log:    []core.Decision{{CPIs: cpis}},
 	}}}}
 	got, err := decodeState(encodeState(nil, &st))
 	if err != nil {
@@ -176,9 +168,6 @@ func TestStateCodecBitExactFloats(t *testing.T) {
 	}
 	rt := got.Sessions[0].Runtime
 	for i, b := range bits {
-		if g := math.Float64bits(rt.Log[0].CPIs[i]); g != b {
-			t.Errorf("CPI %d: bits %#x, want %#x", i, g, b)
-		}
 		if g := math.Float64bits(rt.Engine.Model.Models[0].Points[i-3]); g != b {
 			t.Errorf("point %d: bits %#x, want %#x", i-3, g, b)
 		}
@@ -199,6 +188,24 @@ func smallState(t *testing.T) State {
 	return st
 }
 
+// v1Payload is a version 1 payload of one empty session, with draining
+// as its Draining byte and one entry in the session's decision log.
+func v1Payload(draining byte) []byte {
+	v2 := encodeState(nil, &State{Order: []string{"a"}, Sessions: []SessionState{{App: "a"}}})
+	head := len(stateMagic) + 1
+	e := encoder{b: append([]byte(stateMagic), 1)}
+	e.b = append(e.b, v2[head:head+2]...) // Tick and RR, one byte each
+	e.b = append(e.b, draining)
+	e.b = append(e.b, v2[head+2:len(v2)-1]...) // up to the engine flags
+	e.uint(1)                                  // the log: one decision,
+	e.int(7)                                   // its interval,
+	e.uint(1)                                  // CPIs
+	e.f64(1.5)
+	e.ints([]int{3, 5}) // and targets
+	e.int(0)            // InvalidAssignments
+	return e.b
+}
+
 // TestDecodeStateRefuses feeds the decoder damaged payloads. Each must
 // be refused with an error: the CRC envelope has already passed, so
 // the decoder is the only guard.
@@ -213,10 +220,19 @@ func TestDecodeStateRefuses(t *testing.T) {
 			t.Fatalf("accepted the payload cut to %d of %d bytes", n, len(good))
 		}
 	}
-	header := func(rest ...byte) []byte { return append([]byte(stateMagic+"\x01"), rest...) }
+	v1 := v1Payload(1)
+	if _, err := decodeState(v1); err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(v1); n++ {
+		if _, err := decodeState(v1[:n]); err == nil {
+			t.Fatalf("accepted the version 1 payload cut to %d of %d bytes", n, len(v1))
+		}
+	}
+	header := func(rest ...byte) []byte { return append(append([]byte(stateMagic), stateVersion), rest...) }
 	engineFlags := func(flags byte) []byte {
 		p := encodeState(nil, &State{Sessions: []SessionState{{}}})
-		p[len(p)-3] = flags // then an empty log and InvalidAssignments
+		p[len(p)-2] = flags // then InvalidAssignments
 		return p
 	}
 	cases := []struct {
@@ -224,13 +240,15 @@ func TestDecodeStateRefuses(t *testing.T) {
 		payload    []byte
 	}{
 		{"trailing byte", "trailing", append(append([]byte(nil), good...), 0)},
-		{"unknown version", "version 2", append([]byte(stateMagic+"\x02"), good[len(stateMagic)+1:]...)},
+		{"unknown version", "version 3", append([]byte(stateMagic+"\x03"), good[len(stateMagic)+1:]...)},
+		{"version 0", "version 0", append([]byte(stateMagic+"\x00"), good[len(stateMagic)+1:]...)},
 		{"no version", "version -1", []byte(stateMagic)},
-		{"bool byte 2", "bool byte 2", header(0, 0, 2)},
-		{"count past the end", "exceeds", header(0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
-		{"string past the end", "exceeds", header(0, 0, 0, 1, 9, 'a')},
+		{"bool byte 2", "bool byte 2", v1Payload(2)},
+		{"count past the end", "exceeds", header(0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)},
+		{"string past the end", "exceeds", header(0, 0, 1, 9, 'a')},
 		{"varint overflow", "varint", header(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)},
 		{"unknown engine flag", "engine flags", engineFlags(8)},
+		{"version 1 cut inside a log entry", "exceeds", v1[:len(v1)-6]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -264,55 +282,71 @@ func TestDecodeStateRefuses(t *testing.T) {
 	})
 }
 
-// binaryFixture is a binary checkpoint written by the first version of
-// the encoding.
-var binaryFixture = filepath.Join("testdata", "state-v1.ckpt")
+// Binary checkpoints written by the two versions of the encoding.
+var (
+	binaryFixtureV1 = filepath.Join("testdata", "state-v1.ckpt")
+	binaryFixtureV2 = filepath.Join("testdata", "state-v2.ckpt")
+)
 
-// TestLoadCheckpointBinaryFixture pins version 1 of the binary encoding:
-// a file it wrote still loads and decides as it did when it was written.
+// TestLoadCheckpointBinaryFixture pins both versions of the binary
+// encoding: a file each wrote still loads and decides as it did when it
+// was written.
 //
-// testdata/state-v1.ckpt was generated by calling, from a test in this
-// package,
+// testdata/state-vN.ckpt was generated, by the version N encoder, by
+// calling from a test in this package
 //
 //	svc := New(Options{})
 //	legacyWarmup(t, svc)
 //	legacyStep(t, svc, 3)
-//	svc.SaveCheckpoint("testdata/state-v1.ckpt")
+//	svc.SaveCheckpoint("testdata/state-vN.ckpt")
 //
 // so it holds the legacy fixture's sessions with step 3's samples still
 // queued. A tick and then steps 4 and 5 make the decisions of
 // legacyNextTicks, which the straight-through run in
 // TestLoadCheckpointLegacyPhaseDetectorFields makes too.
 func TestLoadCheckpointBinaryFixture(t *testing.T) {
-	payload, err := checkpoint.LoadSealed(binaryFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isBinaryState(payload) {
-		t.Fatal("fixture is not in the binary encoding")
-	}
-	st, err := decodeState(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := encodeState(nil, &st); !bytes.Equal(again, payload) {
-		t.Fatal("re-encoding the decoded fixture changed its bytes")
-	}
-	restored := New(Options{})
-	if err := restored.LoadCheckpoint(binaryFixture); err != nil {
-		t.Fatal(err)
-	}
-	var got []legacyDecision
-	for step := 3; step < 6; step++ {
-		if step > 3 {
-			legacyStep(t, restored, step)
+	var states []State
+	var payload []byte
+	for _, path := range []string{binaryFixtureV1, binaryFixtureV2} {
+		var err error
+		if payload, err = checkpoint.LoadSealed(path); err != nil {
+			t.Fatal(err)
 		}
-		for _, d := range restored.Tick(0) {
-			got = append(got, legacyDecision{d.App, d.Rung, d.Alloc})
+		if !isBinaryState(payload) {
+			t.Fatalf("%s is not in the binary encoding", path)
+		}
+		st, err := decodeState(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		states = append(states, st)
+		restored := New(Options{})
+		if err := restored.LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		var got []legacyDecision
+		for step := 3; step < 6; step++ {
+			if step > 3 {
+				legacyStep(t, restored, step)
+			}
+			for _, d := range restored.Tick(0) {
+				got = append(got, legacyDecision{d.App, d.Rung, d.Alloc})
+			}
+		}
+		if !reflect.DeepEqual(got, legacyNextTicks) {
+			t.Errorf("restored %s decided\n%+v\nwant\n%+v", path, got, legacyNextTicks)
 		}
 	}
-	if !reflect.DeepEqual(got, legacyNextTicks) {
-		t.Errorf("restored fixture decided\n%+v\nwant\n%+v", got, legacyNextTicks)
+	// payload is the version 2 fixture's, the last one read.
+	v1, v2 := states[0], states[1]
+	if again := encodeState(nil, &v2); !bytes.Equal(again, payload) {
+		t.Error("re-encoding the decoded version 2 fixture changed its bytes")
+	}
+	if got := binaryRoundTrip(t, v1); !reflect.DeepEqual(got, v1) {
+		t.Errorf("re-encoded version 1 fixture decodes to\n %+v\nwant\n %+v", got, v1)
+	}
+	if !reflect.DeepEqual(v1, v2) {
+		t.Errorf("the two fixtures of one recipe decode to\n %+v\nand\n %+v", v1, v2)
 	}
 }
 

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"intracache/internal/checkpoint"
 	"intracache/internal/core"
 )
 
@@ -103,4 +108,64 @@ func TestRestoreRefusesNegativeRotation(t *testing.T) {
 		fresh.Tick(0)
 		t.Fatal("restore accepted a negative rotation index")
 	}
+}
+
+// A graceful stop drains the service, then saves it. The saved table
+// must not carry the drain: a restarted service that refused every
+// batch while its readiness probe said ready would be down.
+func TestDrainedCheckpointRestoresServing(t *testing.T) {
+	serving := func(t *testing.T, b Backend) {
+		t.Helper()
+		if b.Draining() {
+			t.Fatal("restored service is draining")
+		}
+		if rep := b.Ingest(mkBatch("a", 2, 8, 1, 99)); rep.Rejected != "" {
+			t.Fatalf("restored service refused a batch: %+v", rep)
+		}
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards %d", shards), func(t *testing.T) {
+			sh := NewSharded(Options{}, shards, 2)
+			if rep := sh.Ingest(mkBatch("a", 2, 8, 2, 0)); rep.Rejected != "" {
+				t.Fatalf("ingest: %+v", rep)
+			}
+			sh.StartDraining()
+			sh.Tick(0)
+			path := filepath.Join(t.TempDir(), "pd.ckpt")
+			if err := sh.SaveCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			restored := NewSharded(Options{}, shards, 2)
+			if err := restored.LoadCheckpoint(path); err != nil {
+				t.Fatal(err)
+			}
+			serving(t, restored)
+		})
+	}
+	// Version 1 of the encoding carried the flag; a file with it set
+	// restores serving too.
+	t.Run("version 1 draining", func(t *testing.T) {
+		payload, err := checkpoint.LoadSealed(binaryFixtureV1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := len(stateMagic) + 1
+		_, n := binary.Uvarint(payload[off:]) // Tick
+		off += n
+		_, n = binary.Varint(payload[off:]) // RR
+		off += n
+		if payload[off] != 0 {
+			t.Fatalf("fixture's Draining byte is %d, want 0", payload[off])
+		}
+		payload[off] = 1
+		path := filepath.Join(t.TempDir(), "v1-draining.ckpt")
+		if err := os.WriteFile(path, checkpoint.Seal(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		svc := New(Options{})
+		if err := svc.LoadCheckpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		serving(t, svc)
+	})
 }

@@ -202,10 +202,6 @@ func (o Options) pressureHighWater() int {
 	return o.PressureHighWater
 }
 
-// maxDecisionLog bounds each session's runtime decision log; the log
-// exists for introspection, not steering.
-const maxDecisionLog = 8
-
 // Validation caps: a batch that claims shapes beyond these is
 // malformed, not ambitious. They bound per-session allocation work.
 const (
@@ -500,7 +496,6 @@ func (s *Service) newSession(app string, threads, ways int) *session {
 		// Unreachable: the engine is never nil. Guard anyway.
 		panic(err)
 	}
-	rts.MaxLog = maxDecisionLog
 	sess := &session{
 		app:      app,
 		threads:  threads,

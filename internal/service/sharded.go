@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"intracache/internal/checkpoint"
@@ -39,9 +38,6 @@ import (
 type Sharded struct {
 	shards  []*Service
 	workers int
-	// draining mirrors the shards' flags so Draining() stays a single
-	// lock-free load for health probes.
-	draining atomic.Bool
 }
 
 // ShardIndex maps an application id to its owning shard: stable FNV-1a
@@ -173,14 +169,14 @@ func (sh *Sharded) Apps() []string {
 
 // StartDraining flips every shard into shutdown mode.
 func (sh *Sharded) StartDraining() {
-	sh.draining.Store(true)
 	for _, shard := range sh.shards {
 		shard.StartDraining()
 	}
 }
 
-// Draining reports whether StartDraining has been called. Lock-free.
-func (sh *Sharded) Draining() bool { return sh.draining.Load() }
+// Draining reports whether StartDraining has been called. Lock-free:
+// StartDraining flips shard 0 first.
+func (sh *Sharded) Draining() bool { return sh.shards[0].Draining() }
 
 // SnapshotStats sums the per-shard taxonomies. Ticks is the maximum
 // over shards (all equal — every Tick ticks every shard); PeakSessions
@@ -424,9 +420,6 @@ func (sh *Sharded) LoadCheckpoint(path string) error {
 		if got := shard.tickCount(); got != want {
 			return fmt.Errorf("service: torn checkpoint: shard %d was cut at tick %d, shard 0 at tick %d", i+1, got, want)
 		}
-	}
-	if sh.shards[0].Draining() {
-		sh.draining.Store(true)
 	}
 	return nil
 }

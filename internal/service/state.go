@@ -14,11 +14,11 @@ import (
 // (Stats counters). Decision-latency measurements are deliberately
 // absent — latency belongs to a run, not to the decision stream — so a
 // restored service reports fresh percentiles but emits bit-identical
-// decisions.
+// decisions. So is draining: it belongs to the process that is
+// stopping, and a restored service serves.
 type State struct {
 	Tick     uint64
 	RR       int
-	Draining bool
 	Order    []string
 	Stats    Stats
 	Sessions []SessionState
@@ -57,11 +57,10 @@ func (s *Service) State() (State, error) {
 	defer s.mu.Unlock()
 
 	st := State{
-		Tick:     s.tick,
-		RR:       s.rr,
-		Draining: s.draining.Load(),
-		Order:    append([]string(nil), s.order...),
-		Stats:    s.stats,
+		Tick:  s.tick,
+		RR:    s.rr,
+		Order: append([]string(nil), s.order...),
+		Stats: s.stats,
 	}
 	for _, app := range s.order {
 		sess := s.sessions[app]
@@ -126,7 +125,6 @@ func (s *Service) Restore(st State) error {
 		if err != nil {
 			return err
 		}
-		rts.MaxLog = maxDecisionLog
 		if err := rts.Restore(ss.Runtime); err != nil {
 			return fmt.Errorf("service: restoring session %q: %w", ss.App, err)
 		}
@@ -167,11 +165,6 @@ func (s *Service) Restore(st State) error {
 	s.order = append([]string(nil), st.Order...)
 	s.tick = st.Tick
 	s.rr = st.RR
-	if st.Draining {
-		// Through StartDraining so the drain channel closes too: a
-		// watcher arriving after a draining restore must not park.
-		s.StartDraining()
-	}
 	s.stats = st.Stats
 	s.stats.Sessions = len(sessions)
 	return nil

@@ -93,7 +93,7 @@ const (
 
 // Run is one completed (benchmark, policy) simulation, including the
 // full per-interval counter history and — for dynamic policies — the
-// runtime system with its decision log and CPI models.
+// runtime system with its engine and CPI models.
 type Run = experiment.Run
 
 // Result is a completed simulation's summary (wall cycles, per-thread
