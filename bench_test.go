@@ -280,42 +280,26 @@ func BenchmarkFig22EightCore(b *testing.B) {
 	b.ReportMetric(experiment.MeanImprovement(res.VsShared), "meanVsShared%")
 }
 
-// --- Sweep trace-sharing benchmarks (DESIGN.md §5g) ---
+// --- Sweep benchmark (DESIGN.md §5g) ---
 
 // sweepBenchPoints is a three-cell L2-associativity sweep over one
 // workload. Associativity does not perturb the instruction streams, so
-// with ShareTraces set the cells share generated segments through the
-// process-wide trace cache.
-func sweepBenchPoints(share bool) []experiment.SweepPoint {
+// each cell's two runs share them as a lockstep pair.
+func sweepBenchPoints() []experiment.SweepPoint {
 	var points []experiment.SweepPoint
 	for _, ways := range []int{16, 32, 64} {
 		cfg := benchCfg()
 		cfg.Sections = 12
 		cfg.L2Ways = ways
-		cfg.ShareTraces = share
 		points = append(points, experiment.SweepPoint{Label: "l2ways-" + itoa(uint64(ways)), Cfg: cfg})
 	}
 	return points
 }
 
-// BenchmarkSweepSynchronous and BenchmarkSweepSharedTraces time the
-// same multi-cell sweep with trace generation paid per cell vs once per
-// sweep. The shared variant flushes the trace cache every iteration so
-// each iteration measures a cold sweep, not a warmed one.
+// BenchmarkSweepSynchronous times a multi-cell sweep on two workers.
 func BenchmarkSweepSynchronous(b *testing.B) {
-	points := sweepBenchPoints(false)
+	points := sweepBenchPoints()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.SweepJournaled(context.Background(), points, "cg",
-			core.PolicyShared, core.PolicyModelBased, experiment.SweepOptions{Workers: 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSweepSharedTraces(b *testing.B) {
-	points := sweepBenchPoints(true)
-	for i := 0; i < b.N; i++ {
-		experiment.FlushTraceCache()
 		if _, err := experiment.SweepJournaled(context.Background(), points, "cg",
 			core.PolicyShared, core.PolicyModelBased, experiment.SweepOptions{Workers: 2}); err != nil {
 			b.Fatal(err)

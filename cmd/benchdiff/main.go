@@ -264,11 +264,11 @@ func compare(base, cur map[string][]benchResult, threshold float64) (*report, er
 // A benchmark fails the allocation check when the fewest allocations
 // per op over the change's runs exceed the baseline by more than
 // allocSlackFrac plus allocSlackAbs. Counts are not exact: goroutine
-// scheduling in the parallel figure drivers, the service's shard
-// workers and the shared trace cache moves them between runs of one
-// binary. On a 2-vCPU host the extremes of five runs were up to 24%
-// apart, and the fewest of two runs exceeded the fewest of five by up
-// to 6.7% (BenchmarkSweepSharedTraces). A hot-path regression that
+// scheduling in the parallel figure drivers and the service's shard
+// workers moves them between runs of one binary. On a 2-vCPU host the
+// extremes of five runs were up to 24% apart, and the fewest of two
+// runs exceeded the fewest of five by up to 6.7% (measured on a
+// shared-trace sweep benchmark since deleted). A hot-path regression that
 // allocates per instruction, access or sample moves counts by orders of
 // magnitude, far past this slack.
 const (

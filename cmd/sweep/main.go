@@ -40,7 +40,6 @@ import (
 	"intracache/internal/fault"
 	"intracache/internal/profiling"
 	"intracache/internal/report"
-	"intracache/internal/trace"
 )
 
 // Exit codes (documented in README.md).
@@ -69,7 +68,6 @@ func main() {
 	faultStuck := flag.Float64("fault-stuck", 0, "per-thread probability of a stuck-counter repeat")
 	faultDelay := flag.Int("fault-delay", 0, "repartition decisions applied this many intervals late")
 	faultStall := flag.Float64("fault-stall", 0, "per-thread probability of a transient apparent stall")
-	shareTraces := flag.Bool("share-traces", false, "generate each workload's traces once and replay them in every cell (bit-identical results)")
 	pprofPath := flag.String("pprof", "", "write a CPU profile of the sweep to this file")
 	flag.Parse()
 	explicit := map[string]bool{}
@@ -101,7 +99,6 @@ func main() {
 	if !plan.IsZero() {
 		cfg.Fault = &plan
 	}
-	cfg.ShareTraces = *shareTraces
 
 	// A first ctrl-C / SIGTERM cancels the sweep: no new cells start,
 	// in-flight cells stop at their next interval boundary, and finished
@@ -177,7 +174,6 @@ func main() {
 	}
 	title := fmt.Sprintf("%s sweep on %q: %s vs %s", *kind, *bench, *candName, *baseName)
 	printPoints(title, results, *asJSON, *outPath)
-	printTraceCacheSummary(experiment.TraceCacheStats())
 	exitOnFailedCells(errs, stopProfile)
 }
 
@@ -296,27 +292,9 @@ func kindCounts(kinds map[string]int) string {
 	return strings.Join(parts, ", ")
 }
 
-// sweepOutput is the -out / -json payload. It carries only the
-// per-point results, so -share-traces leaves it byte-identical.
+// sweepOutput is the -out / -json payload: the per-point results.
 type sweepOutput struct {
 	Results []experiment.SweepResult
-}
-
-// printTraceCacheSummary reports the shared trace cache's counters on
-// stderr when -share-traces put anything through it.
-func printTraceCacheSummary(st trace.CacheStats) {
-	if st.Hits == 0 && st.Misses == 0 && st.Detaches == 0 {
-		return
-	}
-	total := st.Hits + st.Misses
-	pct := 0.0
-	if total > 0 {
-		pct = 100 * float64(st.Hits) / float64(total)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: trace cache: %d/%d segments served from cache (%.1f%%), "+
-		"%d generated, %d detaches, %d evictions, %d entries / %.1f MiB resident\n",
-		st.Hits, total, pct, st.Misses, st.Detaches, st.Evictions,
-		st.Entries, float64(st.Bytes)/(1<<20))
 }
 
 // reportInterrupted tells the user how to pick the sweep back up when

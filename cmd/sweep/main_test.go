@@ -79,6 +79,10 @@ func TestCommandLine(t *testing.T) {
 			stderr: []string{"flag provided but not defined: -lease"}},
 		{args: "-chaos seed=1", code: 2,
 			stderr: []string{"flag provided but not defined: -chaos"}},
+		// Trace sharing is always on (every cell runs as a lockstep
+		// pair), so its switch is gone.
+		{args: "-share-traces", code: 2,
+			stderr: []string{"flag provided but not defined: -share-traces"}},
 		// The stall watchdog is gone; -cell-timeout bounds a cell.
 		{args: "-stall-timeout 1s", code: 2,
 			stderr: []string{"flag provided but not defined: -stall-timeout"}},
@@ -165,6 +169,23 @@ func TestResumeSkipsJournaledCells(t *testing.T) {
 	}
 	if strings.Contains(first, "(resumed)") {
 		t.Errorf("first run marked rows resumed:\n%s", first)
+	}
+}
+
+// TestCacheSweepGolden: the default cache sweep's -json output is
+// byte-identical to testdata/cache.json, recorded before each cell's
+// two runs became a lockstep pair over shared front ends.
+func TestCacheSweepGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "cache.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, stdout, stderr := runSweep(t, "-kind cache -json")
+	if code != exitOK {
+		t.Fatalf("exit code %d\nstderr: %s", code, stderr)
+	}
+	if stdout != string(want) {
+		t.Errorf("-kind cache -json output differs from testdata/cache.json:\n%s", stdout)
 	}
 }
 

@@ -62,14 +62,6 @@ type Config struct {
 	// internal/fault). Policies without a controller (shared, private,
 	// static-equal) are unaffected: they consume no telemetry.
 	Fault *fault.Plan
-
-	// ShareTraces wraps the trace generators in trace.SharedGen over a
-	// process-wide 256 MiB segment cache, so runs of the same workload
-	// — sweep cells over cache geometry — generate each instruction
-	// stream once and replay it after that. Results and checkpoints are
-	// bit-identical to bare generation (see internal/trace/shared.go),
-	// so it is excluded from Fingerprint().
-	ShareTraces bool
 }
 
 // DefaultConfig returns the scaled default configuration: 4 threads,
@@ -202,8 +194,8 @@ func (c Config) runLength(mode RunMode) (int, error) {
 }
 
 // workloadInput is what a simulation executes: generated threads,
-// drawn only once the run length checks out and adapted to the config's
-// trace mode, or ready srcs such as trace replayers (no phase function).
+// drawn only once the run length checks out, or ready srcs such as
+// trace replayers (no phase function).
 type workloadInput struct {
 	threads func() ([]*trace.ThreadGen, sim.PhaseFunc, error)
 	srcs    []trace.Source
@@ -221,10 +213,9 @@ func (c Config) profileInput(prof workload.Profile) workloadInput {
 // simRun is one built simulation and what its driver needs after it.
 type simRun struct {
 	*sim.Simulator
-	mode  RunMode
-	n     int             // run length in mode's clock
-	inj   *fault.Injector // nil when no fault plan is attached
-	close func()          // releases shared-trace references; call after the run
+	mode RunMode
+	n    int             // run length in mode's clock
+	inj  *fault.Injector // nil when no fault plan is attached
 }
 
 // newRun is the one place a driver builds a simulation. It checks the
@@ -244,21 +235,20 @@ func (c Config) newRun(mode RunMode, pol core.Policy, ctl sim.Controller, in wor
 		}
 		ctl = inj
 	}
-	srcs, closeSrcs := in.srcs, func() {}
+	srcs := in.srcs
 	var phase sim.PhaseFunc
 	if in.threads != nil {
 		var gens []*trace.ThreadGen
 		if gens, phase, err = in.threads(); err != nil {
 			return simRun{}, err
 		}
-		srcs, closeSrcs = c.sources(gens)
+		srcs = trace.Sources(gens)
 	}
 	s, err := sim.New(c.simParams(pol), srcs, ctl, phase)
 	if err != nil {
-		closeSrcs()
 		return simRun{}, err
 	}
-	return simRun{Simulator: s, mode: mode, n: n, inj: inj, close: closeSrcs}, nil
+	return simRun{Simulator: s, mode: mode, n: n, inj: inj}, nil
 }
 
 // run executes what remains of the run length: a simulator restored
@@ -291,17 +281,40 @@ func RunOne(cfg Config, prof workload.Profile, pol core.Policy, mode RunMode) (R
 // with ctx's error.
 func RunOneCtx(ctx context.Context, cfg Config, prof workload.Profile, pol core.Policy,
 	mode RunMode) (Run, error) {
-	ctl, rts, err := core.ControllerFor(pol)
+	r, rts, err := cfg.policyRun(mode, prof, pol)
 	if err != nil {
 		return Run{}, err
 	}
-	r, err := cfg.newRun(mode, pol, ctl, cfg.profileInput(prof))
-	if err != nil {
-		return Run{}, err
-	}
-	defer r.close()
 	res, err := r.run(ctx, nil)
 	return r.output(prof.Name, pol, res, rts), err
+}
+
+// policyRun builds prof's simulation under pol with pol's controller.
+func (c Config) policyRun(mode RunMode, prof workload.Profile, pol core.Policy) (simRun, *core.RuntimeSystem, error) {
+	ctl, rts, err := core.ControllerFor(pol)
+	if err != nil {
+		return simRun{}, nil, err
+	}
+	r, err := c.newRun(mode, pol, ctl, c.profileInput(prof))
+	return r, rts, err
+}
+
+// runPair simulates prof under policies a and b for cfg.Sections
+// sections as one lockstep pair (sim.RunPair): each thread's stream is
+// generated and L1-filtered once, by a's run, and replayed by b's
+// until a phase change makes the two diverge. The two Runs are the ones
+// RunOneCtx returns for each policy.
+func runPair(ctx context.Context, cfg Config, prof workload.Profile, a, b core.Policy) (Run, Run, error) {
+	ra, rtsA, err := cfg.policyRun(BySections, prof, a)
+	if err != nil {
+		return Run{}, Run{}, err
+	}
+	rb, rtsB, err := cfg.policyRun(BySections, prof, b)
+	if err != nil {
+		return Run{}, Run{}, err
+	}
+	resA, resB, err := sim.RunPair(ctx, ra.Simulator, rb.Simulator, ra.n)
+	return ra.output(prof.Name, a, resA, rtsA), rb.output(prof.Name, b, resB, rtsB), err
 }
 
 // RunSources simulates arbitrary instruction sources (e.g. trace
@@ -333,7 +346,6 @@ func RunWithEngine(cfg Config, prof workload.Profile, eng core.Engine, mode RunM
 	if err != nil {
 		return Run{}, err
 	}
-	defer r.close()
 	res, err := r.run(context.Background(), nil)
 	return r.output(prof.Name, core.PolicyModelBased, res, rts), err
 }
@@ -346,15 +358,10 @@ func RunWithMigration(cfg Config, prof workload.Profile, pol core.Policy, swapAt
 	if swapAt < 0 || swapAt >= cfg.Intervals {
 		return Run{}, fmt.Errorf("experiment: swapAt %d outside [0,%d)", swapAt, cfg.Intervals)
 	}
-	ctl, rts, err := core.ControllerFor(pol)
+	r, rts, err := cfg.policyRun(ByIntervals, prof, pol)
 	if err != nil {
 		return Run{}, err
 	}
-	r, err := cfg.newRun(ByIntervals, pol, ctl, cfg.profileInput(prof))
-	if err != nil {
-		return Run{}, err
-	}
-	defer r.close()
 	r.RunIntervals(swapAt + 1)
 	if err := r.SwapThreads(i, j); err != nil {
 		return Run{}, err
@@ -383,7 +390,8 @@ type Comparison struct {
 }
 
 // Compare runs one benchmark under both policies for the same fixed
-// work and reports the candidate's improvement.
+// work, as one lockstep pair (runPair), and reports the candidate's
+// improvement.
 func Compare(cfg Config, prof workload.Profile, baseline, candidate core.Policy) (Comparison, error) {
 	return CompareCtx(context.Background(), cfg, prof, baseline, candidate)
 }
@@ -391,11 +399,7 @@ func Compare(cfg Config, prof workload.Profile, baseline, candidate core.Policy)
 // CompareCtx is Compare with cancellation.
 func CompareCtx(ctx context.Context, cfg Config, prof workload.Profile,
 	baseline, candidate core.Policy) (Comparison, error) {
-	base, err := RunOneCtx(ctx, cfg, prof, baseline, BySections)
-	if err != nil {
-		return Comparison{}, err
-	}
-	cand, err := RunOneCtx(ctx, cfg, prof, candidate, BySections)
+	base, cand, err := runPair(ctx, cfg, prof, baseline, candidate)
 	if err != nil {
 		return Comparison{}, err
 	}
@@ -411,7 +415,7 @@ func newComparison(benchmark string, baseCycles, candCycles uint64) Comparison {
 	}
 }
 
-// CompareAll runs Compare over all nine benchmarks. The 18 runs are
+// CompareAll runs Compare over all nine benchmarks. The nine pairs are
 // independent, so they are spread over GOMAXPROCS workers; the result
 // is identical to calling Compare on each benchmark in turn.
 func CompareAll(cfg Config, baseline, candidate core.Policy) ([]Comparison, error) {
@@ -424,25 +428,33 @@ func CompareAll(cfg Config, baseline, candidate core.Policy) ([]Comparison, erro
 
 // compareMany compares candidate against every baseline on all nine
 // benchmarks and returns one []Comparison per baseline. The candidate
-// runs once per benchmark however many baselines share it. Every
-// (benchmark, policy) run is one index of a GOMAXPROCS worker pool and
-// results are collected by index, so the output does not depend on
-// scheduling. An error names the first failing benchmark in profile
-// order.
+// runs once per benchmark however many baselines share it, as a
+// lockstep pair with the first baseline (runPair); any further
+// baseline runs alone, since a pair holds two simulators and a group
+// of three would keep a third alive beside them. Every pair or lone
+// run is one index of a GOMAXPROCS worker pool and results are
+// collected by index, so the output does not depend on scheduling. An
+// error names the first failing benchmark in profile order.
 func compareMany(cfg Config, baselines []core.Policy, candidate core.Policy) ([][]Comparison, error) {
 	profiles := workload.Profiles()
-	// Per benchmark: the baselines in order, then the candidate.
-	policies := append(append([]core.Policy(nil), baselines...), candidate)
-	np := len(policies)
+	// Per benchmark: the baselines' cycles in order, then the candidate's.
+	nb, np := len(baselines), len(baselines)+1
 	cycles := make([]uint64, len(profiles)*np)
-	errs := forEachIndex(len(cycles), 0, func(k int) error {
-		r, err := RunOne(cfg, profiles[k/np], policies[k%np], BySections)
-		cycles[k] = r.Result.WallCycles
+	errs := forEachIndex(len(profiles)*nb, 0, func(k int) error {
+		prof, b := profiles[k/nb], k%nb
+		at := k/nb*np + b
+		if b > 0 {
+			r, err := RunOne(cfg, prof, baselines[b], BySections)
+			cycles[at] = r.Result.WallCycles
+			return err
+		}
+		base, cand, err := runPair(context.Background(), cfg, prof, baselines[0], candidate)
+		cycles[at], cycles[at+nb] = base.Result.WallCycles, cand.Result.WallCycles
 		return err
 	})
 	for k, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiment: %s: %w", profiles[k/np].Name, err)
+			return nil, fmt.Errorf("experiment: %s: %w", profiles[k/nb].Name, err)
 		}
 	}
 	out := make([][]Comparison, len(baselines))

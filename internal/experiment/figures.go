@@ -259,7 +259,6 @@ func Fig10WaySensitivity(cfg Config) ([]WaySensitivity, error) {
 		if err != nil {
 			return Run{}, err
 		}
-		defer r.close()
 		res, err := r.run(context.Background(), nil)
 		return Run{Benchmark: prof.Name, Result: res}, err
 	}

@@ -118,7 +118,6 @@ func runMultiApp(cfg Config, profs []workload.Profile, threadsPer []int,
 	if err != nil {
 		return MultiAppRun{}, err
 	}
-	defer r.close()
 	res, err := r.run(context.Background(), nil)
 	names := make([]string, len(profs))
 	for i, p := range profs {

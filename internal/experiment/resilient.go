@@ -26,10 +26,7 @@ import (
 
 // Fingerprint renders every configuration field that affects simulation
 // output into one canonical string. Checkpoint and journal resume use
-// it to refuse state written under a different setup. ShareTraces is
-// deliberately excluded: shared traces are bit-identical to bare
-// generation by construction (pinned by the differential tests), so a
-// run checkpointed in one mode may resume in the other.
+// it to refuse state written under a different setup.
 func (c Config) Fingerprint() string {
 	faultDesc := "none"
 	if c.Fault != nil && !c.Fault.IsZero() {
@@ -627,15 +624,10 @@ func CheckpointedRun(ctx context.Context, cfg Config, benchmark string, pol core
 	if err != nil {
 		return Run{}, err
 	}
-	ctl, rts, err := core.ControllerFor(pol)
+	r, rts, err := cfg.policyRun(mode, prof, pol)
 	if err != nil {
 		return Run{}, err
 	}
-	r, err := cfg.newRun(mode, pol, ctl, cfg.profileInput(prof))
-	if err != nil {
-		return Run{}, err
-	}
-	defer r.close()
 
 	modeName := "intervals"
 	if mode == BySections {

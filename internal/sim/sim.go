@@ -241,11 +241,7 @@ type PhaseFunc func(thread, interval int) (wsScale, streamScale float64)
 
 // threadState is one simulated core/thread.
 type threadState struct {
-	gen trace.Source
-	// runSrc caches gen's RunSource capability (nil when the source only
-	// supports one-at-a-time Next); resolved once so the hot path never
-	// type-asserts.
-	runSrc      trace.RunSource
+	fe          frontEnd
 	cycles      uint64 // wall-clock cycle count (includes barrier stalls)
 	waiting     bool
 	sectionLeft uint64
@@ -292,7 +288,6 @@ func (r Result) AppCPI() float64 {
 type Simulator struct {
 	p       Params
 	threads []threadState
-	l1      []*cache.Cache
 	l2      *cache.Cache   // shared/partitioned organizations
 	l2Priv  []*cache.Cache // private organization
 	mon     *umon.Monitor
@@ -320,7 +315,14 @@ type Simulator struct {
 	// stepper (one linear scan + one instruction per step). The batched
 	// scheduler is pinned bit-identical to it by differential tests.
 	refStep bool
+	// sliceLeft is how many more instructions the batched scheduler
+	// retires before it pauses (runSlice, for lockstep pairs). Outside a
+	// slice it is noSlice, which no run retires in full.
+	sliceLeft uint64
 }
+
+// noSlice is sliceLeft outside a slice.
+const noSlice = ^uint64(0)
 
 // New builds a simulator. gens must contain exactly p.NumThreads
 // instruction sources (synthetic generators or trace replayers). ctl
@@ -333,28 +335,25 @@ func New(p Params, gens []trace.Source, ctl Controller, phase PhaseFunc) (*Simul
 	if len(gens) != p.NumThreads {
 		return nil, fmt.Errorf("sim: %d generators for %d threads", len(gens), p.NumThreads)
 	}
-	s := &Simulator{p: p, ctl: ctl, phase: phase}
+	s := &Simulator{p: p, ctl: ctl, phase: phase, sliceLeft: noSlice}
 	// Packed heap keys reserve the low idxBits for the thread index. The
 	// clock occupies the remaining 64-idxBits bits, far beyond any
 	// reachable cycle count (2^58 cycles even at 64 threads).
 	s.idxBits = uint(bits.Len(uint(p.NumThreads - 1)))
 	s.idxMask = 1<<s.idxBits - 1
 	s.threads = make([]threadState, p.NumThreads)
-	s.l1 = make([]*cache.Cache, p.NumThreads)
 	for i := range s.threads {
 		if gens[i] == nil {
 			return nil, fmt.Errorf("sim: nil source for thread %d", i)
 		}
-		s.threads[i].gen = gens[i]
-		s.threads[i].runSrc, _ = gens[i].(trace.RunSource)
-		s.threads[i].sectionLeft = p.SectionInstructions
 		l1cfg := p.L1
 		l1cfg.NumThreads = 1
 		l1, err := cache.New(l1cfg, cache.SharedLRU)
 		if err != nil {
 			return nil, fmt.Errorf("sim: L1[%d]: %w", i, err)
 		}
-		s.l1[i] = l1
+		s.threads[i].fe = newFrontEnd(gens[i], l1)
+		s.threads[i].sectionLeft = p.SectionInstructions
 	}
 	switch p.L2Org {
 	case L2Shared:
@@ -491,7 +490,7 @@ func (s *Simulator) applyPhase(interval int) {
 	}
 	for t := range s.threads {
 		ws, str := s.phase(t, interval)
-		s.threads[t].gen.SetPhase(ws, str)
+		s.threads[t].fe.setPhase(ws, str)
 	}
 }
 
@@ -511,11 +510,12 @@ func (s *Simulator) noteTargets() {
 
 // advance executes the next stretch of the simulation: one instruction
 // under the reference stepper; under the default scheduler, run-ahead
-// batches until an execution interval ends or every thread waits at the
-// barrier. Either way it returns false when every thread is blocked at
-// the barrier (the caller then releases it), and it returns to the
-// caller immediately after completing an execution interval so hooks,
-// cancellation, and checkpoints observe every boundary.
+// batches until an execution interval ends, a slice ends, or every
+// thread waits at the barrier. Either way it returns false when every
+// thread is blocked at the barrier (the caller then releases it), and it
+// returns to the caller immediately after completing an execution
+// interval so hooks, cancellation, and checkpoints observe every
+// boundary.
 func (s *Simulator) advance() bool {
 	if s.refStep {
 		return s.stepRef()
@@ -542,7 +542,7 @@ func (s *Simulator) stepRef() bool {
 		return false
 	}
 	th := &s.threads[sel]
-	in := th.gen.Next()
+	in := th.fe.next()
 	cost := s.p.BaseCycles
 	if in.IsMem {
 		cost += s.memAccess(sel, th, in)
@@ -563,16 +563,13 @@ func (s *Simulator) stepRef() bool {
 	return true
 }
 
-// memAccess walks one memory instruction through the L1→L2→memory
-// hierarchy on behalf of thread sel and returns the cycles it adds on
-// top of BaseCycles. th.cycles must not yet include this instruction's
-// cost (the DRAM model timestamps the access with the pre-instruction
-// clock). Shared by the reference stepper and the batched scheduler so
-// the two cannot drift.
+// memAccess walks one L1 miss (the front end already filtered out the
+// hits) through the L2→memory hierarchy on behalf of thread sel and
+// returns the cycles it adds on top of BaseCycles. th.cycles must not
+// yet include this instruction's cost (the DRAM model timestamps the
+// access with the pre-instruction clock). Shared by the reference
+// stepper and the batched scheduler so the two cannot drift.
 func (s *Simulator) memAccess(sel int, th *threadState, in trace.Instr) uint64 {
-	if s.l1[sel].Access(0, in.Addr, in.Write).Hit {
-		return 0
-	}
 	th.iv.L1Misses++
 	var l2res cache.AccessResult
 	if s.l2 != nil {
@@ -604,10 +601,10 @@ func (s *Simulator) memAccess(sel int, th *threadState, in trace.Instr) uint64 {
 // execution interval. Scheduling cost is thereby amortized to one
 // sift-down per batch instead of an O(NumThreads) scan per instruction,
 // and stretches of non-memory instructions inside a batch are retired
-// through trace.RunSource.NextRun with a single run-length add. Batches
-// follow each other in place until an interval completes (true) or
-// every thread waits at the barrier (false), so the run loop is
-// entered once per interval or section, not once per batch.
+// through the front end's run-length runs with a single add. Batches
+// follow each other in place until an interval or a slice completes
+// (true) or every thread waits at the barrier (false), so the run loop
+// is entered once per interval or section, not once per batch.
 func (s *Simulator) stepBatch() bool {
 	for len(s.heap) > 0 {
 		if s.runBatch() {
@@ -618,8 +615,8 @@ func (s *Simulator) stepBatch() bool {
 }
 
 // runBatch runs one batch of the ready queue's root and reports
-// whether it completed an execution interval. The heap must be
-// non-empty.
+// whether it completed an execution interval or a slice. The heap must
+// be non-empty.
 func (s *Simulator) runBatch() bool {
 	selKey := s.heap[0] & s.idxMask
 	sel := int32(selKey)
@@ -645,12 +642,9 @@ func (s *Simulator) runBatch() bool {
 	for {
 		// Batch bound: how many instructions may retire before a
 		// boundary the reference stepper would observe per-instruction.
-		// All three bounds are exact, so checking them per *batch* is
+		// Every bound is exact, so checking them per *batch* is
 		// equivalent to checking them per instruction.
-		max := th.sectionLeft
-		if left := s.p.IntervalInstructions - s.intervalAccum; left < max {
-			max = left
-		}
+		max := min(th.sectionLeft, s.p.IntervalInstructions-s.intervalAccum, s.sliceLeft)
 		if hasRU {
 			// The scheduling precondition is evaluated before each
 			// instruction: instruction j (0-based) of a pure-compute run
@@ -675,10 +669,10 @@ func (s *Simulator) runBatch() bool {
 
 		var n uint64
 		var in trace.Instr
-		if th.runSrc != nil {
-			n, in = th.runSrc.NextRun(max)
-		} else if in = th.gen.Next(); !in.IsMem {
-			n, in = 1, trace.Instr{}
+		if fe := &th.fe; fe.lk != nil {
+			n, in = fe.lk.next(&fe.cur, max)
+		} else {
+			n, in = fe.pull(max)
 		}
 		// Retire the compute run and the trailing memory instruction (if
 		// any) with one fused bookkeeping update. The memory access must
@@ -702,6 +696,7 @@ func (s *Simulator) runBatch() bool {
 		th.totalInstr += instrs
 		th.sectionLeft -= instrs
 		s.intervalAccum += instrs
+		s.sliceLeft -= instrs
 
 		if th.sectionLeft == 0 {
 			th.waiting = true
@@ -710,12 +705,14 @@ func (s *Simulator) runBatch() bool {
 				s.endInterval()
 				return true
 			}
-			return false
+			return s.sliceLeft == 0
 		}
-		if s.intervalAccum >= s.p.IntervalInstructions {
+		if s.intervalAccum >= s.p.IntervalInstructions || s.sliceLeft == 0 {
 			s.heap[0] = th.cycles<<s.idxBits | selKey
 			s.siftDown(0)
-			s.endInterval()
+			if s.intervalAccum >= s.p.IntervalInstructions {
+				s.endInterval()
+			}
 			return true
 		}
 		// Still runnable and mid-interval: keep the batch going while
@@ -831,8 +828,8 @@ func (s *Simulator) endInterval() {
 
 // SwapThreads exchanges the workload generators of threads i and j,
 // modelling an OS migration of the two software threads between cores.
-// Everything that belongs to the *core* stays put — private L1
-// contents, the L2 way target, cycle clocks, counters — exactly as on
+// Everything that belongs to the *core* stays put — the private L1 in
+// its front end, the L2 way target, cycle clocks, counters — exactly as on
 // real hardware, so after a swap each core briefly executes a workload
 // its cache state and way allocation were tuned for another thread.
 // The paper (Sec. VII) reports that its scheme's predictions are
@@ -842,8 +839,13 @@ func (s *Simulator) SwapThreads(i, j int) error {
 	if i < 0 || i >= s.p.NumThreads || j < 0 || j >= s.p.NumThreads {
 		return fmt.Errorf("sim: SwapThreads(%d, %d) out of range [0,%d)", i, j, s.p.NumThreads)
 	}
-	s.threads[i].gen, s.threads[j].gen = s.threads[j].gen, s.threads[i].gen
-	s.threads[i].runSrc, s.threads[j].runSrc = s.threads[j].runSrc, s.threads[i].runSrc
+	fi, fj := &s.threads[i].fe, &s.threads[j].fe
+	if fi.lk != nil || fj.lk != nil {
+		return fmt.Errorf("sim: SwapThreads(%d, %d) on a stream shared with another run", i, j)
+	}
+	src := fi.src
+	fi.setSource(fj.src)
+	fj.setSource(src)
 	return nil
 }
 

@@ -53,17 +53,21 @@ func (s *Simulator) State() (State, error) {
 		NumThreads:    s.p.NumThreads,
 		L2Org:         s.p.L2Org,
 		Threads:       make([]ThreadSnapshot, len(s.threads)),
-		L1:            make([]cache.State, len(s.l1)),
+		L1:            make([]cache.State, len(s.threads)),
 		IntervalIdx:   s.intervalIdx,
 		IntervalAccum: s.intervalAccum,
 		Barriers:      s.barriers,
 	}
 	for i := range s.threads {
 		th := &s.threads[i]
-		src, ok := th.gen.(trace.StatefulSource)
-		if !ok {
-			return State{}, fmt.Errorf("sim: thread %d source %T does not support checkpointing", i, th.gen)
+		if th.fe.lk != nil {
+			return State{}, fmt.Errorf("sim: thread %d runs a stream shared with another run", i)
 		}
+		src, ok := th.fe.src.(trace.StatefulSource)
+		if !ok {
+			return State{}, fmt.Errorf("sim: thread %d source %T does not support checkpointing", i, th.fe.src)
+		}
+		st.L1[i] = th.fe.l1.State()
 		st.Threads[i] = ThreadSnapshot{
 			Source:      src.SourceState(),
 			Cycles:      th.cycles,
@@ -73,9 +77,6 @@ func (s *Simulator) State() (State, error) {
 			StallCycles: th.stallCycles,
 			IV:          th.iv,
 		}
-	}
-	for i, c := range s.l1 {
-		st.L1[i] = c.State()
 	}
 	if s.l2 != nil {
 		l2 := s.l2.State()
@@ -117,8 +118,8 @@ func (s *Simulator) Restore(st State) error {
 		return fmt.Errorf("sim: restore L2 organization %v, simulator has %v", st.L2Org, s.p.L2Org)
 	case len(st.Threads) != len(s.threads):
 		return fmt.Errorf("sim: restore has %d thread snapshots, want %d", len(st.Threads), len(s.threads))
-	case len(st.L1) != len(s.l1):
-		return fmt.Errorf("sim: restore has %d L1 snapshots, want %d", len(st.L1), len(s.l1))
+	case len(st.L1) != len(s.threads):
+		return fmt.Errorf("sim: restore has %d L1 snapshots, want %d", len(st.L1), len(s.threads))
 	case (st.L2 == nil) != (s.l2 == nil):
 		return fmt.Errorf("sim: restore shared-L2 presence mismatch")
 	case len(st.L2Priv) != len(s.l2Priv):
@@ -132,13 +133,19 @@ func (s *Simulator) Restore(st State) error {
 	}
 	for i := range s.threads {
 		th := &s.threads[i]
-		src, ok := th.gen.(trace.StatefulSource)
+		if th.fe.lk != nil {
+			return fmt.Errorf("sim: thread %d runs a stream shared with another run", i)
+		}
+		src, ok := th.fe.src.(trace.StatefulSource)
 		if !ok {
-			return fmt.Errorf("sim: thread %d source %T does not support checkpointing", i, th.gen)
+			return fmt.Errorf("sim: thread %d source %T does not support checkpointing", i, th.fe.src)
 		}
 		snap := st.Threads[i]
 		if err := src.RestoreSourceState(snap.Source); err != nil {
 			return fmt.Errorf("sim: thread %d: %w", i, err)
+		}
+		if err := th.fe.l1.Restore(st.L1[i]); err != nil {
+			return fmt.Errorf("sim: L1[%d]: %w", i, err)
 		}
 		th.cycles = snap.Cycles
 		th.waiting = snap.Waiting
@@ -146,11 +153,6 @@ func (s *Simulator) Restore(st State) error {
 		th.totalInstr = snap.TotalInstr
 		th.stallCycles = snap.StallCycles
 		th.iv = snap.IV
-	}
-	for i, c := range s.l1 {
-		if err := c.Restore(st.L1[i]); err != nil {
-			return fmt.Errorf("sim: L1[%d]: %w", i, err)
-		}
 	}
 	if s.l2 != nil {
 		if err := s.l2.Restore(*st.L2); err != nil {

@@ -16,8 +16,7 @@ type SourceState struct {
 // GenState snapshots a ThreadGen's mutable state. Base is the RNG
 // state the generator was constructed with — the root all chunk
 // substreams derive from. It must travel with the snapshot: a restored
-// generator (or a scratch generator replaying a recorded segment's
-// start state) re-derives substream k from Base when it crosses a chunk
+// generator re-derives substream k from Base when it crosses a chunk
 // boundary, so restoring Rng alone would splice the wrong substreams
 // into the stream.
 type GenState struct {
@@ -90,6 +89,22 @@ func (g *ThreadGen) RestoreSourceState(st SourceState) error {
 	// switch already crossed); the cached substream start is stale.
 	g.curChunk = s.Instructions / ChunkInstructions
 	g.subValid = false
+	return nil
+}
+
+// CopyFrom puts g in o's exact state, as
+// RestoreSourceState(o.SourceState()) does, and also takes o's cached
+// start of its current substream, so that g crosses its next chunk
+// boundary with one Jump, as o would, instead of rederiving the
+// substream from the base state. g and o must share a spec.
+func (g *ThreadGen) CopyFrom(o *ThreadGen) error {
+	if g.spec != o.spec {
+		return fmt.Errorf("trace: CopyFrom between generators of different specs")
+	}
+	if err := g.RestoreSourceState(o.SourceState()); err != nil {
+		return err
+	}
+	g.subRng, g.subValid = o.subRng, o.subValid
 	return nil
 }
 

@@ -31,9 +31,8 @@
 // generator state at a chunk boundary IS the next chunk's start state.
 // Together these make the start of any chunk a pure function of (spec,
 // base RNG, phase, chunk index): a restored generator rederives its
-// chunk's substream from the base state alone, and a chunk replayed
-// from the segment cache continues exactly as a freshly generated one
-// would. The cursor redraw keeps chunk-local behaviour faithful: a
+// chunk's substream from the base state alone and continues exactly as
+// an uninterrupted one would. The cursor redraw keeps chunk-local behaviour faithful: a
 // streaming chunk starts at a random line of the streaming region
 // instead of always at offset 0, so the polluter character of the
 // region is preserved across the chunked stream.
@@ -124,7 +123,7 @@ type Instr struct {
 // instructions the generator switches to the next 2^128-draw substream
 // of its base RNG and redraws its region cursors (see the package
 // comment). The value is stream-defining — changing it changes every
-// generated trace — and is also the segment length of SharedGen.
+// generated trace.
 const ChunkInstructions = 8192
 
 // chunkMask exploits that ChunkInstructions is a power of two.
@@ -352,6 +351,21 @@ func (g *ThreadGen) SetPhase(wsScale, streamScale float64) {
 // Phase returns the current (wsScale, streamScale).
 func (g *ThreadGen) Phase() (wsScale, streamScale float64) {
 	return g.wsScale, g.streamScale
+}
+
+// PhaseInert reports whether SetPhase(wsScale, streamScale) would leave
+// the stream and the generator state exactly as they are. That holds
+// when the clamped scales equal the current ones, since the samplers
+// then rebuild to identical parameters and no randomness is drawn, and
+// the stride cursor's clamp cannot fire. The stride walk keeps
+// stridePos below the working set whenever StrideBytes fits in it; a
+// stride longer than the scaled working set conservatively reports
+// false.
+func (g *ThreadGen) PhaseInert(wsScale, streamScale float64) bool {
+	if clamp(wsScale, 0.05, 20) != g.wsScale || clamp(streamScale, 0, 20) != g.streamScale {
+		return false
+	}
+	return g.spec.StrideWeight == 0 || uint64(g.spec.StrideBytes) <= g.wsBytes
 }
 
 // Next generates the next instruction. Crossing a chunk boundary

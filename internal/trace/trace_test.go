@@ -438,8 +438,8 @@ func TestStrideFootprintSmallerThanWS(t *testing.T) {
 	}
 }
 
-// TestChunkStartIsPureFunction pins the property restore and the
-// segment cache are built on: the state at any chunk boundary depends
+// TestChunkStartIsPureFunction pins the property restore is built on:
+// the state at any chunk boundary depends
 // only on (spec, base RNG, phase, chunk index), never on how the
 // stream got there.
 func TestChunkStartIsPureFunction(t *testing.T) {

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math/bits"
+	"sync"
 	"testing"
 )
 
@@ -144,6 +145,36 @@ func TestPurgeZipfCache(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if a, b := z1.Next(), z2.Next(); a != b {
 			t.Fatalf("draw %d: purged-then-rebuilt sampler diverged (%d vs %d)", i, a, b)
+		}
+	}
+}
+
+// TestZipfBuildsOnce races goroutines on a fresh (n, alpha) pair: they
+// all miss the memo together, and the tables must be built once and
+// shared.
+func TestZipfBuildsOnce(t *testing.T) {
+	const n, alpha, racers = 50_021, 0.8125, 8    // a pair no other test uses
+	zipfCache.Delete(zipfKey{n: n, alpha: alpha}) // fresh under -count too
+	before := zipfBuilds.Load()
+	start := make(chan struct{})
+	zs := make([]*Zipf, racers)
+	var wg sync.WaitGroup
+	for i := range zs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			zs[i] = NewZipf(New(5), n, alpha)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if builds := zipfBuilds.Load() - before; builds != 1 {
+		t.Errorf("%d goroutines built the (%d, %v) tables %d times, want once", racers, n, alpha, builds)
+	}
+	for i, z := range zs[1:] {
+		if &z.cdf[0] != &zs[0].cdf[0] {
+			t.Errorf("sampler %d does not share the first sampler's tables", i+1)
 		}
 	}
 }

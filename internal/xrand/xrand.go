@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -243,7 +244,19 @@ type zipfTables struct {
 // dozen pairs and the map stays small, but a long-running process
 // sweeping many distinct working-set geometries accumulates one table
 // per pair; call PurgeZipfCache between sweeps to release them.
-var zipfCache sync.Map // zipfKey -> *zipfTables
+var zipfCache sync.Map // zipfKey -> *zipfEntry
+
+// zipfEntry is one memoized (n, alpha) pair. It is published before its
+// tables are built, and the build runs under once, so goroutines that
+// miss the memo together build the tables exactly once and share them.
+type zipfEntry struct {
+	once sync.Once
+	tab  *zipfTables
+}
+
+// zipfBuilds counts table builds, so tests can check that each pair is
+// built once.
+var zipfBuilds atomic.Uint64
 
 // PurgeZipfCache drops every memoized Zipf table. Existing samplers are
 // unaffected — they hold direct references to their (immutable) tables
@@ -266,10 +279,19 @@ func NewZipf(r *Rand, n int, alpha float64) *Zipf {
 		panic("xrand: NewZipf called with alpha < 0")
 	}
 	key := zipfKey{n: n, alpha: alpha}
-	if t, ok := zipfCache.Load(key); ok {
-		tab := t.(*zipfTables)
-		return &Zipf{cdf: tab.cdf, cdfInt: tab.cdfInt, guide: tab.guide, r: r}
+	e, ok := zipfCache.Load(key)
+	if !ok {
+		e, _ = zipfCache.LoadOrStore(key, new(zipfEntry))
 	}
+	ent := e.(*zipfEntry)
+	ent.once.Do(func() { ent.tab = newZipfTables(n, alpha) })
+	tab := ent.tab
+	return &Zipf{cdf: tab.cdf, cdfInt: tab.cdfInt, guide: tab.guide, r: r}
+}
+
+// newZipfTables computes the tables for (n, alpha).
+func newZipfTables(n int, alpha float64) *zipfTables {
+	zipfBuilds.Add(1)
 	tab := &zipfTables{cdf: make([]float64, n), cdfInt: make([]uint64, n),
 		guide: make([]int32, zipfGuideScale*n)}
 	sum := 0.0
@@ -307,10 +329,7 @@ func NewZipf(r *Rand, n int, alpha float64) *Zipf {
 			tab.guide[k] = ^idx
 		}
 	}
-	if prev, loaded := zipfCache.LoadOrStore(key, tab); loaded {
-		tab = prev.(*zipfTables) // another goroutine won the race; share its tables
-	}
-	return &Zipf{cdf: tab.cdf, cdfInt: tab.cdfInt, guide: tab.guide, r: r}
+	return tab
 }
 
 // N returns the number of ranks the sampler draws from.
